@@ -14,7 +14,8 @@ The tau rows recompile ``hdg.ElementBlocks._build`` with its stabilizer line
 ``tau = np.maximum(samples.max(axis=1), 0.0)`` (``src/hdglab/hdg.py``)
 replaced; if that line is reformatted, those rows raise instead of running.
 The dual-weight rows replace the weights 1/2 of ``BddcPreconditioner`` by a
-per-subdomain dual weight block W_i on each SubdomainEdge, W_i + W_j = I.
+per-subdomain dual weight block W_i on each SubdomainEdge, W_i + W_j = I: a
+different weighted restriction Rt_D.
 At degree 0 one primal average per mesh edge makes every interface DOF
 primal, which is the ``all-primal`` variant; the last row runs it.
 
@@ -28,6 +29,7 @@ import textwrap
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
+import scipy.sparse as sp
 
 from hdglab import bddc, bench, dd, hdg
 from hdglab.bench import build_case, run_case
@@ -74,17 +76,19 @@ def tau(expr):
 
 
 def _se_dual_blocks(pre):
-    """Per SubdomainEdge: [(subdomain index, indices into its dual slice)]."""
+    """Per SubdomainEdge: [(subdomain index, partially assembled indices of
+    the subdomain's dual copies on that SubdomainEdge, their St_i block)]."""
     dofs = pre.dofs
     se_of = np.empty(dofs.n_interface, dtype=np.int64)
     for i, (a, b) in enumerate(dofs.se_blocks):
         se_of[a - dofs.n_interior:b - dofs.n_interior] = i
     blocks = {}
-    for sub, sd in zip(pre.subs, pre.sub_data):
-        owner = se_of[sd["pos"][sd["ld"]]]
-        for i in np.unique(owner):
+    for sub, pos, idx, dual, St in pre.local_blocks():
+        owner = np.where(dual, se_of[pos], -1)
+        for i in np.unique(owner[dual]):
+            sel = owner == i
             blocks.setdefault(int(i), []).append(
-                (sub.sidx, np.where(owner == i)[0]))
+                (sub.sidx, idx[sel], St[np.ix_(sel, sel)]))
     return blocks
 
 
@@ -99,22 +103,20 @@ def _upwind_blocks(pre, blocks, w_up):
         bx, by = spec.beta_at(mid[:, 0], mid[:, 1])
         bn = bx * se.normal[0] + by * se.normal[1]   # outward of se.pair[0]
         w0 = np.where(bn > 1e-14, w_up, np.where(bn < -1e-14, 1 - w_up, 0.5))
-        Q = pre.transforms[i].Q
+        a, b = np.array(pre.dofs.se_blocks[i]) - pre.dofs.n_interior
+        Q = pre.Qg[a:b, a:b].toarray()
         nP = pre.constraints.n_primal_by_se[i]
         W0 = (Q @ np.diag(np.repeat(w0, nds)) @ Q.T)[nP:, nP:]
-        for sidx, _ in parts:
+        for sidx, _, _ in parts:
             out[sidx, i] = W0 if sidx == se.pair[0] else np.eye(len(W0)) - W0
     return out
 
 
 def _deluxe_blocks(pre, blocks):
     """W_i = (S_i + S_j)^-1 S_i on the dual block of each SubdomainEdge."""
-    St = {sub.sidx: sd for sub, sd in zip(pre.subs, pre.sub_data)}
     out = {}
-    for i, ((si, idx_i), (sj, idx_j)) in blocks.items():
-        S = [St[s]["St"][np.ix_(St[s]["ld"][idx], St[s]["ld"][idx])]
-             for s, idx in ((si, idx_i), (sj, idx_j))]
-        W0 = np.linalg.solve(S[0] + S[1], S[0])
+    for i, ((si, _, S_i), (sj, _, S_j)) in blocks.items():
+        W0 = np.linalg.solve(S_i + S_j, S_i)
         out[si, i] = W0
         out[sj, i] = np.eye(len(W0)) - W0
     return out
@@ -124,46 +126,27 @@ def _deluxe_blocks(pre, blocks):
 def dual_weights(make_blocks, *args):
     """BddcPreconditioner with the dual weights 1/2 replaced by W_i blocks.
 
-    The weighted restriction gives each subdomain W_i^T c on its dual DOFs
-    and the weighted average is sum_i W_i x_i, so W_i + W_j = I keeps E_D a
+    The weighted restriction Rt_D becomes W^T Rt, with W the identity on the
+    primal DOFs and W_i on the dual copies of subdomain i on each
+    SubdomainEdge: each subdomain gets W_i^T c on its dual DOFs and the
+    weighted average is sum_i W_i x_i, so W_i + W_j = I keeps E_D a
     projection; the primal DOFs stay assembled with weight 1.
     """
     cls = bddc.BddcPreconditioner
-    init, t_from_h, h_from_t = (cls.__init__, cls.tilde_from_hat,
-                                cls.hat_from_tilde)
+    init = cls.__init__
 
     def __init__(self, *a, **kw):
         init(self, *a, **kw)
         blocks = _se_dual_blocks(self)
         W = make_blocks(self, blocks, *args)
-        for sub, sd in zip(self.subs, self.sub_data):
-            sd["W"] = np.zeros((sd["ld"].size, sd["ld"].size))
-        sds = {sub.sidx: sd for sub, sd in zip(self.subs, self.sub_data)}
-        for i, parts in blocks.items():
-            for sidx, idx in parts:
-                sds[sidx]["W"][np.ix_(idx, idx)] = W[sidx, i]
+        primal = np.arange(self.n_tilde) < self.n_primal
+        Wt = sp.diags(primal.astype(float)) + dd.scatter_blocks(
+            ((W[sidx, i].T, idx, idx)
+             for i, parts in blocks.items() for sidx, idx, _ in parts),
+            (self.n_tilde, self.n_tilde))
+        self.RD = (Wt @ self.R).tocsr()
 
-    def tilde_from_hat(self, c, weighted):
-        out = t_from_h(self, c, False)
-        if weighted:
-            dual = out[self.n_primal:]
-            for sd in self.sub_data:
-                sl = sd["dual_slice"]
-                dual[sl] = sd["W"].T @ dual[sl]
-        return out
-
-    def hat_from_tilde(self, t, weighted):
-        if weighted:
-            t = t.copy()
-            dual = t[self.n_primal:]
-            for sd in self.sub_data:
-                sl = sd["dual_slice"]
-                dual[sl] = sd["W"] @ dual[sl]
-        return h_from_t(self, t, False)
-
-    with swapped(cls, "__init__", __init__), \
-            swapped(cls, "tilde_from_hat", tilde_from_hat), \
-            swapped(cls, "hat_from_tilde", hat_from_tilde):
+    with swapped(cls, "__init__", __init__):
         yield
 
 

@@ -14,16 +14,12 @@ from .assembly import (TraceSystem, apply_operator, assemble_trace_system,
                        direct_solve, eval_forms, export_coo,
                        full_saddle_solve, l2_error_u, recover_all)
 from .dd import (InterfaceOperator, SubdomainError, SubdomainSystem,
-                 build_interface_operator, build_subdomains, interface_apply,
-                 interface_rhs)
+                 build_interface_operator, build_subdomains)
 from .bddc import (VARIANTS, BddcPreconditioner, EdgeBasisTransform,
-                   PreconditionerError, PrimalConstraintSet, apply_average,
-                   apply_preconditioner, build_constraints, change_of_basis,
+                   PreconditionerError, PrimalConstraintSet, build_constraints,
                    constraint_rows, build_preconditioner)
-from .krylov import SolveReport, gmres, preconditioned_operator
+from .krylov import SolveReport, gmres
 from .diagnostics import (NormReport, b_gamma_inner, edge_coefficients,
                           envelope_holds, field_of_values, gamma_stat,
                           harmonic_extension, jump_seminorm, norm_h,
                           norm_report, residual_envelope)
-from .bench import (BenchmarkConfig, CaseResult, convergence_study,
-                    make_problem, run_case, run_sweep)

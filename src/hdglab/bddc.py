@@ -11,8 +11,12 @@ c2 and c3 vanish identically when beta.n = 0 on the whole run).
 The retained rows are orthonormalized and completed to an orthogonal change of
 basis Q_E per SubdomainEdge.  In the transformed variables the primal DOFs are
 assembled across the interface while dual DOFs stay subdomain-local; the
-preconditioner is M^-1 = Rt_D^T  St^-1  Rt_D realized by per-subdomain dual
-solves plus one coarse solve.
+preconditioner is M^-1 = Q^T Rt_D^T St^-1 Rt_D Q (Li & Widlund 2006).  Setup
+assembles a few global sparse operators from the local Schur complements: the
+restriction Rt and its weighted form Rt_D, the block-diagonal inverse of the
+dual blocks S_dd, the two primal-dual couplings and the coarse LU; each apply
+is then a handful of sparse products and one coarse solve (the two-level
+structure of Dohrmann 2003).
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .dd import scatter_blocks
 from .fespace import EdgeBasis, quadrature_rule
 from .mesh import InvalidConfigError
 
@@ -124,10 +129,13 @@ def _sign_normalize(v):
 
 
 class EdgeBasisTransform:
-    """Orthogonal change of basis on one SubdomainEdge block."""
+    """Orthogonal change of basis on one SubdomainEdge block.
 
-    def __init__(self, rows, m):
-        self.n_primal = rows.shape[0]
+    ``rows`` are the retained orthonormal constraint rows, shape (n_pi, m).
+    """
+
+    def __init__(self, rows):
+        self.n_primal, m = rows.shape
         if self.n_primal == 0:
             self.Q = np.eye(m)
         elif self.n_primal == m:
@@ -145,20 +153,18 @@ class EdgeBasisTransform:
         return self.Q.T
 
 
-def change_of_basis(constraints, se_index):
-    """EdgeBasisTransform of SubdomainEdge ``se_index``."""
-    rows = constraints.rows[se_index]
-    nds = constraints.k + 1
-    m = constraints.mesh.subdomain_edges[se_index].edges.size * nds
-    return EdgeBasisTransform(rows, m)
-
-
 class BddcPreconditioner:
     """Two-level BDDC in the transformed interface variables.
 
     Partially assembled layout: [primal (n_primal); dual copies per subdomain
     in subdomain order].  Dual weights are 1/2 (every interface DOF is shared
     by exactly two subdomains); primal weight is 1.
+
+    Assembled operators: ``Qg`` (change of basis), ``R`` and ``RD``
+    (restriction Rt and weighted restriction Rt_D, n_tilde x n_interface),
+    ``Sdd_inv`` (block-diagonal inverse of the dual blocks), ``Spd`` and
+    ``Kdp`` = S_dd^-1 S_dp (the primal-dual couplings) and the coarse matrix
+    ``Fc`` with its LU ``coarse_lu``.
     """
 
     def __init__(self, subs, iface, constraints, dofs):
@@ -167,50 +173,36 @@ class BddcPreconditioner:
         self.constraints = constraints
         self.dofs = dofs
         self.variant = constraints.variant
-        mesh = constraints.mesh
-        nds = constraints.k + 1
         n_ifc = dofs.n_interface
-        n_se = len(mesh.subdomain_edges)
 
-        self.transforms = [change_of_basis(constraints, i)
-                           for i in range(n_se)]
-        self.Qg = sp.block_diag([t.Q for t in self.transforms],
-                                format="csr") if n_se else sp.eye(0).tocsr()
+        self.Qg = sp.block_diag(
+            [EdgeBasisTransform(rows).Q for rows in constraints.rows],
+            format="csr") if constraints.rows else sp.eye(0).tocsr()
 
-        # transformed-interface index bookkeeping
+        # the first n_primal_by_se components of each transformed
+        # SubdomainEdge block are primal, numbered in SubdomainEdge order
         self.n_primal = constraints.n_primal
-        primal_pos = []      # interface positions of primal components
-        is_primal = np.zeros(n_ifc, dtype=bool)
-        se_start = np.array([dofs.se_blocks[i][0] - dofs.n_interior
-                             for i in range(n_se)], dtype=np.int64)
-        for i in range(n_se):
-            nP = constraints.n_primal_by_se[i]
-            primal_pos.extend(range(se_start[i], se_start[i] + nP))
-            is_primal[se_start[i]:se_start[i] + nP] = True
-        self.primal_pos = np.array(primal_pos, dtype=np.int64)
-        self.is_primal = is_primal
+        primal_pos = []
+        for (a, _), nP in zip(dofs.se_blocks, constraints.n_primal_by_se):
+            a -= dofs.n_interior
+            primal_pos.extend(range(a, a + nP))
+        primal_pos = np.array(primal_pos, dtype=np.int64)
+        self.is_primal = np.zeros(n_ifc, dtype=bool)
+        self.is_primal[primal_pos] = True
+        self.primal_index = np.full(n_ifc, -1, dtype=np.int64)
+        self.primal_index[primal_pos] = np.arange(self.n_primal)
 
-        # per-subdomain transformed Schur blocks
-        self.sub_data = []
-        dual_off = 0
-        coo_r, coo_c, coo_v = [], [], []
-        for sub in self.subs:
-            pos = sub.interface_pos
-            Qi = self.Qg[pos][:, pos]       # block-diagonal over the sub's SEs
-            St = Qi @ sub.dense_schur() @ Qi.T
-            lp = np.where(is_primal[pos])[0]
-            ld = np.where(~is_primal[pos])[0]
-            gp = []
-            for i_se in dofs.sub_se[sub.sidx]:
-                nP = constraints.n_primal_by_se[i_se]
-                gp.extend(range(constraints.primal_offsets[i_se],
-                                constraints.primal_offsets[i_se] + nP))
-            gp = np.array(gp, dtype=np.int64)
-            Sdd = St[np.ix_(ld, ld)]
-            Sdp = St[np.ix_(ld, lp)]
-            Spd = St[np.ix_(lp, ld)]
-            Spp = St[np.ix_(lp, lp)]
-            if ld.size:
+        dual_cols = []
+        inv_dd, c_pd, c_dp, coarse = [], [], [], []
+        for sub, pos, idx, dual, St in self.local_blocks():
+            prim = ~dual
+            gp, gd = idx[prim], idx[dual] - self.n_primal
+            dual_cols.append(pos[dual])
+            Spp = St[np.ix_(prim, prim)]
+            if gd.size:
+                Sdd = St[np.ix_(dual, dual)]
+                Sdp = St[np.ix_(dual, prim)]
+                Spd = St[np.ix_(prim, dual)]
                 try:
                     lu_dd = sla.lu_factor(Sdd)
                 except (ValueError, sla.LinAlgError) as exc:
@@ -224,26 +216,28 @@ class BddcPreconditioner:
                         "singular dual block in subdomain %d (variant %s, "
                         "eps %g)" % (sub.sidx, self.variant,
                                      constraints.spec.eps))
-                contrib = Spp - Spd @ sla.lu_solve(lu_dd, Sdp)
-            else:
-                lu_dd = None
-                contrib = Spp
-            rr, cc = np.meshgrid(gp, gp, indexing="ij")
-            coo_r.append(rr.ravel())
-            coo_c.append(cc.ravel())
-            coo_v.append(contrib.ravel())
-            self.sub_data.append(dict(
-                pos=pos, lp=lp, ld=ld, gp=gp, lu_dd=lu_dd, Sdp=Sdp, Spd=Spd,
-                St=St, dual_slice=slice(dual_off, dual_off + ld.size)))
-            dual_off += ld.size
-        self.n_dual_total = dual_off
-        self.n_tilde = self.n_primal + dual_off
+                Kdp = sla.lu_solve(lu_dd, Sdp)
+                inv_dd.append((sla.lu_solve(lu_dd, np.eye(gd.size)), gd, gd))
+                c_pd.append((Spd, gp, gd))
+                c_dp.append((Kdp, gd, gp))
+                Spp = Spp - Spd @ Kdp
+            coarse.append((Spp, gp, gp))
+        # row t of Rt picks the interface position of tilde component t
+        cols = np.concatenate([primal_pos] + dual_cols)
+        self.n_tilde = cols.size
+        self.n_dual_total = n_dual = self.n_tilde - self.n_primal
+        rows = np.arange(self.n_tilde)
+        shape = (self.n_tilde, n_ifc)
+        self.R = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape)
+        self.RD = sp.csr_matrix(
+            (np.where(rows < self.n_primal, 1.0, 0.5), (rows, cols)), shape)
+        self.Sdd_inv = scatter_blocks(inv_dd, (n_dual, n_dual)).tocsr()
+        self.Spd = scatter_blocks(c_pd, (self.n_primal, n_dual)).tocsr()
+        self.Kdp = scatter_blocks(c_dp, (n_dual, self.n_primal)).tocsr()
 
         if self.n_primal:
-            Fc = sp.coo_matrix(
-                (np.concatenate(coo_v),
-                 (np.concatenate(coo_r), np.concatenate(coo_c))),
-                shape=(self.n_primal, self.n_primal)).tocsc()
+            Fc = scatter_blocks(coarse,
+                                (self.n_primal, self.n_primal)).tocsc()
             try:
                 self.coarse_lu = spla.splu(Fc)
             except RuntimeError as exc:
@@ -255,73 +249,58 @@ class BddcPreconditioner:
             self.coarse_lu = None
             self.Fc = sp.csc_matrix((0, 0))
 
+    def local_blocks(self):
+        """Per subdomain: (sub, interface positions, their partially
+        assembled indices, dual mask, St_i = Q_i S^(i) Q_i^T).
+
+        Dual copies are numbered in subdomain order after the primal DOFs.
+        """
+        off = self.n_primal
+        for sub in self.subs:
+            pos = sub.interface_pos
+            Qi = self.Qg[pos][:, pos]       # block-diagonal over the sub's SEs
+            dual = ~self.is_primal[pos]
+            nd = np.count_nonzero(dual)
+            idx = self.primal_index[pos]
+            idx[dual] = off + np.arange(nd)
+            off += nd
+            yield sub, pos, idx, dual, Qi @ sub.dense_schur() @ Qi.T
+
     # -- restriction maps on transformed vectors ---------------------------
 
     def tilde_from_hat(self, c, weighted):
         """Rt (or Rt_D) applied to an assembled transformed vector c."""
-        out = np.empty(self.n_tilde)
-        out[:self.n_primal] = c[self.primal_pos]
-        w = 0.5 if weighted else 1.0
-        dual = out[self.n_primal:]
-        for sd in self.sub_data:
-            dual[sd["dual_slice"]] = w * c[sd["pos"][sd["ld"]]]
-        return out
+        return (self.RD if weighted else self.R) @ c
 
     def hat_from_tilde(self, t, weighted):
         """Rt^T (or Rt_D^T) applied to a partially assembled vector t."""
-        out = np.zeros(self.dofs.n_interface)
-        out[self.primal_pos] = t[:self.n_primal]
-        w = 0.5 if weighted else 1.0
-        for sd in self.sub_data:
-            out[sd["pos"][sd["ld"]]] += w * t[self.n_primal:][sd["dual_slice"]]
-        return out
+        return (self.RD if weighted else self.R).T @ t
 
     def inner_solve(self, rt):
         """Solve the partially assembled system St x = rt (two-level)."""
-        rp = rt[:self.n_primal]
-        g = rp.copy()
-        ws = []
-        for sd in self.sub_data:
-            if sd["ld"].size:
-                w = sla.lu_solve(sd["lu_dd"], rt[self.n_primal:][sd["dual_slice"]])
-                g[sd["gp"]] -= sd["Spd"] @ w
-            else:
-                w = np.zeros(0)
-            ws.append(w)
-        xp = self.coarse_lu.solve(g) if self.coarse_lu is not None else g[:0]
-        out = np.empty(self.n_tilde)
-        out[:self.n_primal] = xp
-        for sd, w in zip(self.sub_data, ws):
-            if sd["ld"].size:
-                xd = w - sla.lu_solve(sd["lu_dd"], sd["Sdp"] @ xp[sd["gp"]])
-            else:
-                xd = w
-            out[self.n_primal:][sd["dual_slice"]] = xd
-        return out
+        w = self.Sdd_inv @ rt[self.n_primal:]
+        g = rt[:self.n_primal] - self.Spd @ w
+        xp = self.coarse_lu.solve(g) if self.coarse_lu is not None else g
+        return np.concatenate([xp, w - self.Kdp @ xp])
 
     def apply(self, r):
         """M^-1 r = Q^T Rt_D^T St^-1 Rt_D Q r."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.dofs.n_interface,):
             raise InvalidConfigError("interface residual has wrong length")
-        c = self.Qg @ r
-        xt = self.inner_solve(self.tilde_from_hat(c, weighted=True))
-        return self.Qg.T @ self.hat_from_tilde(xt, weighted=True)
+        xt = self.inner_solve(self.RD @ (self.Qg @ r))
+        return self.Qg.T @ (self.RD.T @ xt)
 
     def apply_average(self, t):
         """E_D t = Rt Rt_D^T t on partially assembled vectors."""
-        return self.tilde_from_hat(self.hat_from_tilde(t, weighted=True),
-                                   weighted=False)
+        return self.R @ (self.RD.T @ t)
 
     def dense_partially_assembled(self):
-        """Dense St (oracle for small problems)."""
+        """Dense St (oracle for small problems), summed from the local
+        transformed Schur complements."""
         S = np.zeros((self.n_tilde, self.n_tilde))
-        for sd in self.sub_data:
-            idx = np.empty(sd["pos"].size, dtype=np.int64)
-            idx[sd["lp"]] = sd["gp"]
-            idx[sd["ld"]] = self.n_primal + np.arange(
-                sd["dual_slice"].start, sd["dual_slice"].stop)
-            S[np.ix_(idx, idx)] += sd["St"]
+        for _, _, idx, _, St in self.local_blocks():
+            S[np.ix_(idx, idx)] += St
         return S
 
 
@@ -331,11 +310,3 @@ def build_preconditioner(subs, iface, constraints, dofs):
         raise InvalidConfigError(
             "variant 'none' means unpreconditioned GMRES; no BDDC object")
     return BddcPreconditioner(subs, iface, constraints, dofs)
-
-
-def apply_preconditioner(pre, r):
-    return pre.apply(r)
-
-
-def apply_average(pre, t):
-    return pre.apply_average(t)

@@ -4,8 +4,9 @@ Each subdomain carries the element-scattered trace matrix plus the Robin
 modification +1/2<beta.n lam, mu> on its interface edges (n = outward normal
 of the subdomain).  The modification cancels pairwise across an interface, so
 the subdomain systems sum back to the global operator exactly, while making
-each local problem solvable on its own.  The interface operator S_Gamma is
-applied matrix-free through the interior factorizations.
+each local problem solvable on its own.  The interface operator
+S_Gamma = sum_i R_i^T S^(i) R_i is assembled once into one sparse matrix from
+the dense local Schur complements S^(i), so each apply is one sparse matvec.
 """
 
 import numpy as np
@@ -120,13 +121,9 @@ class SubdomainSystem:
         lamI = self.interior_solve(-self.AIG @ lamG)
         return np.concatenate([lamI, lamG])
 
-    def schur_apply(self, lamG):
-        """S_Gamma^(i) lam_G via one interior Dirichlet solve."""
-        lamI = self.interior_solve(-self.AIG @ lamG)
-        return self.AGI @ lamI + self.AGG @ lamG
-
     def dense_schur(self):
-        """Dense S^(i) = A_GG - A_GI A_II^-1 A_IG (cached; used by BDDC)."""
+        """Dense S^(i) = A_GG - A_GI A_II^-1 A_IG (cached; assembled into
+        S_Gamma and used by BDDC)."""
         if self._dense_schur is None:
             if self.nI:
                 self._dense_schur = self.AGG.toarray() - \
@@ -155,6 +152,13 @@ def build_subdomains(mesh, dofs, spec, k, sys=None):
     m = 3 * nds
     bvals = sys.b_elem - np.einsum("nij,nj->ni", blocks.S_hat, sys.gloc)
     robin = _robin_edge_matrices(mesh, spec, k)
+    # elements of subdomain s: by_sub[starts[s]:starts[s + 1]], ascending
+    by_sub = np.argsort(mesh.tri_sub, kind="stable")
+    starts = np.searchsorted(mesh.tri_sub[by_sub],
+                             np.arange(mesh.n_subdomains + 1))
+    # global -> local DOF map, reset after each subdomain; the extra last
+    # entry maps the Dirichlet marker -1 to -1
+    loc = np.full(dofs.n_dofs + 1, -1, dtype=np.int64)
 
     subs = []
     for s in range(mesh.n_subdomains):
@@ -162,12 +166,11 @@ def build_subdomains(mesh, dofs, spec, k, sys=None):
         ifc_gids = dofs.sub_interface_gids[s]
         nI, nG = int_gids.size, ifc_gids.size
         nloc = nI + nG
-        loc = np.full(dofs.n_dofs + 1, -1, dtype=np.int64)
         loc[int_gids] = np.arange(nI)
         loc[ifc_gids] = nI + np.arange(nG)
 
         b = np.zeros(nloc)
-        els = np.where(mesh.tri_sub == s)[0]
+        els = by_sub[starts[s]:starts[s + 1]]
         gdof = sys.elem_dofs[els]
         ldof = np.where(gdof >= 0, loc[gdof], -1)
         rows = np.broadcast_to(ldof[:, :, None], (els.size, m, m))
@@ -189,29 +192,47 @@ def build_subdomains(mesh, dofs, spec, k, sys=None):
         A = sp.coo_matrix((np.concatenate(vv),
                            (np.concatenate(ii), np.concatenate(jj))),
                           shape=(nloc, nloc))
+        loc[int_gids] = -1
+        loc[ifc_gids] = -1
 
         subs.append(SubdomainSystem(s, A, nI, int_gids, ifc_gids,
                                     dofs.sub_interface_pos[s], b))
     return subs
 
 
+def scatter_blocks(blocks, shape):
+    """Sparse sum of dense blocks; ``blocks`` yields (B, rows, cols) with B
+    placed at rows x cols.  COO with int32 indices, duplicates unsummed."""
+    rr, cc, vv = [], [], []
+    for B, rows, cols in blocks:
+        rr.append(np.repeat(rows.astype(np.int32), cols.size))
+        cc.append(np.tile(cols.astype(np.int32), rows.size))
+        vv.append(np.ravel(B))
+    if not vv:
+        return sp.coo_matrix(shape)
+    return sp.coo_matrix((np.concatenate(vv),
+                          (np.concatenate(rr), np.concatenate(cc))),
+                         shape=shape)
+
+
 class InterfaceOperator:
-    """Matrix-free S_Gamma = sum_i R^T S^(i) R over the interface DOFs."""
+    """S_Gamma = sum_i R_i^T S^(i) R_i over the interface DOFs, assembled
+    once from the dense local Schur complements into the CSR matrix ``S``."""
 
     def __init__(self, subs, dofs):
         self.subs = subs
         self.dofs = dofs
         self.n = dofs.n_interface
+        self.S = scatter_blocks(
+            ((sub.dense_schur(), sub.interface_pos, sub.interface_pos)
+             for sub in subs), (self.n, self.n)).tocsr()
         self._b = None
 
     def apply(self, lamG):
         lamG = np.asarray(lamG, dtype=float)
         if lamG.shape != (self.n,):
             raise InvalidConfigError("interface vector has wrong length")
-        out = np.zeros(self.n)
-        for sub in self.subs:
-            out[sub.interface_pos] += sub.schur_apply(lamG[sub.interface_pos])
-        return out
+        return self.S @ lamG
 
     @property
     def b_gamma(self):
@@ -224,11 +245,7 @@ class InterfaceOperator:
 
     def as_dense(self):
         """Dense interface matrix (tests / all-primal coarse problem)."""
-        S = np.zeros((self.n, self.n))
-        for sub in self.subs:
-            S[np.ix_(sub.interface_pos, sub.interface_pos)] += \
-                sub.dense_schur()
-        return S
+        return self.S.toarray()
 
     def back_substitute(self, lamG):
         """Full free-DOF vector (interiors recovered subdomain by subdomain)."""
@@ -238,16 +255,6 @@ class InterfaceOperator:
             lam[sub.interior_gids] = sub.back_substitute(
                 lamG[sub.interface_pos])
         return lam
-
-
-def interface_apply(iface, lamG):
-    """y = S_Gamma lam_G."""
-    return iface.apply(lamG)
-
-
-def interface_rhs(iface):
-    """Assembled interface right-hand side b_Gamma."""
-    return iface.b_gamma
 
 
 def build_interface_operator(subs, dofs):

@@ -1,7 +1,7 @@
 """Unrestarted, left-preconditioned GMRES over the interface space.
 
-Standard Arnoldi with modified Gram-Schmidt plus one reorthogonalization
-pass, and a Givens-rotation least-squares update.  With a zero initial
+Standard Arnoldi with classical Gram-Schmidt plus one reorthogonalization
+pass (CGS2), and a Givens-rotation least-squares update.  With a zero initial
 guess the iteration stops when the Euclidean norm of the preconditioned
 residual M^-1 (b - S lam_m) has dropped below ``tol`` times the norm of
 M^-1 b (optionally: when the true residual has).
@@ -135,9 +135,3 @@ def gmres(apply_op, apply_precond, b, tol=1e-10, maxit=1000,
     return x, SolveReport(m, resvec, converged,
                           time.perf_counter() - t0, true_res)
 
-
-def preconditioned_operator(iface, pre):
-    """Callable T = M^-1 S_Gamma (plain S_Gamma when pre is None)."""
-    if pre is None:
-        return iface.apply
-    return lambda v: pre.apply(iface.apply(v))

@@ -259,16 +259,17 @@ def extract_interface(mesh):
         runs.append(cur)
         for run in runs:
             res = es[run]
-            n = _outward_normal(mesh, res[0], pair[0])
+            n = _outward_normal(mesh, tangents, res[0], pair[0])
             ts = np.concatenate([mesh.vertices[mesh.edges[res, 0]] @ tau,
                                  mesh.vertices[mesh.edges[res, 1]] @ tau])
             out.append(SubdomainEdge(pair, res, tau, n, (ts.min(), ts.max())))
     return out
 
 
-def _outward_normal(mesh, edge, sub):
-    """Unit normal of ``edge`` pointing out of subdomain ``sub``."""
-    tau = mesh.edge_tangents()[edge]
+def _outward_normal(mesh, tangents, edge, sub):
+    """Unit normal of ``edge`` pointing out of subdomain ``sub``; ``tangents``
+    is ``mesh.edge_tangents()``."""
+    tau = tangents[edge]
     n = np.array([tau[1], -tau[0]])
     t0, t1 = mesh.edge_tris[edge]
     tri = t0 if mesh.tri_sub[t0] == sub else t1

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hdglab.assembly import assemble_trace_system
-from hdglab.bddc import (BddcPreconditioner, PreconditionerError,
-                         apply_average, apply_preconditioner,
-                         build_constraints, build_preconditioner,
-                         change_of_basis, constraint_rows)
+from hdglab.bddc import (BddcPreconditioner, EdgeBasisTransform,
+                         PreconditionerError, build_constraints,
+                         build_preconditioner, constraint_rows)
 from hdglab.dd import build_interface_operator, build_subdomains
 from hdglab.fespace import build_trace_dof_map
 from hdglab.hdg import ProblemSpec
@@ -89,7 +88,7 @@ def test_change_of_basis_two_edge_block():
     dofs = build_trace_dof_map(mesh, 0)
     spec = make_spec("poisson", 1.0)
     cons = build_constraints("bddc1", spec, mesh, dofs, 0)
-    tr = change_of_basis(cons, 0)
+    tr = EdgeBasisTransform(cons.rows[0])
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(tr.Q[0], [s, s], atol=1e-14)
     assert np.allclose(tr.Q[1], [s, -s], atol=1e-14)
@@ -102,7 +101,7 @@ def test_duals_annihilate_constraints_rotating_k2():
     spec = make_spec("rotating", 1e-3)
     cons = build_constraints("bddc3", spec, mesh, dofs, 2)
     for i, se in enumerate(mesh.subdomain_edges):
-        tr = change_of_basis(cons, i)
+        tr = EdgeBasisTransform(cons.rows[i])
         raw = constraint_rows(mesh, se, spec, 2)
         scale = np.linalg.norm(raw[0])
         nP = tr.n_primal
@@ -145,12 +144,12 @@ def test_partition_of_unity():
 def test_apply_zero_and_all_primal_exact():
     mesh, dofs, spec, subs, iface, cons, pre = setup(
         "thermal", 1e-2, "all-primal", ratio=2, k=0)
-    assert np.allclose(apply_preconditioner(pre, np.zeros(iface.n)), 0.0)
+    assert np.allclose(pre.apply(np.zeros(iface.n)), 0.0)
     rng = np.random.default_rng(1)
     S = iface.as_dense()
     for _ in range(3):
         r = rng.standard_normal(iface.n)
-        y = apply_preconditioner(pre, r)
+        y = pre.apply(r)
         ref = np.linalg.solve(S, r)
         assert np.linalg.norm(y - ref) < 1e-10 * np.linalg.norm(ref)
         # S_Gamma residual of the all-primal apply
@@ -160,18 +159,22 @@ def test_apply_zero_and_all_primal_exact():
 @pytest.mark.parametrize("variant", ["bddc1", "bddc2", "bddc3"])
 @pytest.mark.parametrize("eps", [1.0, 1e-3])
 def test_apply_matches_dense_tilde_oracle(variant, eps):
-    mesh, dofs, spec, subs, iface, cons, pre = setup(
-        "rotating", eps, variant, ratio=2, k=0)
-    St = pre.dense_partially_assembled()
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        r = rng.standard_normal(iface.n)
-        c = pre.Qg @ r
-        rt = pre.tilde_from_hat(c, weighted=True)
-        xt = np.linalg.solve(St, rt)
-        ref = pre.Qg.T @ pre.hat_from_tilde(xt, weighted=True)
-        y = apply_preconditioner(pre, r)
-        assert np.linalg.norm(y - ref) < 1e-10 * max(np.linalg.norm(ref), 1.0)
+    # the 3x2 grid at k=2 has corner subdomains with fewer interface DOFs
+    # and unequal interface blocks per subdomain
+    for nx, ny, k in ((2, 2, 0), (3, 2, 2)):
+        mesh, dofs, spec, subs, iface, cons, pre = setup(
+            "rotating", eps, variant, nx=nx, ny=ny, ratio=2, k=k)
+        St = pre.dense_partially_assembled()
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            r = rng.standard_normal(iface.n)
+            c = pre.Qg @ r
+            rt = pre.tilde_from_hat(c, weighted=True)
+            xt = np.linalg.solve(St, rt)
+            ref = pre.Qg.T @ pre.hat_from_tilde(xt, weighted=True)
+            y = pre.apply(r)
+            assert np.linalg.norm(y - ref) \
+                < 1e-10 * max(np.linalg.norm(ref), 1.0)
 
 
 def test_inner_solve_against_dense_tilde():
@@ -190,25 +193,25 @@ def test_apply_average():
     # continuous input: image of Rt
     c = rng.standard_normal(pre.dofs.n_interface)
     t = pre.tilde_from_hat(c, weighted=False)
-    assert np.allclose(apply_average(pre, t), t, atol=1e-13)
+    assert np.allclose(pre.apply_average(t), t, atol=1e-13)
     # equal and opposite dual parts average to zero
     t2 = np.zeros(pre.n_tilde)
-    sd0 = pre.sub_data[0]
-    # find the partner subdomain sharing sd0's first dual DOF
-    p = sd0["pos"][sd0["ld"]][0]
-    t2[pre.n_primal:][sd0["dual_slice"]][0] = 1.0
-    for sd in pre.sub_data[1:]:
-        dpos = sd["pos"][sd["ld"]]
-        hit = np.where(dpos == p)[0]
-        if hit.size:
-            idx = pre.n_primal + sd["dual_slice"].start + hit[0]
-            t2[idx] = -1.0
-    out = apply_average(pre, t2)
+    # the first dual copy (of subdomain 0) and its partner in the other
+    # subdomain sharing that interface DOF: the two rows of Rt on column p
+    first = pre.n_primal
+    p = pre.R[first].indices[0]
+    col = pre.R[:, p].tocoo()
+    assert col.nnz == 2 and first in col.row
+    partner = col.row[col.row != first][0]
+    assert partner >= pre.n_primal
+    t2[first] = 1.0
+    t2[partner] = -1.0
+    out = pre.apply_average(t2)
     assert np.allclose(out, 0.0, atol=1e-14)
     # idempotence
     w = rng.standard_normal(pre.n_tilde)
-    assert np.allclose(apply_average(pre, apply_average(pre, w)),
-                       apply_average(pre, w), atol=1e-13)
+    assert np.allclose(pre.apply_average(pre.apply_average(w)),
+                       pre.apply_average(w), atol=1e-13)
 
 
 def test_primal_reproduction():

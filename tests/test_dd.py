@@ -3,7 +3,7 @@ import pytest
 
 from hdglab.assembly import assemble_trace_system, direct_solve
 from hdglab.dd import (InterfaceOperator, build_interface_operator,
-                       build_subdomains, interface_apply, interface_rhs)
+                       build_subdomains)
 from hdglab.fespace import build_trace_dof_map
 from hdglab.hdg import ProblemSpec
 from hdglab.mesh import build_structured_mesh
@@ -76,16 +76,22 @@ def test_extend_constant_floating_pure_diffusion():
     c = 2.25
     full = sub.extend_interior(np.full(sub.nG, c))
     assert np.allclose(full, c, atol=1e-10)
-    assert np.linalg.norm(sub.schur_apply(np.full(sub.nG, c))) < 1e-10
+    assert np.linalg.norm(sub.dense_schur() @ np.full(sub.nG, c)) < 1e-10
 
 
-def test_schur_apply_matches_dense():
+def test_dense_schur_matches_elimination():
+    # S^(i) = A_GG - A_GI A_II^-1 A_IG, eliminated densely from A^(i)
     _, _, _, _, subs, _ = setup("rotating", 1e-2, k=2)
     rng = np.random.default_rng(2)
     for sub in subs:
-        S = sub.dense_schur()
+        A, nI = sub.A, sub.nI
+        S_ref = A[nI:, nI:] - A[nI:, :nI] @ np.linalg.solve(A[:nI, :nI],
+                                                            A[:nI, nI:])
+        assert np.allclose(sub.dense_schur(), S_ref,
+                           atol=1e-11 * np.abs(S_ref).max())
         lamG = rng.standard_normal(sub.nG)
-        assert np.allclose(sub.schur_apply(lamG), S @ lamG, atol=1e-11)
+        assert np.allclose(sub.dense_schur() @ lamG, S_ref @ lamG,
+                           atol=1e-11)
 
 
 def test_schur_quadratic_form_identity():
@@ -96,29 +102,33 @@ def test_schur_quadratic_form_identity():
         for _ in range(5):
             lamG = rng.standard_normal(sub.nG)
             lamA = sub.extend_interior(lamG)
-            lhs = lamG @ sub.schur_apply(lamG)
+            lhs = lamG @ (sub.dense_schur() @ lamG)
             rhs = lamA @ (sub.A @ lamA)
             assert abs(lhs - rhs) < 1e-11 * max(abs(rhs), 1.0)
 
 
 def test_interface_equals_global_schur():
-    _, dofs, _, sys, _, iface = setup("rotating", 1e-3, k=1)
-    nI = dofs.n_interior
-    Ad = sys.A.toarray()
-    S_ref = Ad[nI:, nI:] - Ad[nI:, :nI] @ np.linalg.solve(Ad[:nI, :nI],
-                                                          Ad[:nI, nI:])
-    S = iface.as_dense()
-    assert np.allclose(S, S_ref, atol=1e-11 * np.abs(S_ref).max())
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        x = rng.standard_normal(iface.n)
-        assert np.linalg.norm(interface_apply(iface, x) - S_ref @ x) \
-            < 1e-11 * np.linalg.norm(S_ref @ x)
+    # the 3x2 grid at k=2 has corner subdomains with fewer interface DOFs
+    # and unequal interface blocks per subdomain
+    for nx, ny, k in ((2, 2, 1), (3, 2, 2)):
+        _, dofs, _, sys, _, iface = setup("rotating", 1e-3, nx=nx, ny=ny,
+                                          k=k)
+        nI = dofs.n_interior
+        Ad = sys.A.toarray()
+        S_ref = Ad[nI:, nI:] - Ad[nI:, :nI] @ np.linalg.solve(Ad[:nI, :nI],
+                                                              Ad[:nI, nI:])
+        S = iface.as_dense()
+        assert np.allclose(S, S_ref, atol=1e-11 * np.abs(S_ref).max())
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            x = rng.standard_normal(iface.n)
+            assert np.linalg.norm(iface.apply(x) - S_ref @ x) \
+                < 1e-11 * np.linalg.norm(S_ref @ x)
 
 
 def test_interface_rhs_zero_data():
     _, _, _, _, _, iface = setup("thermal", 1.0, g=zero)
-    assert np.allclose(interface_rhs(iface), 0.0)
+    assert np.allclose(iface.b_gamma, 0.0)
 
 
 def test_two_subdomain_ratio1_scalar_interface():
