@@ -65,7 +65,7 @@ def robin(c):
     base = dd._robin_edge_matrices
 
     def scaled(mesh, spec, k):
-        return {e: 2.0 * c * M for e, M in base(mesh, spec, k).items()}
+        return 2.0 * c * base(mesh, spec, k)
     return swapped(dd, "_robin_edge_matrices", scaled)
 
 

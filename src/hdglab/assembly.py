@@ -1,18 +1,19 @@
 """Global condensed trace system A lam = b and reference solvers.
 
-Boundary edges carry no unknowns: the Dirichlet datum g is projected edge by
-edge onto the trace space and enters through lifting (b -= A[:, fixed] g).  The
-assembled operator acts on the free coefficients only, ordered as in
-TraceDofMap (subdomain interiors first, then the interface).
+Boundary edges carry no unknowns: the Dirichlet datum g is projected onto the
+trace space of all boundary edges at once (``fespace.project_boundary``) and
+enters through lifting (b -= A[:, fixed] g).  The assembled operator acts on
+the free coefficients only, ordered as in TraceDofMap (subdomain interiors
+first, then the interface).
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import project_boundary_data, quadrature_rule
+from .fespace import project_boundary
 from .hdg import ElementBlocks
-from .mesh import BOUNDARY, InvalidConfigError
+from .mesh import InvalidConfigError
 
 
 class TraceSystem:
@@ -82,10 +83,7 @@ def assemble_trace_system(mesh, dofs, spec, k, blocks=None, keep_local=False):
 
     elem_dofs = dofs.edge_dofs[mesh.tri_edges].reshape(nel, m)
 
-    gcoef = np.zeros((mesh.n_edges, nds))
-    rule = quadrature_rule("edge", 2 * k + 4)
-    for e in np.where(mesh.edge_class == BOUNDARY)[0]:
-        gcoef[e] = project_boundary_data(mesh, spec.g, int(e), k, rule)
+    gcoef = project_boundary(mesh, spec.g, k)
 
     F = blocks.load_vectors()
     b_elem = np.einsum("nmd,nd->nm", blocks.N, F)
@@ -196,11 +194,7 @@ def full_saddle_solve(mesh, dofs, spec, k):
     rhs = np.zeros(n)
 
     elem_dofs = dofs.edge_dofs[mesh.tri_edges].reshape(nel, m)
-    gcoef = np.zeros((mesh.n_edges, nds))
-    rule = quadrature_rule("edge", 2 * k + 4)
-    for e in np.where(mesh.edge_class == BOUNDARY)[0]:
-        gcoef[e] = project_boundary_data(mesh, spec.g, int(e), k, rule)
-    gloc = gcoef[mesh.tri_edges].reshape(nel, m)
+    gloc = project_boundary(mesh, spec.g, k)[mesh.tri_edges].reshape(nel, m)
     F = blocks.load_vectors()
 
     for kidx in range(nel):

@@ -8,9 +8,12 @@ with n the outward normal of the lower-indexed subdomain and s the centered
 arclength along the run.  Degenerate or near-dependent rows are dropped (e.g.
 c2 and c3 vanish identically when beta.n = 0 on the whole run).
 
-The retained rows are orthonormalized and completed to an orthogonal change of
-basis Q_E per SubdomainEdge.  In the transformed variables the primal DOFs are
-assembled across the interface while dual DOFs stay subdomain-local; the
+The raw rows of all SubdomainEdges come from one edge-quadrature table
+(``fespace.interface_quadrature``) in one array operation.  They are
+orthonormalized and completed to an orthogonal change of basis Q_E per
+SubdomainEdge, batched over the SubdomainEdges of equal block shape.  In the
+transformed variables the primal DOFs are assembled across the interface
+while dual DOFs stay subdomain-local; the
 preconditioner is M^-1 = Q^T Rt_D^T St^-1 Rt_D Q (Li & Widlund 2006).  Setup
 assembles a few global sparse operators from the local Schur complements: the
 restriction Rt and its weighted form Rt_D, the block-diagonal inverse of the
@@ -25,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dd import scatter_blocks
-from .fespace import EdgeBasis, quadrature_rule
+from .fespace import EdgeQuadrature, interface_quadrature
 from .mesh import InvalidConfigError
 
 VARIANTS = ("bddc1", "bddc2", "bddc3", "all-primal", "none")
@@ -45,72 +48,106 @@ def _variant_name(variant):
     raise InvalidConfigError("unknown BDDC variant %r" % (variant,))
 
 
+def _raw_rows(q, bn, tangents, mid_t):
+    """Raw functionals (c1, c2, c3) on every edge of the EdgeQuadrature
+    ``q``, shape (3, ne, k+1).  ``bn`` is beta.n at the points; ``tangents``
+    and ``mid_t`` are the tangent and midpoint parameter of each edge's
+    SubdomainEdge (one value for all edges, or one per edge)."""
+    t = np.broadcast_to(tangents, (q.edges.size, 2))
+    s = q.points[..., 0] * t[:, :1] + q.points[..., 1] * t[:, 1:] - \
+        np.reshape(mid_t, (-1, 1))
+    w = q.weights
+    return np.stack([w, w * bn, w * bn * s]) @ q.P.T
+
+
 def constraint_rows(mesh, se, spec, k):
     """Raw functional rows (c1, c2, c3) over one SubdomainEdge's DOF block."""
-    nds = k + 1
-    m = se.edges.size * nds
-    rule = quadrature_rule("edge", 2 * k + 4)
-    P = EdgeBasis(k).eval(rule.points)
-    c1 = np.zeros(m)
-    c2 = np.zeros(m)
-    c3 = np.zeros(m)
-    for j, e in enumerate(se.edges):
-        va = mesh.vertices[mesh.edges[e, 0]]
-        vb = mesh.vertices[mesh.edges[e, 1]]
-        elen = float(np.hypot(*(vb - va)))
-        X = va[None, :] + 0.5 * np.outer(rule.points + 1.0, vb - va)
-        bx, by = spec.beta_at(X[:, 0], X[:, 1])
-        bn = bx * se.normal[0] + by * se.normal[1]
-        s = X @ se.tangent - se.midpoint_t
-        we = rule.weights * (elen / 2.0)
-        sl = slice(j * nds, (j + 1) * nds)
-        c1[sl] = we @ P.T
-        c2[sl] = (we * bn) @ P.T
-        c3[sl] = (we * bn * s) @ P.T
-    return c1, c2, c3
+    q = EdgeQuadrature(mesh, se.edges, k)
+    raw = _raw_rows(q, q.beta_n(spec, se.normal), se.tangent, se.midpoint_t)
+    return tuple(raw.reshape(3, -1))
+
+
+def _orthonormalize(raw):
+    """Batched Gram-Schmidt with one reorthogonalization pass.
+
+    ``raw`` is (b, nfun, m): the functionals of b SubdomainEdges, in the
+    order c1, c2, c3.  A functional is dropped when its norm is below 1e-12
+    times that of c1, or when less than 1e-10 of its norm is left after
+    projecting out the functionals kept before it.  Returns the orthonormal
+    rows (b, nfun, m), zero where dropped, and the kept mask (b, nfun).
+    """
+    b, nfun, m = raw.shape
+    Q = np.zeros((b, nfun, m))
+    kept = np.zeros((b, nfun), dtype=bool)
+    scale = np.linalg.norm(raw[:, 0], axis=1)
+
+    def project_out(v, f):
+        for p in range(f):          # dropped rows are zero and subtract 0
+            v -= np.einsum("bm,bm->b", Q[:, p], v)[:, None] * Q[:, p]
+
+    for f in range(nfun):
+        nr = np.linalg.norm(raw[:, f], axis=1)
+        v = raw[:, f].copy()
+        project_out(v, f)
+        ok = ~(nr < 1e-12 * scale) & ~(np.linalg.norm(v, axis=1) < 1e-10 * nr)
+        project_out(v, f)           # second pass restores orthogonality
+        Q[ok, f] = v[ok] / np.linalg.norm(v[ok], axis=1)[:, None]
+        kept[:, f] = ok
+    return Q, kept
 
 
 class PrimalConstraintSet:
-    """Retained, orthonormalized constraint rows per SubdomainEdge."""
+    """Retained, orthonormalized constraint rows per SubdomainEdge.
+
+    ``blocks`` holds the rows batched: one (se_idx, R) per distinct block
+    shape, R (len(se_idx), n_pi, m) being the rows of SubdomainEdges se_idx.
+    ``rows`` (per SubdomainEdge, (n_pi, m)) views them, and ``kept`` names
+    the retained functionals of each SubdomainEdge.
+    """
 
     def __init__(self, variant, spec, mesh, dofs, k):
         self.variant = _variant_name(variant)
         self.spec = spec
         self.mesh = mesh
         self.k = k
-        self.rows = []        # per SE: (n_pi, m) orthonormal rows
-        self.kept = []        # per SE: labels of the retained functionals
         nds = k + 1
-        for se in mesh.subdomain_edges:
-            m = se.edges.size * nds
-            if self.variant == "all-primal":
-                self.rows.append(np.eye(m))
-                self.kept.append(["e%d" % i for i in range(m)])
-                continue
-            if self.variant == "none":
-                self.rows.append(np.zeros((0, m)))
-                self.kept.append([])
-                continue
-            raw = constraint_rows(mesh, se, spec, k)
-            nfun = _N_FUNCTIONALS[self.variant]
-            scale = np.linalg.norm(raw[0])
-            kept_rows, kept_labels = [], []
-            for label, r in zip(("c1", "c2", "c3"), raw[:nfun]):
-                nr = np.linalg.norm(r)
-                if nr < 1e-12 * scale:
-                    continue
-                v = r.copy()
-                for q in kept_rows:
-                    v -= (q @ v) * q
-                if np.linalg.norm(v) < 1e-10 * nr:
-                    continue
-                for q in kept_rows:     # second pass restores orthogonality
-                    v -= (q @ v) * q
-                kept_rows.append(v / np.linalg.norm(v))
-                kept_labels.append(label)
-            self.rows.append(np.array(kept_rows).reshape(len(kept_rows), m))
-            self.kept.append(kept_labels)
-        self.n_primal_by_se = np.array([r.shape[0] for r in self.rows])
+        runs = mesh.interface_runs
+        n_se = len(runs.pair)
+        start = runs.offsets[:-1] * nds
+        size = runs.offsets[1:] * nds - start
+        nfun = _N_FUNCTIONALS.get(self.variant)
+        if nfun:
+            # every functional of every SubdomainEdge, in interface DOF order
+            q, bn = interface_quadrature(mesh, spec, k)
+            run = runs.run_of_edge
+            raw = _raw_rows(q, bn, runs.tangent[run],
+                            runs.midpoint_t[run]).reshape(3, -1)
+        self.blocks = []
+        self.kept = [None] * n_se
+        self.n_primal_by_se = np.zeros(n_se, dtype=np.int64)
+        for m in np.unique(size):
+            idx = np.flatnonzero(size == m)
+            if nfun:
+                Q, kept = _orthonormalize(
+                    raw[:nfun, start[idx, None] + np.arange(m)].swapaxes(0, 1))
+                names = ("c1", "c2", "c3")
+            else:
+                n = m if self.variant == "all-primal" else 0
+                Q = np.broadcast_to(np.eye(m)[:n], (idx.size, n, m))
+                kept = np.ones((idx.size, n), dtype=bool)
+                names = ["e%d" % i for i in range(n)]
+            n_pi = kept.sum(axis=1)
+            self.n_primal_by_se[idx] = n_pi
+            for n in np.unique(n_pi):
+                sel = n_pi == n
+                self.blocks.append((idx[sel], Q[sel][kept[sel]].reshape(
+                    np.count_nonzero(sel), n, m)))
+            for i, row in zip(idx.tolist(), kept.tolist()):
+                self.kept[i] = [nm for nm, keep in zip(names, row) if keep]
+        self.rows = [None] * n_se
+        for idx, R in self.blocks:
+            for i, r in zip(idx.tolist(), R):
+                self.rows[i] = r
         self.primal_offsets = np.concatenate(
             [[0], np.cumsum(self.n_primal_by_se)])
         self.n_primal = int(self.primal_offsets[-1])
@@ -121,11 +158,27 @@ def build_constraints(variant, spec, mesh, dofs, k):
     return PrimalConstraintSet(variant, spec, mesh, dofs, k)
 
 
-def _sign_normalize(v):
-    for x in v:
-        if abs(x) > 1e-12:
-            return v if x > 0 else -v
-    return v
+def _change_of_basis(rows):
+    """Orthogonal changes of basis Q (b, m, m) from orthonormal constraint
+    rows (b, n_pi, m): the rows, then an orthonormal basis of their null
+    space, each vector signed so that its first entry above 1e-12 in
+    magnitude is positive."""
+    b, n_pi, m = rows.shape
+    if n_pi == 0:
+        Q = np.broadcast_to(np.eye(m), (b, m, m)).copy()
+    elif n_pi == m:
+        Q = rows.copy()
+    else:
+        dual = sla.null_space(rows).swapaxes(1, 2)
+        big = np.abs(dual) > 1e-12
+        first = np.take_along_axis(dual, big.argmax(axis=2)[..., None],
+                                   axis=2)[..., 0]
+        flip = big.any(axis=2) & (first < 0)
+        Q = np.concatenate([rows, np.where(flip[..., None], -dual, dual)],
+                           axis=1)
+    if not np.allclose(Q @ Q.swapaxes(1, 2), np.eye(m), atol=1e-12):
+        raise PreconditionerError("change of basis is not orthogonal")
+    return Q
 
 
 class EdgeBasisTransform:
@@ -135,22 +188,24 @@ class EdgeBasisTransform:
     """
 
     def __init__(self, rows):
-        self.n_primal, m = rows.shape
-        if self.n_primal == 0:
-            self.Q = np.eye(m)
-        elif self.n_primal == m:
-            self.Q = rows.copy()
-        else:
-            null = sla.null_space(rows)
-            dual = np.array([_sign_normalize(null[:, j])
-                             for j in range(null.shape[1])])
-            self.Q = np.vstack([rows, dual])
-        if not np.allclose(self.Q @ self.Q.T, np.eye(m), atol=1e-12):
-            raise PreconditionerError("change of basis is not orthogonal")
+        self.n_primal = rows.shape[0]
+        self.Q = _change_of_basis(rows[None])[0]
 
     @property
     def inverse(self):
         return self.Q.T
+
+
+def _block_rows_csr(rows, first_col, width):
+    """CSR matrix whose row p holds rows[p, :width[p]] at the columns
+    first_col[p], ..., first_col[p] + width[p] - 1; exact zeros dropped."""
+    n, w = rows.shape
+    in_row = np.arange(w) < width[:, None]
+    cols = first_col[:, None] + np.arange(w)
+    out = sp.csr_matrix((rows[in_row], cols[in_row],
+                         np.r_[0, np.cumsum(width)]), shape=(n, n))
+    out.eliminate_zeros()
+    return out
 
 
 class BddcPreconditioner:
@@ -175,18 +230,26 @@ class BddcPreconditioner:
         self.variant = constraints.variant
         n_ifc = dofs.n_interface
 
-        self.Qg = sp.block_diag(
-            [EdgeBasisTransform(rows).Q for rows in constraints.rows],
-            format="csr") if constraints.rows else sp.eye(0).tocsr()
+        # Q_rows[p]: the row of Q_E at interface position p, within its
+        # SubdomainEdge block (padded with zeros to the widest block)
+        start = dofs.se_blocks[:, 0] - dofs.n_interior
+        size = dofs.se_blocks[:, 1] - dofs.se_blocks[:, 0]
+        self.se_of = np.repeat(np.arange(size.size), size)
+        self.block_off = np.arange(n_ifc) - start[self.se_of]
+        self.Q_rows = np.zeros((n_ifc, size.max(initial=0)))
+        for idx, R in constraints.blocks:
+            m = R.shape[2]
+            self.Q_rows[start[idx, None] + np.arange(m), :m] = \
+                _change_of_basis(R)
+        self.Qg = _block_rows_csr(self.Q_rows, start[self.se_of],
+                                  size[self.se_of])
 
         # the first n_primal_by_se components of each transformed
         # SubdomainEdge block are primal, numbered in SubdomainEdge order
         self.n_primal = constraints.n_primal
-        primal_pos = []
-        for (a, _), nP in zip(dofs.se_blocks, constraints.n_primal_by_se):
-            a -= dofs.n_interior
-            primal_pos.extend(range(a, a + nP))
-        primal_pos = np.array(primal_pos, dtype=np.int64)
+        nP = constraints.n_primal_by_se
+        primal_pos = np.repeat(start - constraints.primal_offsets[:-1], nP) \
+            + np.arange(self.n_primal)
         self.is_primal = np.zeros(n_ifc, dtype=bool)
         self.is_primal[primal_pos] = True
         self.primal_index = np.full(n_ifc, -1, dtype=np.int64)
@@ -258,7 +321,10 @@ class BddcPreconditioner:
         off = self.n_primal
         for sub in self.subs:
             pos = sub.interface_pos
-            Qi = self.Qg[pos][:, pos]       # block-diagonal over the sub's SEs
+            # Q_i is block-diagonal over the subdomain's SubdomainEdges
+            se = self.se_of[pos]
+            Qi = np.where(se[:, None] == se,
+                          self.Q_rows[pos][:, self.block_off[pos]], 0.0)
             dual = ~self.is_primal[pos]
             nd = np.count_nonzero(dual)
             idx = self.primal_index[pos]

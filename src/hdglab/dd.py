@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import EdgeBasis, quadrature_rule
+from .fespace import interface_quadrature
 from .hdg import ElementBlocks
 from .mesh import InvalidConfigError
 
@@ -24,32 +24,16 @@ class SubdomainError(RuntimeError):
 
 
 def _robin_edge_matrices(mesh, spec, k):
-    """Per-interface-edge matrices M_e[m,l] = int_e (beta.n) P_m P_l ds.
+    """Matrices M_e[m,l] = int_e (beta.n) P_m P_l ds of the interface edges,
+    shape (n, k+1, k+1), in SubdomainEdge run order
+    (``mesh.interface_runs.edges``).
 
     n is the outward normal of the lower-indexed subdomain of the edge's
     SubdomainEdge; the two incident subdomains add +M_e/2 and -M_e/2.
     """
-    rule = quadrature_rule("edge", 2 * k + 4)
-    P = EdgeBasis(k).eval(rule.points)
-    edge_ids = []
-    normals = []
-    for se in mesh.subdomain_edges:
-        for e in se.edges:
-            edge_ids.append(e)
-            normals.append(se.normal)
-    if not edge_ids:
-        return {}
-    edge_ids = np.array(edge_ids)
-    normals = np.array(normals)
-    va = mesh.vertices[mesh.edges[edge_ids, 0]]
-    vb = mesh.vertices[mesh.edges[edge_ids, 1]]
-    lens = np.hypot(*(vb - va).T)
-    X = va[:, None, :] + 0.5 * np.multiply.outer(rule.points + 1.0,
-                                                 vb - va).transpose(1, 0, 2)
-    bx, by = spec.beta_at(X[..., 0], X[..., 1])
-    bn = bx * normals[:, :1] + by * normals[:, 1:]
-    M = np.einsum("q,eq,mq,lq,e->eml", rule.weights, bn, P, P, lens / 2.0)
-    return dict(zip(edge_ids.tolist(), M))
+    q, bn = interface_quadrature(mesh, spec, k)
+    return np.einsum("q,eq,mq,lq,e->eml", q.rule.weights, bn, q.P, q.P,
+                     q.half_len)
 
 
 class SubdomainSystem:
@@ -152,6 +136,8 @@ def build_subdomains(mesh, dofs, spec, k, sys=None):
     m = 3 * nds
     bvals = sys.b_elem - np.einsum("nij,nj->ni", blocks.S_hat, sys.gloc)
     robin = _robin_edge_matrices(mesh, spec, k)
+    runs = mesh.interface_runs
+    pair0 = runs.pair[runs.run_of_edge, 0]
     # elements of subdomain s: by_sub[starts[s]:starts[s + 1]], ascending
     by_sub = np.argsort(mesh.tri_sub, kind="stable")
     starts = np.searchsorted(mesh.tri_sub[by_sub],
@@ -181,14 +167,14 @@ def build_subdomains(mesh, dofs, spec, k, sys=None):
         vmask = ldof >= 0
         np.add.at(b, ldof[vmask], bvals[els][vmask])
 
-        for i_se in dofs.sub_se[s]:
-            se = mesh.subdomain_edges[i_se]
-            sign = 0.5 if se.pair[0] == s else -0.5
-            for e in se.edges:
-                sl = loc[dofs.edge_dofs[e]]
-                ii.append(np.repeat(sl, nds))
-                jj.append(np.tile(sl, nds))
-                vv.append(sign * robin[e].ravel())
+        # Robin terms: interface edge j holds interface positions
+        # j*nds ... j*nds+k, and the subdomain's ones come in its own order
+        je = dofs.sub_interface_pos[s][::nds] // nds
+        sign = np.where(pair0[je] == s, 0.5, -0.5)
+        sl = nI + np.arange(nG).reshape(-1, nds)
+        ii.append(np.repeat(sl, nds, axis=1).ravel())
+        jj.append(np.tile(sl, nds).ravel())
+        vv.append((sign[:, None, None] * robin[je]).ravel())
         A = sp.coo_matrix((np.concatenate(vv),
                            (np.concatenate(ii), np.concatenate(jj))),
                           shape=(nloc, nloc))

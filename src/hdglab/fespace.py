@@ -1,9 +1,16 @@
-"""Reference bases, quadrature rules and the global trace-space DOF map.
+"""Reference bases, quadrature rules, the edge-quadrature table and the global
+trace-space DOF map.
 
 Trace basis: Legendre polynomials P_0..P_k per mesh edge, parameterized by the
 edge's global arclength coordinate t in [-1,1] (smaller vertex index -> larger),
 so both elements sharing an edge see identical basis functions.  Interior
 scalar basis: monomials orthonormalized on the reference triangle.
+
+``EdgeQuadrature`` maps the edge rule onto a whole set of mesh edges at once
+(points, scaled weights, Legendre values, beta.n against given normals).  The
+Robin terms (``dd``), the primal constraints (``bddc``) and the boundary
+projection all read it, for every edge in one array operation.
+``TraceDofMap`` numbers the DOFs with sorts and splits over the edge arrays.
 """
 
 import numpy as np
@@ -11,7 +18,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import roots_jacobi
 
-from .mesh import BOUNDARY, INTERFACE, InvalidConfigError
+from .mesh import BOUNDARY, INTERIOR, InvalidConfigError
 
 _MAX_EXACTNESS = 60
 
@@ -129,9 +136,11 @@ class TraceDofMap:
     edge_dofs : (n_edges, k+1) global DOF ids, -1 on boundary edges
     owner : (n_dofs,) owning subdomain for interior DOFs, -1 for interface
     interior_by_sub : list of int arrays, per-subdomain interior DOF ids
-    se_blocks : list of (start, stop) global DOF ranges per SubdomainEdge
-    sub_se : list of SubdomainEdge-index lists touching each subdomain
+    se_blocks : (n_subdomain_edges, 2) global DOF ranges [start, stop) per
+        SubdomainEdge
+    sub_se : per subdomain, the ascending indices of its SubdomainEdges
     sub_interface_gids : per-subdomain global ids of its interface DOFs
+        (its SubdomainEdge blocks, concatenated in ``sub_se`` order)
     sub_interface_pos : same, as positions within Lambda_Gamma (0-based)
     """
 
@@ -140,53 +149,45 @@ class TraceDofMap:
             raise InvalidConfigError("trace degree k must be in {0,1,2}")
         self.k = k
         nds = k + 1
-        ne = mesh.n_edges
         nsub = mesh.n_subdomains
-        self.edge_dofs = np.full((ne, nds), -1, dtype=np.int64)
+        runs = mesh.interface_runs
+        self.edge_dofs = np.full((mesh.n_edges, nds), -1, dtype=np.int64)
 
-        interior_edges_by_sub = [[] for _ in range(nsub)]
-        free = (mesh.edge_class != BOUNDARY)
-        inter = (mesh.edge_class != INTERFACE) & free
-        for e in np.where(inter)[0]:
-            interior_edges_by_sub[mesh.tri_sub[mesh.edge_tris[e, 0]]].append(e)
+        # interior edges by owning subdomain (stable: edge index within),
+        # then the interface edges run by run
+        inter = np.flatnonzero(mesh.edge_class == INTERIOR)
+        own = mesh.tri_sub[mesh.edge_tris[inter, 0]]
+        order = np.argsort(own, kind="stable")
+        inter, own = inter[order], own[order]
+        self.n_interior = inter.size * nds
+        self.n_dofs = self.n_interior + runs.edges.size * nds
+        self.n_interface = self.n_dofs - self.n_interior
+        self.edge_dofs[inter] = np.arange(self.n_interior).reshape(-1, nds)
+        self.edge_dofs[runs.edges] = np.arange(
+            self.n_interior, self.n_dofs).reshape(-1, nds)
+        self.owner = np.concatenate([np.repeat(own, nds),
+                                     np.full(self.n_interface, -1)])
+        subs = np.arange(1, nsub)
+        self.interior_by_sub = np.split(
+            np.arange(self.n_interior), np.searchsorted(own, subs) * nds)
+        self.se_blocks = self.n_interior + nds * np.column_stack(
+            [runs.offsets[:-1], runs.offsets[1:]])
 
-        nxt = 0
-        self.interior_by_sub = []
-        owner = []
-        for s in range(nsub):
-            ids = []
-            for e in interior_edges_by_sub[s]:
-                self.edge_dofs[e] = np.arange(nxt, nxt + nds)
-                ids.extend(range(nxt, nxt + nds))
-                nxt += nds
-            self.interior_by_sub.append(np.array(ids, dtype=np.int64))
-            owner.extend([s] * len(ids))
-        self.n_interior = nxt
-
-        self.se_blocks = []
-        for se in mesh.subdomain_edges:
-            start = nxt
-            for e in se.edges:
-                self.edge_dofs[e] = np.arange(nxt, nxt + nds)
-                nxt += nds
-            self.se_blocks.append((start, nxt))
-            owner.extend([-1] * (nxt - start))
-        self.n_dofs = nxt
-        self.n_interface = nxt - self.n_interior
-        self.owner = np.array(owner, dtype=np.int64)
-
-        self.sub_se = [[] for _ in range(nsub)]
-        for i, se in enumerate(mesh.subdomain_edges):
-            self.sub_se[se.pair[0]].append(i)
-            self.sub_se[se.pair[1]].append(i)
-        self.sub_interface_gids = []
-        self.sub_interface_pos = []
-        for s in range(nsub):
-            gids = np.concatenate(
-                [np.arange(*self.se_blocks[i]) for i in self.sub_se[s]]
-            ) if self.sub_se[s] else np.zeros(0, dtype=np.int64)
-            self.sub_interface_gids.append(gids)
-            self.sub_interface_pos.append(gids - self.n_interior)
+        # (subdomain, SubdomainEdge) incidences, by subdomain then edge
+        n_se = len(runs.pair)
+        sub_of = runs.pair.T.ravel()
+        se = np.tile(np.arange(n_se), 2)
+        order = np.lexsort((se, sub_of))
+        sub_of, se = sub_of[order], se[order]
+        self.sub_se = np.split(se, np.searchsorted(sub_of, subs))
+        # each incidence expands to the interface positions of its block
+        start = self.se_blocks[se, 0] - self.n_interior
+        size = self.se_blocks[se, 1] - self.se_blocks[se, 0]
+        pos = np.repeat(start - np.cumsum(size) + size, size) + \
+            np.arange(size.sum())
+        cuts = np.searchsorted(np.repeat(sub_of, size), subs)
+        self.sub_interface_pos = np.split(pos, cuts)
+        self.sub_interface_gids = np.split(pos + self.n_interior, cuts)
 
 
 def build_trace_dof_map(mesh, k):
@@ -194,31 +195,77 @@ def build_trace_dof_map(mesh, k):
     return TraceDofMap(mesh, k)
 
 
-def edge_geometry(mesh, edge):
-    """(v_lo, v_hi, length, midpoint) of an edge in global orientation."""
-    a, b = mesh.edges[edge]
-    va, vb = mesh.vertices[a], mesh.vertices[b]
-    return va, vb, float(np.hypot(*(vb - va))), 0.5 * (va + vb)
+class EdgeQuadrature:
+    """The edge Gauss rule of exactness 2k+4 mapped onto a set of mesh edges,
+    each in its global parameterization t in [-1,1] (smaller vertex index
+    at t = -1).  The one edge-quadrature table of the trace space: Robin
+    terms, primal constraints and boundary projection all read it.
+
+    Attributes
+    ----------
+    edges : (ne,) mesh edge indices
+    rule : the reference QuadRule
+    P : (k+1, nq) Legendre values at the rule points
+    half_len : (ne,) half edge lengths (ds = half_len dt)
+    points : (ne, nq, 2) physical quadrature points
+    weights : (ne, nq) rule weights scaled to arclength
+    """
+
+    def __init__(self, mesh, edges, k):
+        self.edges = np.asarray(edges, dtype=np.int64)
+        self.rule = quadrature_rule("edge", 2 * k + 4)
+        self.P = EdgeBasis(k).eval(self.rule.points)
+        va = mesh.vertices[mesh.edges[self.edges, 0]]
+        vb = mesh.vertices[mesh.edges[self.edges, 1]]
+        self.half_len = np.hypot(*(vb - va).T) / 2.0
+        self.points = va[:, None, :] + 0.5 * np.multiply.outer(
+            self.rule.points + 1.0, vb - va).transpose(1, 0, 2)
+        self.weights = self.rule.weights * self.half_len[:, None]
+
+    def beta_n(self, spec, normals):
+        """beta.n at the points, (ne, nq); ``normals`` is (2,) or (ne, 2)."""
+        n = np.broadcast_to(normals, (self.edges.size, 2))
+        bx, by = spec.beta_at(self.points[..., 0], self.points[..., 1])
+        return bx * n[:, :1] + by * n[:, 1:]
+
+    def project(self, g):
+        """L2 projection of g onto P_k of every edge in the Legendre basis,
+        (ne, k+1); exact where g is a P_k polynomial on the edge."""
+        gv = np.broadcast_to(g(self.points[..., 0], self.points[..., 1]),
+                             self.points.shape[:2]).astype(float)
+        # c_m = (2m+1)/2 * int_{-1}^{1} g(x(t)) P_m(t) dt
+        m = np.arange(self.P.shape[0])
+        return gv @ (self.P * self.rule.weights).T * (2.0 * m + 1.0) / 2.0
+
+
+def interface_quadrature(mesh, spec, k):
+    """EdgeQuadrature on the interface edges in SubdomainEdge run order (the
+    interface DOF order), and beta.n there against the normal of each edge's
+    SubdomainEdge."""
+    runs = mesh.interface_runs
+    q = EdgeQuadrature(mesh, runs.edges, k)
+    return q, q.beta_n(spec, runs.normal[runs.run_of_edge])
+
+
+def project_boundary(mesh, g, k):
+    """(n_edges, k+1) Legendre coefficients of the L2 projection of g onto
+    P_k of every boundary edge; zero on the other edges."""
+    bnd = np.flatnonzero(mesh.edge_class == BOUNDARY)
+    gcoef = np.zeros((mesh.n_edges, k + 1))
+    gcoef[bnd] = EdgeQuadrature(mesh, bnd, k).project(g)
+    return gcoef
 
 
 def edge_points(mesh, edge, t):
     """Physical points on ``edge`` at reference parameters t in [-1,1]."""
-    va, vb, _, mid = edge_geometry(mesh, edge)
+    va, vb = mesh.vertices[mesh.edges[edge]]
     t = np.asarray(t, dtype=float)
-    return mid[None, :] + 0.5 * np.outer(t, vb - va)
+    return 0.5 * (va + vb)[None, :] + 0.5 * np.outer(t, vb - va)
 
 
-def project_boundary_data(mesh, g, edge, k, rule=None):
-    """L2 projection of g onto P_k of a boundary edge, in the Legendre basis.
-
-    Exact when g restricted to the edge is a P_k polynomial.
-    """
+def project_boundary_data(mesh, g, edge, k):
+    """L2 projection of g onto P_k of one boundary edge, in the Legendre
+    basis (the one-edge case of ``project_boundary``)."""
     if mesh.edge_class[edge] != BOUNDARY:
         raise InvalidConfigError("edge %d is not on the domain boundary" % edge)
-    if rule is None:
-        rule = quadrature_rule("edge", 2 * k + 4)
-    X = edge_points(mesh, edge, rule.points)
-    gv = np.asarray(g(X[:, 0], X[:, 1]), dtype=float)
-    P = legvander(rule.points, k).T
-    # c_m = (2m+1)/2 * int_{-1}^{1} g(x(t)) P_m(t) dt
-    return (P * rule.weights) @ gv * (2.0 * np.arange(k + 1) + 1.0) / 2.0
+    return EdgeQuadrature(mesh, [edge], k).project(g)[0]

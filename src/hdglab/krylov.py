@@ -50,6 +50,13 @@ def _solution(V, H, g, m):
     return V[:m].T @ y
 
 
+def _grown(a, shape):
+    """Zero array of ``shape`` with ``a`` copied into its leading corner."""
+    out = np.zeros(shape)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    return out
+
+
 def gmres(apply_op, apply_precond, b, tol=1e-10, maxit=1000,
           true_residual_stopping=False):
     """Solve S lam = b by left-preconditioned GMRES, zero initial guess.
@@ -83,17 +90,27 @@ def gmres(apply_op, apply_precond, b, tol=1e-10, maxit=1000,
     if beta == 0.0:
         raise InvalidConfigError("preconditioned RHS vanishes for b != 0")
 
-    V = np.empty((maxit + 1, b.size))
+    # storage for ``cap`` Arnoldi steps, doubled when full (up to maxit).
+    # A first block of 256 steps lets most solves finish without a copy:
+    # the smaller blocks a grown basis frees stay resident in the heap.
+    cap = min(maxit, 256)
+    V = np.empty((cap + 1, b.size))
     V[0] = r0 / beta
-    H = np.zeros((maxit + 1, maxit))
-    cs = np.empty(maxit)
-    sn = np.empty(maxit)
-    g = np.zeros(maxit + 1)
+    H = np.zeros((cap + 1, cap))
+    cs = np.empty(cap)
+    sn = np.empty(cap)
+    g = np.zeros(cap + 1)
     g[0] = beta
     resvec = [1.0]
     converged = False
 
     for j in range(maxit):
+        if j == cap:
+            cap = min(2 * cap, maxit)
+            V = _grown(V, (cap + 1, b.size))
+            H = _grown(H, (cap + 1, cap))
+            cs, sn = _grown(cs, (cap,)), _grown(sn, (cap,))
+            g = _grown(g, (cap + 1,))
         # copy: the callables may return views of their input (e.g. identity)
         w = np.array(apply_precond(apply_op(V[j])), dtype=float)
         h = V[:j + 1] @ w

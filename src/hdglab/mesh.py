@@ -65,6 +65,7 @@ class Mesh2d:
     tri_edges : (nt, 3) int array, local edges (0,1),(1,2),(2,0) -> edge index
     h, H : characteristic element / subdomain sizes
     subdomain_edges : list of SubdomainEdge (interface decomposition)
+    interface_runs : the same decomposition as arrays (InterfaceRuns)
     """
 
     def __init__(self, nx, ny, ratio, diag, vertices, triangles, tri_sub,
@@ -84,7 +85,7 @@ class Mesh2d:
         self.n_subdomains = nx * ny
         self.h = 2.0 / (nx * ratio)
         self.H = 2.0 / max(nx, ny)
-        self.subdomain_edges = extract_interface(self)
+        self.interface_runs, self.subdomain_edges = extract_interface(self)
 
     @property
     def n_vertices(self):
@@ -177,11 +178,14 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
     sub = (cj // ratio) * nx + (ci // ratio)
     tri_sub = np.repeat(sub, 2)
 
-    # unique edges; global orientation = smaller vertex index first
+    # unique edges; global orientation = smaller vertex index first.  The
+    # key lo * nv + hi sorts like the pair (lo, hi)
     le = np.stack([triangles[:, [0, 1]], triangles[:, [1, 2]],
                    triangles[:, [2, 0]]], axis=1).reshape(-1, 2)
-    le_sorted = np.sort(le, axis=1)
-    edges, inv = np.unique(le_sorted, axis=0, return_inverse=True)
+    nv = vertices.shape[0]
+    keys, inv = np.unique(le.min(axis=1) * nv + le.max(axis=1),
+                          return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
     tri_edges = inv.reshape(nt, 3)
 
     ne = edges.shape[0]
@@ -213,68 +217,108 @@ def extract_interface(mesh):
 
     One SubdomainEdge per maximal straight contiguous run of interface mesh
     edges shared by one subdomain pair; runs are split at cross points
-    (vertices where three or more subdomains meet).
+    (vertices where three or more subdomains meet).  Runs are sorted by
+    pair, and by position along the tangent within a pair.
+
+    Returns (InterfaceRuns, list of SubdomainEdge); each SubdomainEdge views
+    its row of the InterfaceRuns arrays.
     """
-    iface = np.where(mesh.edge_class == INTERFACE)[0]
+    iface = np.flatnonzero(mesh.edge_class == INTERFACE)
     if iface.size == 0:
-        return []
+        none = np.zeros((0, 2))
+        return InterfaceRuns(iface, np.zeros(1, dtype=np.int64),
+                             none.astype(np.int64), none, none, none), []
+    V, E, nsub = mesh.vertices, mesh.edges, mesh.n_subdomains
 
-    # vertices where >= 3 subdomains meet
-    vsubs = {}
-    for t, s in zip(mesh.triangles, mesh.tri_sub):
-        for v in t:
-            vsubs.setdefault(int(v), set()).add(int(s))
-    cross = {v for v, ss in vsubs.items() if len(ss) >= 3}
+    # vertices where >= 3 subdomains meet, from unique (vertex, subdomain)
+    vs = np.unique(mesh.triangles.ravel() * nsub + np.repeat(mesh.tri_sub, 3))
+    cross = np.bincount(vs // nsub, minlength=mesh.n_vertices) >= 3
 
-    tangents = mesh.edge_tangents()
-    lengths = mesh.edge_lengths()
-    mids = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+    d = V[E[iface, 1]] - V[E[iface, 0]]
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    tangents = d / lengths[:, None]
+    subs = np.sort(mesh.tri_sub[mesh.edge_tris[iface]], axis=1)
 
-    groups = {}
-    for e in iface:
-        t0, t1 = mesh.edge_tris[e]
-        pair = tuple(sorted((int(mesh.tri_sub[t0]), int(mesh.tri_sub[t1]))))
-        groups.setdefault(pair, []).append(int(e))
+    # group by pair (stable: ascending edge index within a pair); the
+    # tangent of a pair is that of its lowest-indexed edge
+    key = subs[:, 0] * nsub + subs[:, 1]
+    order = np.argsort(key, kind="stable")
+    new = np.r_[True, key[order][1:] != key[order][:-1]]
+    group = np.empty(iface.size, dtype=np.int64)
+    group[order] = np.cumsum(new) - 1
+    tau = tangents[order[new]][group]
+    collinear = np.isclose(np.abs(np.sum(tangents * tau, axis=1)), 1.0,
+                           atol=1e-12)
+    if not collinear.all():
+        bad = np.flatnonzero(~collinear)[0]
+        raise InvalidConfigError("interface run for pair %s is not collinear"
+                                 % (tuple(int(s) for s in subs[bad]),))
 
-    out = []
-    for pair in sorted(groups):
-        es = np.array(groups[pair], dtype=np.int64)
-        tau = tangents[es[0]]
-        if not np.allclose(np.abs(tangents[es] @ tau), 1.0, atol=1e-12):
-            raise InvalidConfigError("interface run for pair %s is not collinear" % (pair,))
-        tpos = mids[es] @ tau
-        order = np.argsort(tpos)
-        es, tpos = es[order], tpos[order]
-        # split at gaps and at cross points interior to the run
-        runs, cur = [], [0]
-        for a in range(1, len(es)):
-            gap = tpos[a] - tpos[a - 1] > 0.5 * (lengths[es[a]] + lengths[es[a - 1]]) + 1e-12
-            shared = set(mesh.edges[es[a]]) & set(mesh.edges[es[a - 1]])
-            split = gap or any(int(v) in cross for v in shared)
-            if split:
-                runs.append(cur)
-                cur = [a]
-            else:
-                cur.append(a)
-        runs.append(cur)
-        for run in runs:
-            res = es[run]
-            n = _outward_normal(mesh, tangents, res[0], pair[0])
-            ts = np.concatenate([mesh.vertices[mesh.edges[res, 0]] @ tau,
-                                 mesh.vertices[mesh.edges[res, 1]] @ tau])
-            out.append(SubdomainEdge(pair, res, tau, n, (ts.min(), ts.max())))
-    return out
+    # order along the tangent within each pair, then split at gaps and at
+    # cross points shared by consecutive edges
+    mids = 0.5 * (V[E[iface, 0]] + V[E[iface, 1]])
+    tpos = np.sum(mids * tau, axis=1)
+    order = np.lexsort((tpos, group))
+    es, group, tpos, lengths = iface[order], group[order], tpos[order], \
+        lengths[order]
+    tangents, tau, subs = tangents[order], tau[order], subs[order]
+    a, b = E[es[1:]], E[es[:-1]]
+    shared_cross = np.zeros(es.size - 1, dtype=bool)
+    for i in (0, 1):
+        for j in (0, 1):
+            shared_cross |= (a[:, i] == b[:, j]) & cross[a[:, i]]
+    gap = tpos[1:] - tpos[:-1] > 0.5 * (lengths[1:] + lengths[:-1]) + 1e-12
+    split = (group[1:] != group[:-1]) | gap | shared_cross
+    starts = np.r_[0, np.flatnonzero(split) + 1]
+
+    # normal of each run: that of its first edge, pointing out of the
+    # lower-indexed subdomain's triangle on that edge
+    e0, pair = es[starts], subs[starts]
+    t0 = tangents[starts]
+    normal = np.column_stack([t0[:, 1], -t0[:, 0]])
+    tris = mesh.edge_tris[e0]
+    tri = np.where(mesh.tri_sub[tris[:, 0]] == pair[:, 0], tris[:, 0],
+                   tris[:, 1])
+    cent = V[mesh.triangles[tri]].mean(axis=1)
+    mid = 0.5 * (V[E[e0, 0]] + V[E[e0, 1]])
+    inward = np.sum(normal * (mid - cent), axis=1) < 0.0
+    normal = np.where(inward[:, None], -normal, normal)
+
+    ts = np.stack([np.sum(V[E[es, 0]] * tau, axis=1),
+                   np.sum(V[E[es, 1]] * tau, axis=1)], axis=1)
+    t_range = np.column_stack([np.minimum.reduceat(ts.min(axis=1), starts),
+                               np.maximum.reduceat(ts.max(axis=1), starts)])
+    runs = InterfaceRuns(es, np.r_[starts, es.size], pair, tau[starts],
+                         normal, t_range)
+    off = runs.offsets
+    ses = [SubdomainEdge((int(p[0]), int(p[1])), es[off[r]:off[r + 1]],
+                         runs.tangent[r], runs.normal[r], runs.t_range[r])
+           for r, p in enumerate(pair)]
+    return runs, ses
 
 
-def _outward_normal(mesh, tangents, edge, sub):
-    """Unit normal of ``edge`` pointing out of subdomain ``sub``; ``tangents``
-    is ``mesh.edge_tangents()``."""
-    tau = tangents[edge]
-    n = np.array([tau[1], -tau[0]])
-    t0, t1 = mesh.edge_tris[edge]
-    tri = t0 if mesh.tri_sub[t0] == sub else t1
-    cent = mesh.vertices[mesh.triangles[tri]].mean(axis=0)
-    mid = 0.5 * (mesh.vertices[mesh.edges[edge, 0]] + mesh.vertices[mesh.edges[edge, 1]])
-    if np.dot(n, mid - cent) < 0.0:
-        n = -n
-    return n
+class InterfaceRuns:
+    """The SubdomainEdge decomposition as arrays, one row per run, in the
+    order of ``Mesh2d.subdomain_edges``.
+
+    Attributes
+    ----------
+    edges : interface mesh edges, concatenated run by run in run order
+    offsets : (n_runs+1,) run r holds edges[offsets[r]:offsets[r+1]]
+    pair, tangent, normal, t_range : (n_runs, 2) arrays, as in SubdomainEdge
+    run_of_edge : (len(edges),) run index of each entry of ``edges``
+    """
+
+    def __init__(self, edges, offsets, pair, tangent, normal, t_range):
+        self.edges = edges
+        self.offsets = offsets
+        self.pair = pair
+        self.tangent = tangent
+        self.normal = normal
+        self.t_range = t_range
+        self.run_of_edge = np.repeat(np.arange(len(pair)), np.diff(offsets))
+
+    @property
+    def midpoint_t(self):
+        """Arclength parameter of each run's midpoint."""
+        return 0.5 * (self.t_range[:, 0] + self.t_range[:, 1])

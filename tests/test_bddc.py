@@ -3,14 +3,16 @@ import pytest
 
 from hdglab.assembly import assemble_trace_system
 from hdglab.bddc import (BddcPreconditioner, EdgeBasisTransform,
-                         PreconditionerError, build_constraints,
+                         PreconditionerError, _raw_rows, build_constraints,
                          build_preconditioner, constraint_rows)
 from hdglab.dd import build_interface_operator, build_subdomains
-from hdglab.fespace import build_trace_dof_map
+from hdglab.fespace import (EdgeBasis, build_trace_dof_map,
+                            interface_quadrature, quadrature_rule)
 from hdglab.hdg import ProblemSpec
 from hdglab.mesh import InvalidConfigError, build_structured_mesh
 
 from test_assembly import make_spec, zero
+from test_mesh import LAYOUT_GRIDS
 
 
 def setup(problem, eps, variant, nx=2, ny=2, ratio=2, k=0, spec=None):
@@ -250,3 +252,72 @@ def test_variant_none_rejected():
         build_preconditioner(subs, iface, cons, dofs)
     with pytest.raises(InvalidConfigError):
         build_constraints("bddc7", spec, mesh, dofs, 0)
+
+
+
+def edge_loop_rows(mesh, se, spec, k):
+    """Reference: (c1, c2, c3) of one SubdomainEdge, mesh edge by mesh edge."""
+    nds = k + 1
+    rule = quadrature_rule("edge", 2 * k + 4)
+    P = EdgeBasis(k).eval(rule.points)
+    out = np.zeros((3, se.edges.size * nds))
+    for j, e in enumerate(se.edges):
+        va, vb = mesh.vertices[mesh.edges[e]]
+        X = va[None, :] + 0.5 * np.outer(rule.points + 1.0, vb - va)
+        bx, by = spec.beta_at(X[:, 0], X[:, 1])
+        bn = bx * se.normal[0] + by * se.normal[1]
+        s = X @ se.tangent - se.midpoint_t
+        we = rule.weights * (np.hypot(*(vb - va)) / 2.0)
+        out[:, j * nds:(j + 1) * nds] = [we @ P.T, (we * bn) @ P.T,
+                                         (we * bn * s) @ P.T]
+    return out
+
+
+@pytest.mark.parametrize("nx,ny,ratio,diag", LAYOUT_GRIDS)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_batched_constraint_rows_match_edge_loop(nx, ny, ratio, diag, k):
+    mesh = build_structured_mesh(nx, ny, ratio, diag=diag)
+    spec = make_spec("rotating", 1.0)
+    runs = mesh.interface_runs
+    q, bn = interface_quadrature(mesh, spec, k)
+    run = runs.run_of_edge
+    batched = _raw_rows(q, bn, runs.tangent[run],
+                        runs.midpoint_t[run]).reshape(3, -1)
+    nds = k + 1
+    for i, se in enumerate(mesh.subdomain_edges):
+        ref = edge_loop_rows(mesh, se, spec, k)
+        scale = np.abs(ref).max()
+        blk = slice(runs.offsets[i] * nds, runs.offsets[i + 1] * nds)
+        assert np.abs(batched[:, blk] - ref).max() <= 1e-14 * scale
+        assert np.abs(np.array(constraint_rows(mesh, se, spec, k)) - ref) \
+            .max() <= 1e-14 * scale
+        flipped = type(se)(se.pair, se.edges, se.tangent, -se.normal,
+                           se.t_range)
+        ref = edge_loop_rows(mesh, flipped, spec, k)
+        assert np.abs(np.array(constraint_rows(mesh, flipped, spec, k))
+                      - ref).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("problem,eps", [("rotating", 1e-3),
+                                         ("thermal", 1.0)])
+def test_kept_labels_are_nested_prefixes(problem, eps, k):
+    for nx, ny, ratio, diag in LAYOUT_GRIDS:
+        mesh = build_structured_mesh(nx, ny, ratio, diag=diag)
+        dofs = build_trace_dof_map(mesh, k)
+        spec = make_spec(problem, eps)
+        kept = [build_constraints(v, spec, mesh, dofs, k).kept
+                for v in ("bddc1", "bddc2", "bddc3")]
+        for k1, k2, k3 in zip(*kept):
+            assert k1 == ["c1"]
+            assert k2[:len(k1)] == k1 and k3[:len(k2)] == k2
+
+
+@pytest.mark.parametrize("variant", ["bddc1", "bddc3", "all-primal"])
+def test_batched_change_of_basis_is_the_edge_transform(variant):
+    mesh, dofs, spec, subs, iface, cons, pre = setup(
+        "rotating", 1e-3, variant, nx=3, ny=2, ratio=3, k=1)
+    for i, (a, b) in enumerate(dofs.se_blocks - dofs.n_interior):
+        Q = EdgeBasisTransform(cons.rows[i]).Q
+        assert np.array_equal(pre.Qg[a:b, a:b].toarray(), Q)
+        assert pre.Qg[a:b].nnz == np.count_nonzero(Q)

@@ -5,8 +5,11 @@ import pytest
 
 from hdglab.fespace import (EdgeBasis, TriBasis, UnsupportedError,
                             build_trace_dof_map, edge_points,
-                            project_boundary_data, quadrature_rule)
-from hdglab.mesh import BOUNDARY, build_structured_mesh
+                            project_boundary, project_boundary_data,
+                            quadrature_rule)
+from hdglab.mesh import BOUNDARY, INTERIOR, build_structured_mesh
+
+from test_mesh import LAYOUT_GRIDS
 
 
 def test_edge_rule_exactness5():
@@ -162,3 +165,59 @@ def test_projection_idempotent():
 
             c = project_boundary_data(m, gp, e, k)
             assert np.allclose(c, coef, atol=1e-13)
+
+
+@pytest.mark.parametrize("nx,ny,ratio,diag", LAYOUT_GRIDS)
+@pytest.mark.parametrize("k", [0, 2])
+def test_edge_dofs_layout(nx, ny, ratio, diag, k):
+    m = build_structured_mesh(nx, ny, ratio, diag=diag)
+    dofs = build_trace_dof_map(m, k)
+    nds = k + 1
+    # interior DOFs ascend by (owning subdomain, edge index)
+    inter = np.flatnonzero(m.edge_class == INTERIOR)
+    own = m.tri_sub[m.edge_tris[inter, 0]]
+    ordered = [e for _, e in sorted(zip(own.tolist(), inter.tolist()))]
+    assert dofs.edge_dofs[ordered].ravel().tolist() == \
+        list(range(dofs.n_interior))
+    for s in range(m.n_subdomains):
+        assert dofs.interior_by_sub[s].tolist() == \
+            dofs.edge_dofs[inter[own == s]].ravel().tolist()
+    assert dofs.owner[:dofs.n_interior].tolist() == \
+        np.repeat(np.sort(own), nds).tolist()
+    # the interface: one contiguous block per SubdomainEdge, in run order
+    nxt = dofs.n_interior
+    sub_se = [[] for _ in range(m.n_subdomains)]
+    for i, se in enumerate(m.subdomain_edges):
+        assert tuple(dofs.se_blocks[i]) == (nxt, nxt + se.edges.size * nds)
+        assert dofs.edge_dofs[se.edges].ravel().tolist() == \
+            list(range(nxt, nxt + se.edges.size * nds))
+        nxt += se.edges.size * nds
+        sub_se[se.pair[0]].append(i)
+        sub_se[se.pair[1]].append(i)
+    assert nxt == dofs.n_dofs
+    assert np.all(dofs.owner[dofs.n_interior:] == -1)
+    for s in range(m.n_subdomains):
+        assert list(dofs.sub_se[s]) == sub_se[s]
+        gids = [g for i in sub_se[s] for g in range(*dofs.se_blocks[i])]
+        assert dofs.sub_interface_gids[s].tolist() == gids
+        assert dofs.sub_interface_pos[s].tolist() == \
+            [g - dofs.n_interior for g in gids]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_boundary_projection_matches_edge_loop(k):
+    # reference: the projection edge by edge, through edge_points
+    m = build_structured_mesh(3, 2, 3, diag="nw")
+    g = lambda x, y: np.sin(3.0 * x + 1.0) * np.exp(y)
+    gcoef = project_boundary(m, g, k)
+    rule = quadrature_rule("edge", 2 * k + 4)
+    P = EdgeBasis(k).eval(rule.points)
+    bnd = m.edge_class == BOUNDARY
+    for e in np.flatnonzero(bnd):
+        X = edge_points(m, e, rule.points)
+        ref = (P * rule.weights) @ g(X[:, 0], X[:, 1]) * \
+            (2.0 * np.arange(k + 1) + 1.0) / 2.0
+        assert np.allclose(gcoef[e], ref, rtol=0.0, atol=1e-14)
+        assert np.allclose(project_boundary_data(m, g, e, k), gcoef[e],
+                           rtol=0.0, atol=1e-14)
+    assert np.all(gcoef[~bnd] == 0.0)

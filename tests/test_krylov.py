@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,34 @@ def test_maxit_exceeded():
     assert not rep.converged and rep.iterations == 5
     assert rep.label() == ">5"
     assert len(rep.resvec) == 6
+
+
+def test_storage_sized_by_steps_taken():
+    # a large maxit must not allocate maxit-sized Krylov storage up front
+    A = np.diag(np.arange(1.0, 6.0))
+    b = np.ones(5)
+    tracemalloc.start()
+    try:
+        x, rep = gmres(lambda v: A @ v, None, b, maxit=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations <= 5
+    assert np.allclose(A @ x, b, atol=1e-9)
+    assert peak < 2 ** 20
+
+
+def test_storage_grows_past_initial_capacity():
+    # 600 spread eigenvalues: the Krylov basis outgrows its first block
+    n = 600
+    A = np.diag(np.geomspace(1.0, 1e4, n))
+    b = np.ones(n)
+    x, rep = gmres(lambda v: A @ v, None, b, tol=1e-12, maxit=n)
+    assert rep.converged and rep.iterations > 256
+    assert np.linalg.norm(A @ x - b) < 1e-8 * np.linalg.norm(b)
+    x, rep = gmres(lambda v: A @ v, None, b, tol=1e-12, maxit=300)
+    assert not rep.converged and rep.iterations == 300
+    assert len(rep.resvec) == 301
 
 
 def test_residual_history():

@@ -128,3 +128,63 @@ def test_dump_text(tmp_path):
         m.dump_text(fh)
     lines = p.read_text().strip().splitlines()
     assert len(lines) == m.n_vertices + m.n_triangles + m.n_edges
+
+
+# (nx, ny, H/h, diag) of the layout tests here and in test_fespace/test_bddc
+LAYOUT_GRIDS = [(3, 2, 3, "ne"), (3, 2, 3, "nw"), (5, 4, 2, "ne"),
+                (5, 4, 2, "nw"), (1, 1, 3, "ne")]
+
+
+def cross_points(m):
+    """Vertices shared by the triangles of three or more subdomains."""
+    subs = {}
+    for tri, s in zip(m.triangles.tolist(), m.tri_sub.tolist()):
+        for v in tri:
+            subs.setdefault(v, set()).add(s)
+    return {v for v, ss in subs.items() if len(ss) >= 3}
+
+
+@pytest.mark.parametrize("nx,ny,ratio,diag", LAYOUT_GRIDS)
+def test_edge_numbering_is_lexicographic(nx, ny, ratio, diag):
+    m = build_structured_mesh(nx, ny, ratio, diag=diag)
+    assert np.all(m.edges[:, 0] < m.edges[:, 1])
+    pairs = [tuple(e) for e in m.edges.tolist()]
+    assert pairs == sorted(set(pairs))
+    for tri, tes in zip(m.triangles.tolist(), m.tri_edges.tolist()):
+        for (a, b), e in zip(((0, 1), (1, 2), (2, 0)), tes):
+            assert pairs[e] == tuple(sorted((tri[a], tri[b])))
+
+
+@pytest.mark.parametrize("nx,ny,ratio,diag", LAYOUT_GRIDS)
+def test_subdomain_edge_layout(nx, ny, ratio, diag):
+    m = build_structured_mesh(nx, ny, ratio, diag=diag)
+    ses = m.subdomain_edges
+    runs = m.interface_runs
+    cross = cross_points(m)
+    # sorted by pair; the runs of one pair follow each other along the line
+    assert [se.pair for se in ses] == sorted(se.pair for se in ses)
+    for prev, se in zip(ses, ses[1:]):
+        if prev.pair == se.pair:
+            assert se.t_range[0] >= prev.t_range[1] - 1e-12
+    for r, se in enumerate(ses):
+        # the arrays and the SubdomainEdge views agree
+        assert runs.edges[runs.offsets[r]:runs.offsets[r + 1]].tolist() == \
+            se.edges.tolist()
+        assert tuple(runs.pair[r]) == se.pair
+        v = m.vertices[m.edges[se.edges]]              # (n, 2 ends, 2)
+        t = v @ se.tangent
+        # ordered along the tangent, contiguous, spanning t_range
+        assert np.all(np.diff(t.mean(axis=1)) > 0)
+        assert np.allclose(t.min(axis=1)[1:], t.max(axis=1)[:-1], atol=1e-12)
+        assert t.min() == se.t_range[0] and t.max() == se.t_range[1]
+        # no cross point inside a run; each end is a cross point or lies on
+        # the domain boundary
+        ends = m.edges[se.edges]
+        inner = set(ends[1:].ravel().tolist()) & set(ends[:-1].ravel().tolist())
+        assert not inner & cross
+        first = set(ends[0].tolist()) - inner
+        last = set(ends[-1].tolist()) - inner
+        for v_end in first | last:
+            on_boundary = np.isclose(np.abs(m.vertices[v_end]), 1.0).any()
+            assert v_end in cross or on_boundary
+    assert runs.offsets[-1] == np.count_nonzero(m.edge_class == INTERFACE)
