@@ -7,9 +7,8 @@ from .mesh import (BOUNDARY, INTERFACE, INTERIOR, InvalidConfigError, Mesh2d,
 from .fespace import (EdgeBasis, QuadRule, TraceDofMap, TriBasis,
                       build_trace_dof_map, project_boundary_data,
                       quadrature_rule)
-from .hdg import (ElementBlocks, ElementLocal, LocalLift, ProblemSpec,
-                  StabilizationError, build_element_blocks, condense,
-                  element_operators, eval_tau, local_lift, recover)
+from .hdg import (ElementBlocks, ElementLocal, ProblemSpec,
+                  StabilizationError, eval_tau, recover)
 from .assembly import (TraceSystem, apply_operator, assemble_trace_system,
                        direct_solve, eval_forms, export_coo,
                        full_saddle_solve, l2_error_u, recover_all)

@@ -133,7 +133,7 @@ def recover_all(sys, lam):
     blocks = sys.blocks
     if not blocks.keep_local:
         raise InvalidConfigError("recovery needs ElementBlocks(keep_local=True)")
-    mesh, d, nds = sys.mesh, blocks.d, sys.k + 1
+    mesh, d = sys.mesh, blocks.d
     lamK = sys.local_traces(lam)
     F = blocks.load_vectors()
     q = np.empty((mesh.n_triangles, 2 * d))
@@ -141,12 +141,7 @@ def recover_all(sys, lam):
     for t, els in enumerate(blocks._type_groups()):
         if els.size == 0:
             continue
-        geo = blocks.type_geo[t]
-        C = np.zeros((3 * nds, 2 * d))
-        for e, ed in enumerate(geo["edata"]):
-            for comp in (0, 1):
-                C[e * nds:(e + 1) * nds, comp * d:(comp + 1) * d] = \
-                    ed["n"][comp] * ed["E"]
+        C = blocks.type_geo[t]["C"]
         rhs = np.concatenate([
             -np.einsum("im,nm->ni", C.T, lamK[els]),
             F[els] - np.einsum("nim,nm->ni", blocks.S1[els], lamK[els]),

@@ -41,8 +41,6 @@ class PreconditionerError(RuntimeError):
 
 
 def _variant_name(variant):
-    if variant in (1, 2, 3):
-        return "bddc%d" % variant
     if variant in VARIANTS:
         return variant
     raise InvalidConfigError("unknown BDDC variant %r" % (variant,))
@@ -222,9 +220,8 @@ class BddcPreconditioner:
     ``Fc`` with its LU ``coarse_lu``.
     """
 
-    def __init__(self, subs, iface, constraints, dofs):
+    def __init__(self, subs, constraints, dofs):
         self.subs = subs
-        self.iface = iface
         self.constraints = constraints
         self.dofs = dofs
         self.variant = constraints.variant
@@ -371,8 +368,12 @@ class BddcPreconditioner:
 
 
 def build_preconditioner(subs, iface, constraints, dofs):
-    """Two-level BDDC preconditioner (or exact coarse for all-primal)."""
+    """Two-level BDDC preconditioner (or exact coarse for all-primal).
+
+    ``iface`` is not read: the interface operator enters through the local
+    Schur complements of ``subs``.
+    """
     if constraints.variant == "none":
         raise InvalidConfigError(
             "variant 'none' means unpreconditioned GMRES; no BDDC object")
-    return BddcPreconditioner(subs, iface, constraints, dofs)
+    return BddcPreconditioner(subs, constraints, dofs)

@@ -37,7 +37,7 @@ DIAG_FIELDS = ("norm_h", "jump", "norm_b", "gamma", "fov_min", "fov_max")
 
 CONFIG_KEYS = frozenset(("problem", "epsilons", "degrees", "grids", "ratios",
                          "variants", "tol", "maxit", "fmt", "threads",
-                         "deterministic", "advect", "diagnostics"))
+                         "advect", "diagnostics"))
 
 
 def _zeros(x, y):
@@ -127,7 +127,7 @@ class BenchmarkConfig:
     def __init__(self, problem="thermal", epsilons=(1.0,), degrees=(0,),
                  grids=((4, 4),), ratios=(6,), variants=("bddc1",),
                  tol=1e-10, maxit=1000, fmt="table", threads=1,
-                 deterministic=True, advect=False, diagnostics=False):
+                 advect=False, diagnostics=False):
         self.problem = problem
         self.epsilons = list(epsilons)
         self.degrees = list(degrees)
@@ -138,7 +138,6 @@ class BenchmarkConfig:
         self.maxit = int(maxit)
         self.fmt = fmt
         self.threads = int(threads)
-        self.deterministic = bool(deterministic)
         self.advect = bool(advect)
         self.diagnostics = bool(diagnostics)
         self.validate()
@@ -271,7 +270,7 @@ def run_sweep(config):
                          diagnostics=config.diagnostics, built=built)
                 for v in config.variants]
 
-    threads = 1 if config.deterministic else max(1, config.threads)
+    threads = max(1, config.threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             groups = list(pool.map(one_coord, coords))
@@ -450,8 +449,6 @@ def build_arg_parser():
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "table"), dest="fmt")
     p.add_argument("--threads", type=int)
-    p.add_argument("--deterministic", action="store_true", default=None,
-                   help="force single-threaded, reproducible sweeps")
     p.add_argument("--advect", action="store_true", default=None,
                    help="manufactured problem: use the thermal beta")
     p.add_argument("--diagnostics", action="store_true", default=None,
@@ -483,8 +480,7 @@ def config_from_args(args):
             [int(r) for r in _split(args.ratio)],
         variants=None if args.variant is None else _split(args.variant),
         tol=args.tol, maxit=args.maxit, fmt=args.fmt, threads=args.threads,
-        deterministic=args.deterministic, advect=args.advect,
-        diagnostics=args.diagnostics)
+        advect=args.advect, diagnostics=args.diagnostics)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return BenchmarkConfig(**values)
 

@@ -10,12 +10,10 @@ the dense local Schur complements S^(i), so each apply is one sparse matvec.
 """
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import interface_quadrature
-from .hdg import ElementBlocks
 from .mesh import InvalidConfigError
 
 
@@ -42,9 +40,7 @@ class SubdomainSystem:
     Local DOF order: subdomain-interior DOFs (global order), then the
     subdomain's interface DOFs (concatenated SubdomainEdge blocks).
     The matrix is held sparse (the interior block grows with H/h) and
-    A_II is factorized eagerly; the full local factorization is dense,
-    built on first use (it may legitimately not exist for beta = 0
-    floating subdomains, which never need it).
+    A_II is factorized eagerly.
     """
 
     def __init__(self, sidx, A, nI, interior_gids, interface_gids,
@@ -75,7 +71,6 @@ class SubdomainSystem:
                 raise SubdomainError(
                     "interior block of subdomain %d is singular" % sidx)
         self._A_dense = None
-        self._lu_full = None
         self._dense_schur = None
 
     @property
@@ -89,16 +84,6 @@ class SubdomainSystem:
         if self.nI == 0:
             return np.zeros_like(np.asarray(rhs, dtype=float))
         return self.lu_II.solve(np.asarray(rhs, dtype=float))
-
-    def full_solve(self, rhs):
-        """Robin solve A^(i) x = rhs (factorization cached on first use)."""
-        if self._lu_full is None:
-            lu = sla.lu_factor(self.A)
-            if np.min(np.abs(np.diag(lu[0]))) < 1e-14 * np.abs(self.A).max():
-                raise SubdomainError(
-                    "Robin system of subdomain %d is singular" % self.sidx)
-            self._lu_full = lu
-        return sla.lu_solve(self._lu_full, rhs)
 
     def extend_interior(self, lamG):
         """Full local vector (lam_I, lam_Gamma) with A_II lam_I = -A_IG lam_G."""

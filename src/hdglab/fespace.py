@@ -95,7 +95,6 @@ class TriBasis:
         M = self._monomials(rule.points)
         G = (M * rule.weights) @ M.T
         self._L = cholesky(G, lower=True)
-        self.monomial_cond = np.linalg.cond(G)
         # Gram matrix of the orthonormalized basis (identity up to roundoff)
         check = quadrature_rule("triangle", 2 * k + 2)
         V = self.eval(check.points)

@@ -16,6 +16,11 @@ positive-definite trace block  S_K = [C S2] K_loc^-1 [Ct; S1] - T  and the load
 map  b_K = [C S2] K_loc^-1 (0; F_h)  (the raw Schur complement of the system
 above is the negative of the trace bilinear form; both are negated so that the
 assembled operator has positive-definite symmetric part).
+
+``ElementBlocks`` builds these blocks once, batched over all elements of a
+mesh; ``ElementLocal`` is the single-element view that slices its arrays, and
+``recover`` is the one single-element solve (the lift (Q mu, U mu) is
+``recover`` with zero load).
 """
 
 import numpy as np
@@ -66,14 +71,6 @@ class ProblemSpec:
             np.broadcast_to(by, np.shape(x)).astype(float)
 
 
-class LocalLift:
-    """Coefficients of the local lift (Q mu, U mu) for one element."""
-
-    def __init__(self, q, u):
-        self.q = q
-        self.u = u
-
-
 class ElementBlocks:
     """Batched HDG blocks for all elements of a mesh.
 
@@ -81,6 +78,8 @@ class ElementBlocks:
     condensation maps ``N`` (nel,m,d) and the stabilizers ``taus`` (nel,3).
     With ``keep_local=True`` also stores R, S1, S2, T and the inverse of the
     local saddle block (needed for lifts and interior recovery).
+    ``type_geo[t]`` holds the affine data of element type t and its blocks
+    ``Bt`` and ``C``, which do not vary within a type.
     """
 
     def __init__(self, mesh, spec, k, keep_local=False):
@@ -102,7 +101,8 @@ class ElementBlocks:
         return [np.where(self.mesh.tri_type == t)[0] for t in (0, 1)]
 
     def _build_type_geometry(self, els):
-        """Fixed affine data of one element type from a representative."""
+        """Fixed affine data of one element type from a representative,
+        with the blocks ``Bt`` and ``C`` that all elements of the type share."""
         mesh, tri = self.mesh, self.tri
         verts = mesh.vertices[mesh.triangles[els[0]]]
         J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
@@ -135,8 +135,18 @@ class ElementBlocks:
             edata.append(dict(lo=lo, hi=hi, n=n, elen=elen, P=P, phie=phie,
                               we=we, E=E, F=F, Mdiag=Mdiag))
         hK = min(ed["elen"] for ed in edata)
-        return dict(J=J, detJ=detJ, JinvT=JinvT, phiv=phiv, Gp=Gp,
-                    edata=edata, hK=hK, verts_local=verts)
+        d, nds = tri.dim, self.k + 1
+        Bt = np.empty((2 * d, d))
+        for comp in (0, 1):
+            Bt[comp * d:(comp + 1) * d] = -detJ * np.einsum(
+                "q,jq,iq->ij", vq.weights, phiv, Gp[:, :, comp])
+        C = np.zeros((self.m, 2 * d))
+        for e, ed in enumerate(edata):
+            sl = slice(e * nds, (e + 1) * nds)
+            for comp in (0, 1):
+                C[sl, comp * d:(comp + 1) * d] = ed["n"][comp] * ed["E"]
+        return dict(J=J, detJ=detJ, phiv=phiv, Gp=Gp, edata=edata, hK=hK,
+                    Bt=Bt, C=C)
 
     # -- assembly --------------------------------------------------------
 
@@ -177,17 +187,8 @@ class ElementBlocks:
                 raise StabilizationError(
                     "-div(beta) >= 0 violated (max div = %g)" % np.max(div))
 
-            # fixed blocks of this type
             a_val = detJ / spec.eps
-            Bt = np.empty((2 * d, d))
-            for comp in (0, 1):
-                Bt[comp * d:(comp + 1) * d] = -detJ * np.einsum(
-                    "q,jq,iq->ij", wv, phiv, Gp[:, :, comp])
-            C = np.zeros((m, 2 * d))
-            for e, ed in enumerate(geo["edata"]):
-                sl = slice(e * nds, (e + 1) * nds)
-                for comp in (0, 1):
-                    C[sl, comp * d:(comp + 1) * d] = ed["n"][comp] * ed["E"]
+            Bt, C = geo["Bt"], geo["C"]
 
             # advective volume parts
             bgrad = np.einsum("nqc,iqc->niq", np.stack([bx, by], axis=-1), Gp)
@@ -294,35 +295,20 @@ class ElementBlocks:
 
 
 class ElementLocal:
-    """Single-element view into ElementBlocks (dense HDG blocks of one K)."""
+    """Single-element view into ElementBlocks: the dense HDG blocks of one K,
+    sliced from the batched arrays and the per-type ``Bt`` and ``C``."""
 
     def __init__(self, blocks, idx):
         if not blocks.keep_local:
             raise InvalidConfigError("ElementBlocks built without keep_local=True")
-        self.blocks = blocks
-        self.idx = idx
-        self.k = blocks.k
+        geo = blocks.type_geo[blocks.mesh.tri_type[idx]]
         self.d = blocks.d
         self.m = blocks.m
-        geo = blocks.type_geo[blocks.mesh.tri_type[idx]]
-        self.detJ = geo["detJ"]
-        self.h_K = geo["hK"]
         self.taus = blocks.taus[idx]
         self.A = (geo["detJ"] / blocks.spec.eps) * np.eye(2 * blocks.d)
-        Bt = np.empty((2 * blocks.d, blocks.d))
-        wv = blocks.vrule.weights
-        for comp in (0, 1):
-            Bt[comp * blocks.d:(comp + 1) * blocks.d] = -geo["detJ"] * np.einsum(
-                "q,jq,iq->ij", wv, geo["phiv"], geo["Gp"][:, :, comp])
-        self.Bt = Bt
-        nds = blocks.k + 1
-        C = np.zeros((blocks.m, 2 * blocks.d))
-        for e, ed in enumerate(geo["edata"]):
-            sl = slice(e * nds, (e + 1) * nds)
-            for comp in (0, 1):
-                C[sl, comp * blocks.d:(comp + 1) * blocks.d] = ed["n"][comp] * ed["E"]
-        self.C = C
-        self.Ct = C.T
+        self.Bt = geo["Bt"]
+        self.C = geo["C"]
+        self.Ct = self.C.T
         self.R = blocks.R[idx]
         self.S1 = blocks.S1[idx]
         self.S2 = blocks.S2[idx]
@@ -367,31 +353,12 @@ def eval_tau(mesh, kidx, ledge, spec, k=0):
     return tau
 
 
-def element_operators(mesh, kidx, spec, k, blocks=None):
-    """ElementLocal with all HDG blocks of element ``kidx`` assembled."""
-    if blocks is None:
-        blocks = ElementBlocks(mesh, spec, k, keep_local=True)
-    return blocks.element(kidx)
-
-
-def local_lift(elem, mu):
-    """Solve K_loc (Q mu, U mu) = (-Ct mu, -S1 mu)."""
-    rhs = np.concatenate([-elem.Ct @ mu, -elem.S1 @ mu])
-    z = elem.Kinv @ rhs
-    return LocalLift(z[:2 * elem.d], z[2 * elem.d:])
-
-
-def condense(elem):
-    """Condensed trace block S_K and the interior-load -> trace-load map."""
-
-    def rhs_map(F):
-        return elem.N @ F
-
-    return elem.S_hat, rhs_map
-
-
 def recover(elem, lam, F=None):
-    """Interior solution (q_h, u_h) from the element trace and local load F."""
+    """Interior solution (q_h, u_h) from the element trace and local load F.
+
+    With no load this is the local lift (Q lam, U lam), the solution of
+    K_loc (q, u) = (-Ct lam, -S1 lam).
+    """
     if F is None:
         F = np.zeros(elem.d)
     rhs = np.concatenate([np.zeros(2 * elem.d), F])
@@ -399,7 +366,3 @@ def recover(elem, lam, F=None):
     z = elem.Kinv @ rhs
     return z[:2 * elem.d], z[2 * elem.d:]
 
-
-def build_element_blocks(mesh, spec, k, keep_local=False):
-    """Assemble the batched HDG element blocks for the whole mesh."""
-    return ElementBlocks(mesh, spec, k, keep_local=keep_local)

@@ -6,7 +6,7 @@ from hdglab.assembly import (TraceSystem, apply_operator,
                              export_coo, full_saddle_solve, l2_error_u,
                              recover_all)
 from hdglab.fespace import build_trace_dof_map
-from hdglab.hdg import ElementBlocks, ProblemSpec, local_lift
+from hdglab.hdg import ElementBlocks, ProblemSpec, recover
 from hdglab.mesh import InvalidConfigError, build_structured_mesh
 
 
@@ -137,10 +137,10 @@ def test_a_form_equals_elementwise_flux_sum():
     total = 0.0
     for kidx in range(mesh.n_triangles):
         el = blocks.element(kidx)
-        lift = local_lift(el, lamK[kidx])
+        q, u = recover(el, lamK[kidx])
         # mu^T S_K lam = -<Q.n + tau(U-lam) + bn lam, mu>_dK (flux form);
         # S_K lam computed from the lift instead of the stored S_hat
-        flux = -(el.C @ lift.q) - el.S2 @ lift.u - el.T @ lamK[kidx]
+        flux = -(el.C @ q) - el.S2 @ u - el.T @ lamK[kidx]
         total += muK[kidx] @ flux
     a, _, _ = eval_forms(sys, lam, mu)
     assert abs(a - total) < 1e-10 * max(abs(a), 1.0)

@@ -252,6 +252,8 @@ def test_variant_none_rejected():
         build_preconditioner(subs, iface, cons, dofs)
     with pytest.raises(InvalidConfigError):
         build_constraints("bddc7", spec, mesh, dofs, 0)
+    with pytest.raises(InvalidConfigError):
+        build_constraints(1, spec, mesh, dofs, 0)
 
 
 

@@ -166,7 +166,7 @@ def test_run_sweep_threaded_matches_sequential():
                              grids=((2, 2),), ratios=(2,),
                              variants=("bddc1",))
     seq = run_sweep(config)
-    config.deterministic, config.threads = False, 2
+    config.threads = 2
     par = run_sweep(config)
     assert [r.iterations for r in seq] == [r.iterations for r in par]
 

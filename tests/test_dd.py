@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hdglab.assembly import assemble_trace_system, direct_solve
-from hdglab.dd import (InterfaceOperator, build_interface_operator,
-                       build_subdomains)
+from hdglab.dd import (InterfaceOperator, SubdomainError, SubdomainSystem,
+                       build_interface_operator, build_subdomains)
 from hdglab.fespace import build_trace_dof_map
 from hdglab.hdg import ProblemSpec
 from hdglab.mesh import build_structured_mesh
@@ -174,5 +175,16 @@ def test_full_solve_robin():
     sub = subs[1]
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(sub.nI + sub.nG)
-    x = sub.full_solve(rhs)
+    x = np.linalg.solve(sub.A, rhs)
     assert np.linalg.norm(sub.A @ x - rhs) < 1e-11 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("A", [
+    sp.csr_matrix((3, 3)),                       # exactly singular: splu fails
+    sp.diags([1.0, 1e-20, 1.0]).tocsr(),         # tiny pivot: the pivot check
+], ids=["zero", "tiny-pivot"])
+def test_singular_interior_block_raises(A):
+    with pytest.raises(SubdomainError,
+                       match="interior block of subdomain 7 is singular"):
+        SubdomainSystem(7, A, 2, np.arange(2), np.arange(2, 3), np.arange(1),
+                        np.zeros(3))

@@ -3,8 +3,7 @@ import pytest
 
 from hdglab.fespace import EdgeBasis, build_trace_dof_map, quadrature_rule
 from hdglab.hdg import (ElementBlocks, ProblemSpec, StabilizationError,
-                        condense, element_operators, eval_tau, local_lift,
-                        recover)
+                        eval_tau, recover)
 from hdglab.mesh import build_structured_mesh
 
 SQ2 = np.sqrt(2.0)
@@ -52,7 +51,7 @@ def hand_oracle_blocks():
 def test_condense_matches_hand_oracle():
     mesh = build_structured_mesh(1, 1, 1)
     spec = spec_beta0(strategy="upwind_plus_diffusive", sigma=2.0)
-    elem = element_operators(mesh, 0, spec, 0)
+    elem = ElementBlocks(mesh, spec, 0, keep_local=True).element(0)
     Ct, S1, S2, T, R, S_hat, N = hand_oracle_blocks()
     assert np.allclose(elem.taus, 1.0, atol=1e-14)
     assert np.allclose(elem.A, 4.0 * np.eye(2), atol=1e-13)
@@ -64,10 +63,10 @@ def test_condense_matches_hand_oracle():
     assert np.allclose(elem.S1, S1, atol=1e-12)
     assert np.allclose(elem.S2, S2, atol=1e-12)
     assert np.allclose(elem.T, T, atol=1e-12)
-    got_S, rhs_map = condense(elem)
+    got_S = elem.S_hat
     assert np.allclose(got_S, S_hat, atol=1e-12)
     F = np.array([-2 * SQ2 * 3.0])  # load vector of f = const 3
-    assert np.allclose(rhs_map(F), (N @ F), atol=1e-12)
+    assert np.allclose(elem.N @ F, (N @ F), atol=1e-12)
     # the local block is PSD with the constant trace as its kernel (beta = 0)
     w = np.linalg.eigvalsh(0.5 * (got_S + got_S.T))
     assert np.allclose(got_S @ np.ones(3), 0.0, atol=1e-12)
@@ -142,13 +141,13 @@ def test_local_lift_constant(k):
     c = 1.7
     mu = np.zeros(3 * (k + 1))
     mu[::k + 1] = c
-    lift = local_lift(el, mu)
-    assert np.allclose(lift.q, 0.0, atol=1e-11)
+    q, u = recover(el, mu)
+    assert np.allclose(q, 0.0, atol=1e-11)
     geo = blocks.type_geo[mesh.tri_type[2]]
-    uvals = lift.u @ geo["phiv"]
+    uvals = u @ geo["phiv"]
     assert np.allclose(uvals, c, atol=1e-11)
-    z = local_lift(el, np.zeros_like(mu))
-    assert np.allclose(z.q, 0.0) and np.allclose(z.u, 0.0)
+    q0, u0 = recover(el, np.zeros_like(mu))
+    assert np.allclose(q0, 0.0) and np.allclose(u0, 0.0)
 
 
 def test_local_lift_residual():
@@ -158,8 +157,7 @@ def test_local_lift_residual():
     for kidx in (0, 7, 20):
         el = blocks.element(kidx)
         mu = rng.standard_normal(el.m)
-        lift = local_lift(el, mu)
-        z = np.concatenate([lift.q, lift.u])
+        z = np.concatenate(recover(el, mu))
         rhs = np.concatenate([-el.Ct @ mu, -el.S1 @ mu])
         res = el.K_loc @ z - rhs
         assert np.linalg.norm(res) < 1e-11 * max(np.linalg.norm(rhs), 1.0)
@@ -197,12 +195,12 @@ def test_condense_equals_flux_form(k, eps):
         for _ in range(10):
             mu = rng.standard_normal(el.m)
             eta = rng.standard_normal(el.m)
-            lift = local_lift(el, mu)
+            q, u = recover(el, mu)
             lhs = eta @ (el.S_hat @ mu)
             rhs = 0.0
             nds = k + 1
             geo = blocks.type_geo[mesh.tri_type[kidx]]
-            for e, edd in enumerate(_eval_on_edges(blocks, kidx, lift.q, lift.u, mu)):
+            for e, edd in enumerate(_eval_on_edges(blocks, kidx, q, u, mu)):
                 etav = eta[e * nds:(e + 1) * nds] @ geo["edata"][e]["P"]
                 flux = edd["qn"] + edd["tau"] * (edd["u"] - edd["mu"]) + edd["bn"] * edd["mu"]
                 rhs -= np.sum(edd["we"] * flux * etav)
@@ -221,11 +219,11 @@ def test_condensed_quadratic_form_invariant(k):
         geo = blocks.type_geo[mesh.tri_type[kidx]]
         for _ in range(5):
             mu = rng.standard_normal(el.m)
-            lift = local_lift(el, mu)
-            qx = lift.q[:el.d] @ geo["phiv"]
-            qy = lift.q[el.d:] @ geo["phiv"]
+            q, u = recover(el, mu)
+            qx = q[:el.d] @ geo["phiv"]
+            qy = q[el.d:] @ geo["phiv"]
             val = geo["detJ"] * np.sum(blocks.vrule.weights * (qx ** 2 + qy ** 2)) / spec.eps
-            for edd in _eval_on_edges(blocks, kidx, lift.q, lift.u, mu):
+            for edd in _eval_on_edges(blocks, kidx, q, u, mu):
                 jump = edd["u"] - edd["mu"]
                 val += np.sum(edd["we"] * (edd["tau"] - 0.5 * edd["bn"]) * jump ** 2)
                 val -= 0.5 * np.sum(edd["we"] * edd["bn"] * edd["mu"] ** 2)
@@ -252,13 +250,6 @@ def test_recover_constant_and_zero_load():
     geo = blocks.type_geo[mesh.tri_type[6]]
     assert np.allclose(q, 0.0, atol=1e-10)
     assert np.allclose(u @ geo["phiv"], -2.5, atol=1e-10)
-    # f == 0 -> recover == local_lift
-    rng = np.random.default_rng(2)
-    lam = rng.standard_normal(el.m)
-    q, u = recover(el, lam)
-    lift = local_lift(el, lam)
-    assert np.allclose(q, lift.q, atol=1e-12)
-    assert np.allclose(u, lift.u, atol=1e-12)
 
 
 def test_load_vectors():
