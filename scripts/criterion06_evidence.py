@@ -141,7 +141,7 @@ def dual_weights(make_blocks, *args):
         W = make_blocks(self, blocks, *args)
         primal = np.arange(self.n_tilde) < self.n_primal
         Wt = sp.diags(primal.astype(float)) + dd.scatter_blocks(
-            ((W[sidx, i].T, idx, idx)
+            ((W[sidx, i].T[None], idx[None], idx[None])
              for i, parts in blocks.items() for sidx, idx, _ in parts),
             (self.n_tilde, self.n_tilde))
         self.RD = (Wt @ self.R).tocsr()

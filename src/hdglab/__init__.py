@@ -12,13 +12,13 @@ from .hdg import (ElementBlocks, ElementLocal, ProblemSpec,
 from .assembly import (TraceSystem, apply_operator, assemble_trace_system,
                        direct_solve, eval_forms, export_coo,
                        full_saddle_solve, l2_error_u, recover_all)
-from .dd import (InterfaceOperator, SubdomainError, SubdomainSystem,
+from .dd import (InterfaceOperator, Subdomain, SubdomainError, Subdomains,
                  build_interface_operator, build_subdomains)
-from .bddc import (VARIANTS, BddcPreconditioner, EdgeBasisTransform,
-                   PreconditionerError, PrimalConstraintSet, build_constraints,
-                   constraint_rows, build_preconditioner)
+from .bddc import (VARIANTS, BddcPreconditioner, PreconditionerError,
+                   PrimalConstraintSet, build_constraints, constraint_rows,
+                   build_preconditioner)
 from .krylov import SolveReport, gmres
 from .diagnostics import (NormReport, b_gamma_inner, edge_coefficients,
                           envelope_holds, field_of_values, gamma_stat,
-                          harmonic_extension, jump_seminorm, norm_h,
-                          norm_report, residual_envelope)
+                          jump_seminorm, norm_h, norm_report,
+                          residual_envelope)

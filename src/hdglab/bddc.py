@@ -167,7 +167,7 @@ def _change_of_basis(rows):
     elif n_pi == m:
         Q = rows.copy()
     else:
-        dual = sla.null_space(rows).swapaxes(1, 2)
+        dual = np.linalg.svd(rows, full_matrices=True)[2][:, n_pi:]
         big = np.abs(dual) > 1e-12
         first = np.take_along_axis(dual, big.argmax(axis=2)[..., None],
                                    axis=2)[..., 0]
@@ -177,33 +177,6 @@ def _change_of_basis(rows):
     if not np.allclose(Q @ Q.swapaxes(1, 2), np.eye(m), atol=1e-12):
         raise PreconditionerError("change of basis is not orthogonal")
     return Q
-
-
-class EdgeBasisTransform:
-    """Orthogonal change of basis on one SubdomainEdge block.
-
-    ``rows`` are the retained orthonormal constraint rows, shape (n_pi, m).
-    """
-
-    def __init__(self, rows):
-        self.n_primal = rows.shape[0]
-        self.Q = _change_of_basis(rows[None])[0]
-
-    @property
-    def inverse(self):
-        return self.Q.T
-
-
-def _block_rows_csr(rows, first_col, width):
-    """CSR matrix whose row p holds rows[p, :width[p]] at the columns
-    first_col[p], ..., first_col[p] + width[p] - 1; exact zeros dropped."""
-    n, w = rows.shape
-    in_row = np.arange(w) < width[:, None]
-    cols = first_col[:, None] + np.arange(w)
-    out = sp.csr_matrix((rows[in_row], cols[in_row],
-                         np.r_[0, np.cumsum(width)]), shape=(n, n))
-    out.eliminate_zeros()
-    return out
 
 
 class BddcPreconditioner:
@@ -234,12 +207,13 @@ class BddcPreconditioner:
         self.se_of = np.repeat(np.arange(size.size), size)
         self.block_off = np.arange(n_ifc) - start[self.se_of]
         self.Q_rows = np.zeros((n_ifc, size.max(initial=0)))
+        blocks = []
         for idx, R in constraints.blocks:
-            m = R.shape[2]
-            self.Q_rows[start[idx, None] + np.arange(m), :m] = \
-                _change_of_basis(R)
-        self.Qg = _block_rows_csr(self.Q_rows, start[self.se_of],
-                                  size[self.se_of])
+            rows = start[idx, None] + np.arange(R.shape[2])
+            blocks.append((_change_of_basis(R), rows, rows))
+            self.Q_rows[rows, :rows.shape[1]] = blocks[-1][0]
+        self.Qg = scatter_blocks(blocks, (n_ifc, n_ifc)).tocsr()
+        self.Qg.eliminate_zeros()
 
         # the first n_primal_by_se components of each transformed
         # SubdomainEdge block are primal, numbered in SubdomainEdge order
@@ -252,40 +226,37 @@ class BddcPreconditioner:
         self.primal_index = np.full(n_ifc, -1, dtype=np.int64)
         self.primal_index[primal_pos] = np.arange(self.n_primal)
 
-        dual_cols = []
+        # row t of Rt picks the interface position of tilde component t
+        self.n_tilde = self.n_primal + int(np.count_nonzero(
+            (subs.pos >= 0) & ~self.is_primal[subs.pos]))
+        self.n_dual_total = n_dual = self.n_tilde - self.n_primal
+        cols = np.empty(self.n_tilde, dtype=np.int64)
         inv_dd, c_pd, c_dp, coarse = [], [], [], []
-        for sub, pos, idx, dual, St in self.local_blocks():
-            prim = ~dual
-            gp, gd = idx[prim], idx[dual] - self.n_primal
-            dual_cols.append(pos[dual])
-            Spp = St[np.ix_(prim, prim)]
-            if gd.size:
-                Sdd = St[np.ix_(dual, dual)]
-                Sdp = St[np.ix_(dual, prim)]
-                Spd = St[np.ix_(prim, dual)]
-                try:
-                    lu_dd = sla.lu_factor(Sdd)
-                except (ValueError, sla.LinAlgError) as exc:
+        for sids, pos, idx, npr, St in self._local_stacks():
+            cols[idx] = pos
+            gp, gd = idx[:, :npr], idx[:, npr:] - self.n_primal
+            Spp, Spd = St[:, :npr, :npr], St[:, :npr, npr:]
+            Sdp, Sdd = St[:, npr:, :npr], St[:, npr:, npr:]
+            if gd.shape[1]:
+                # singular: non-finite, or an LU pivot below 1e-14 max |S_dd|
+                piv = sla.lu(Sdd, p_indices=True, check_finite=False)[2]
+                piv = np.abs(np.diagonal(piv, axis1=1, axis2=2)).min(axis=1)
+                bad = ~(piv >= 1e-14 * np.maximum(
+                    np.abs(Sdd).max(axis=(1, 2)), 1e-300))
+                if bad.any():
                     raise PreconditionerError(
                         "singular dual block in subdomain %d (variant %s, "
-                        "eps %g)" % (sub.sidx, self.variant,
-                                     constraints.spec.eps)) from exc
-                if np.min(np.abs(np.diag(lu_dd[0]))) < \
-                        1e-14 * max(np.abs(Sdd).max(), 1e-300):
-                    raise PreconditionerError(
-                        "singular dual block in subdomain %d (variant %s, "
-                        "eps %g)" % (sub.sidx, self.variant,
+                        "eps %g)" % (sids[bad.argmax()], self.variant,
                                      constraints.spec.eps))
-                Kdp = sla.lu_solve(lu_dd, Sdp)
-                inv_dd.append((sla.lu_solve(lu_dd, np.eye(gd.size)), gd, gd))
+                X = np.linalg.solve(Sdd, np.concatenate(
+                    [Sdp, np.broadcast_to(np.eye(gd.shape[1]), Sdd.shape)],
+                    axis=2))
+                Kdp = X[:, :, :npr]
+                inv_dd.append((X[:, :, npr:], gd, gd))
                 c_pd.append((Spd, gp, gd))
                 c_dp.append((Kdp, gd, gp))
                 Spp = Spp - Spd @ Kdp
             coarse.append((Spp, gp, gp))
-        # row t of Rt picks the interface position of tilde component t
-        cols = np.concatenate([primal_pos] + dual_cols)
-        self.n_tilde = cols.size
-        self.n_dual_total = n_dual = self.n_tilde - self.n_primal
         rows = np.arange(self.n_tilde)
         shape = (self.n_tilde, n_ifc)
         self.R = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape)
@@ -309,25 +280,43 @@ class BddcPreconditioner:
             self.coarse_lu = None
             self.Fc = sp.csc_matrix((0, 0))
 
-    def local_blocks(self):
-        """Per subdomain: (sub, interface positions, their partially
-        assembled indices, dual mask, St_i = Q_i S^(i) Q_i^T).
+    def _local_stacks(self):
+        """Per group of subdomains with equal nG and primal count, stacked:
+        (subdomains, interface positions, their partially assembled indices,
+        primal count, St_i = Q_i S^(i) Q_i^T), primal DOFs first, each part in
+        local order.  Dual copies are numbered in subdomain order."""
+        subs = self.subs
+        dual = (subs.pos >= 0) & ~self.is_primal[subs.pos]
+        n_dual = dual.sum(axis=1)
+        first = self.n_primal + np.cumsum(n_dual) - n_dual
+        _, group = np.unique(np.column_stack([subs.nG, n_dual]), axis=0,
+                             return_inverse=True)
+        for g in range(group.max(initial=-1) + 1):
+            sids = np.flatnonzero(group == g)
+            n, nd = subs.nG[sids[0]], n_dual[sids[0]]
+            pos = subs.pos[sids, :n]
+            p = np.argsort(dual[sids, :n], axis=1, kind="stable")
+            rows = pos[np.arange(sids.size)[:, None], p]
+            # Q_i, block-diagonal over the SubdomainEdges, rows primal first
+            Qi = np.where(self.se_of[rows][:, :, None]
+                          == self.se_of[pos][:, None, :],
+                          self.Q_rows[rows[:, :, None],
+                                      self.block_off[pos][:, None, :]], 0.0)
+            St = Qi @ subs.S[sids, :n, :n] @ Qi.swapaxes(1, 2)
+            del Qi
+            idx = self.primal_index[rows]
+            idx[:, n - nd:] = first[sids, None] + np.arange(nd)
+            yield sids, rows, idx, n - nd, St
 
-        Dual copies are numbered in subdomain order after the primal DOFs.
-        """
-        off = self.n_primal
-        for sub in self.subs:
-            pos = sub.interface_pos
-            # Q_i is block-diagonal over the subdomain's SubdomainEdges
-            se = self.se_of[pos]
-            Qi = np.where(se[:, None] == se,
-                          self.Q_rows[pos][:, self.block_off[pos]], 0.0)
-            dual = ~self.is_primal[pos]
-            nd = np.count_nonzero(dual)
-            idx = self.primal_index[pos]
-            idx[dual] = off + np.arange(nd)
-            off += nd
-            yield sub, pos, idx, dual, Qi @ sub.dense_schur() @ Qi.T
+    def local_blocks(self):
+        """Per subdomain, in subdomain order: (sub, interface positions,
+        their partially assembled indices, dual mask, St_i)."""
+        out = [None] * self.subs.nI.size
+        for sids, pos, idx, npr, St in self._local_stacks():
+            dual = np.arange(pos.shape[1]) >= npr
+            for j, s in enumerate(sids.tolist()):
+                out[s] = (self.subs[s], pos[j], idx[j], dual, St[j])
+        return out
 
     # -- restriction maps on transformed vectors ---------------------------
 

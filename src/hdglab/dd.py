@@ -4,9 +4,15 @@ Each subdomain carries the element-scattered trace matrix plus the Robin
 modification +1/2<beta.n lam, mu> on its interface edges (n = outward normal
 of the subdomain).  The modification cancels pairwise across an interface, so
 the subdomain systems sum back to the global operator exactly, while making
-each local problem solvable on its own.  The interface operator
-S_Gamma = sum_i R_i^T S^(i) R_i is assembled once into one sparse matrix from
-the dense local Schur complements S^(i), so each apply is one sparse matvec.
+each local problem solvable on its own.
+
+The subdomain systems are held torn, as one layer.  Interiors never couple
+and ``TraceDofMap`` numbers them by subdomain, so A_II^(i) and B_i = A_IG^(i)
+are slices of ``sys.A`` and each entry of T = A_GI belongs to the owner of its
+interior column.  G_i = A_GG^(i) + Robin is one scatter of all elements into a
+stack.  Runs of consecutive subdomains share one sparse LU of their A_II slice
+and one solve with a shared right-hand-side block, giving the stack
+S_i = G_i - T_i A_II^(i)^-1 B_i; S_Gamma = sum_i R_i^T S_i R_i is one CSR.
 """
 
 import numpy as np
@@ -15,6 +21,10 @@ import scipy.sparse.linalg as spla
 
 from .fespace import interface_quadrature
 from .mesh import InvalidConfigError
+
+# a factor group grows while its interior rows x its largest nG stay within
+# this: SuperLU solves a wide block slower than narrow ones of large subdomains
+GROUP_ENTRIES = 2 ** 16
 
 
 class SubdomainError(RuntimeError):
@@ -34,169 +44,185 @@ def _robin_edge_matrices(mesh, spec, k):
                      q.half_len)
 
 
-class SubdomainSystem:
-    """Robin-modified local trace system of one subdomain.
+def scatter_blocks(blocks, shape):
+    """Sparse sum of stacked dense blocks: ``blocks`` yields (B, rows, cols),
+    B (b, r, c) placed at rows[j] x cols[j] for each j; entries in a negative
+    row or column are left out.  COO with int32 indices, duplicates unsummed."""
+    parts = [(np.zeros(0), np.zeros(0, np.int32), np.zeros(0, np.int32))]
+    for B, rows, cols in blocks:
+        R, C = np.broadcast_arrays(rows.astype(np.int32)[..., :, None],
+                                   cols.astype(np.int32)[..., None, :])
+        keep = (R >= 0) & (C >= 0)
+        parts.append((B[keep], R[keep], C[keep]))
+    v, r, c = map(np.concatenate, zip(*parts))
+    return sp.coo_matrix((v, (r, c)), shape=shape)
 
-    Local DOF order: subdomain-interior DOFs (global order), then the
-    subdomain's interface DOFs (concatenated SubdomainEdge blocks).
-    The matrix is held sparse (the interior block grows with H/h) and
-    A_II is factorized eagerly.
-    """
 
-    def __init__(self, sidx, A, nI, interior_gids, interface_gids,
-                 interface_pos, b_loc):
-        self.sidx = sidx
-        self.A_sparse = A.tocsr()
-        self.nI = nI
-        self.nG = A.shape[0] - nI
-        self.interior_gids = interior_gids
-        self.interface_gids = interface_gids
-        self.interface_pos = interface_pos
-        self.b_loc = b_loc
-        self.AII = self.A_sparse[:nI, :nI].tocsc()
-        self.AIG = self.A_sparse[:nI, nI:].tocsr()
-        self.AGI = self.A_sparse[nI:, :nI].tocsr()
-        self.AGG = self.A_sparse[nI:, nI:].tocsr()
-        self.lu_II = None
-        if nI:
-            try:
-                self.lu_II = spla.splu(self.AII)
-            except RuntimeError as exc:
-                raise SubdomainError(
-                    "interior block of subdomain %d is singular"
-                    % sidx) from exc
-            udiag = np.abs(self.lu_II.U.diagonal())
-            if not np.all(np.isfinite(udiag)) or udiag.min() < 1e-14 * max(
-                    np.abs(self.AII).max(), 1e-300):
-                raise SubdomainError(
-                    "interior block of subdomain %d is singular" % sidx)
-        self._A_dense = None
-        self._dense_schur = None
+class Subdomain:
+    """One subdomain's view of the torn layer.  ``A_sparse``/``A`` rebuild its
+    Robin-modified matrix (test oracles): interior DOFs, then interface DOFs."""
+
+    def __init__(self, layer, sidx):
+        self.layer, self.sidx = layer, sidx
+        self.nI, self.nG = int(layer.nI[sidx]), int(layer.nG[sidx])
+        self.interior_gids = layer.dofs.interior_by_sub[sidx]
+        self.interface_gids = layer.dofs.sub_interface_gids[sidx]
+        self.interface_pos = layer.dofs.sub_interface_pos[sidx]
+
+    def dense_schur(self):
+        """S^(i) = A_GG - A_GI A_II^-1 A_IG, a view into the layer's stack."""
+        return self.layer.S[self.sidx, :self.nG, :self.nG]
+
+    @property
+    def A_sparse(self):
+        L, s, nG = self.layer, self.sidx, self.nG
+        a, b, g, w = L.istart[s], L.istart[s + 1], L.gstart[s], L.S.shape[1]
+        return sp.bmat([[L.A[a:b, a:b], L.B[a:b, :nG]],
+                        [L.T[g:g + nG, a:b], L.G[s * w:s * w + nG, :nG]]],
+                       format="csr")
 
     @property
     def A(self):
-        """Dense local matrix, materialized on demand (small problems)."""
-        if self._A_dense is None:
-            self._A_dense = self.A_sparse.toarray()
-        return self._A_dense
-
-    def interior_solve(self, rhs):
-        if self.nI == 0:
-            return np.zeros_like(np.asarray(rhs, dtype=float))
-        return self.lu_II.solve(np.asarray(rhs, dtype=float))
-
-    def extend_interior(self, lamG):
-        """Full local vector (lam_I, lam_Gamma) with A_II lam_I = -A_IG lam_G."""
-        lamI = self.interior_solve(-self.AIG @ lamG)
-        return np.concatenate([lamI, lamG])
-
-    def dense_schur(self):
-        """Dense S^(i) = A_GG - A_GI A_II^-1 A_IG (cached; assembled into
-        S_Gamma and used by BDDC)."""
-        if self._dense_schur is None:
-            if self.nI:
-                self._dense_schur = self.AGG.toarray() - \
-                    self.AGI @ self.interior_solve(self.AIG.toarray())
-            else:
-                self._dense_schur = self.AGG.toarray()
-        return self._dense_schur
-
-    def b_gamma(self):
-        """Local interface RHS b_G - A_GI A_II^-1 b_I."""
-        bI, bG = self.b_loc[:self.nI], self.b_loc[self.nI:]
-        return bG - self.AGI @ self.interior_solve(bI)
-
-    def back_substitute(self, lamG):
-        """Interior values from interface values and the local load."""
-        return self.interior_solve(self.b_loc[:self.nI] - self.AIG @ lamG)
+        return self.A_sparse.toarray()
 
 
-def build_subdomains(mesh, dofs, spec, k, sys=None):
-    """All SubdomainSystem objects (element scatter + Robin modification)."""
-    if sys is None:
-        from .assembly import assemble_trace_system
-        sys = assemble_trace_system(mesh, dofs, spec, k)
-    blocks = sys.blocks
-    nds = k + 1
-    m = 3 * nds
-    bvals = sys.b_elem - np.einsum("nij,nj->ni", blocks.S_hat, sys.gloc)
-    robin = _robin_edge_matrices(mesh, spec, k)
-    runs = mesh.interface_runs
-    pair0 = runs.pair[runs.run_of_edge, 0]
-    # elements of subdomain s: by_sub[starts[s]:starts[s + 1]], ascending
-    by_sub = np.argsort(mesh.tri_sub, kind="stable")
-    starts = np.searchsorted(mesh.tri_sub[by_sub],
-                             np.arange(mesh.n_subdomains + 1))
-    # global -> local DOF map, reset after each subdomain; the extra last
-    # entry maps the Dirichlet marker -1 to -1
-    loc = np.full(dofs.n_dofs + 1, -1, dtype=np.int64)
+class Subdomains:
+    """The torn interface layer; iterating yields one ``Subdomain`` each.
 
-    subs = []
-    for s in range(mesh.n_subdomains):
-        int_gids = dofs.interior_by_sub[s]
-        ifc_gids = dofs.sub_interface_gids[s]
-        nI, nG = int_gids.size, ifc_gids.size
-        nloc = nI + nG
-        loc[int_gids] = np.arange(nI)
-        loc[ifc_gids] = nI + np.arange(nG)
+    Subdomain s owns the interiors [istart[s], istart[s+1]) and the stacked
+    interface rows [gstart[s], gstart[s+1]); ``pos`` (n_sub, w) holds its
+    interface positions, padded with -1 to w = max nG.  ``S`` (n_sub, w, w)
+    stacks the local Schur complements, ``G`` (csr, n_sub*w x w) the
+    A_GG^(i) + Robin, ``T`` (csr, sum nG x n_interior) the torn A_GI and ``B``
+    (csr, n_interior x w) A_IG with local columns; ``groups`` is [(a, b, lu)]
+    over the factor groups' interior ranges."""
 
-        b = np.zeros(nloc)
-        els = by_sub[starts[s]:starts[s + 1]]
-        gdof = sys.elem_dofs[els]
-        ldof = np.where(gdof >= 0, loc[gdof], -1)
-        rows = np.broadcast_to(ldof[:, :, None], (els.size, m, m))
-        cols = np.broadcast_to(ldof[:, None, :], (els.size, m, m))
-        mask = (rows >= 0) & (cols >= 0)
-        ii, jj = [rows[mask]], [cols[mask]]
-        vv = [blocks.S_hat[els][mask]]
-        vmask = ldof >= 0
-        np.add.at(b, ldof[vmask], bvals[els][vmask])
+    def __init__(self, sys, robin):
+        dofs, mesh, nds = sys.dofs, sys.mesh, sys.k + 1
+        self.dofs, self.A, self.b = dofs, sys.A, sys.b
+        n_sub, n0, n_ifc = mesh.n_subdomains, dofs.n_interior, dofs.n_interface
+        self.nI = np.array([g.size for g in dofs.interior_by_sub])
+        self.nG = np.array([p.size for p in dofs.sub_interface_pos])
+        self.istart = np.r_[0, np.cumsum(self.nI)]
+        self.gstart = np.r_[0, np.cumsum(self.nG)]
+        w = int(self.nG.max(initial=0))
 
-        # Robin terms: interface edge j holds interface positions
-        # j*nds ... j*nds+k, and the subdomain's ones come in its own order
-        je = dofs.sub_interface_pos[s][::nds] // nds
-        sign = np.where(pair0[je] == s, 0.5, -0.5)
-        sl = nI + np.arange(nG).reshape(-1, nds)
-        ii.append(np.repeat(sl, nds, axis=1).ravel())
-        jj.append(np.tile(sl, nds).ravel())
-        vv.append((sign[:, None, None] * robin[je]).ravel())
-        A = sp.coo_matrix((np.concatenate(vv),
-                           (np.concatenate(ii), np.concatenate(jj))),
-                          shape=(nloc, nloc))
-        loc[int_gids] = -1
-        loc[ifc_gids] = -1
+        # stacked row of (subdomain s, interface position p): positions
+        # ascend within a subdomain, so the keys s * n_ifc + p are sorted
+        row_sub = np.repeat(np.arange(n_sub), self.nG)
+        row_pos = np.concatenate(dofs.sub_interface_pos)
+        row_loc = np.arange(row_sub.size) - self.gstart[row_sub]
+        keys = row_sub * n_ifc + row_pos
+        local = lambda s, p: row_loc[np.searchsorted(keys, s * n_ifc + p)]
+        self.pos = np.full((n_sub, w), -1, dtype=np.int64)
+        self.pos[row_sub, row_loc] = row_pos
 
-        subs.append(SubdomainSystem(s, A, nI, int_gids, ifc_gids,
-                                    dofs.sub_interface_pos[s], b))
-    return subs
+        # G: the elements with interface slots, then both sides of every
+        # interface edge (at most two terms meet in one entry)
+        els = np.flatnonzero((sys.elem_dofs >= n0).any(axis=1))
+        ed = sys.elem_dofs[els]
+        sub = np.broadcast_to(mesh.tri_sub[els, None], ed.shape)
+        lr = np.full(ed.shape, -1)
+        lr[ed >= n0] = local(sub[ed >= n0], ed[ed >= n0] - n0)
+        both = (lr[:, :, None] >= 0) & (lr[:, None, :] >= 0)
+        flat = [((sub[..., None] * w + lr[..., None]) * w
+                 + lr[:, None, :])[both]]
+        vals = [sys.blocks.S_hat[els][both]]
+        runs = mesh.interface_runs
+        edge_pos = np.arange(n_ifc).reshape(-1, nds)
+        sub = runs.pair[runs.run_of_edge].T[:, :, None]   # sides 0, 1
+        lp = local(sub, edge_pos)
+        flat.append(((sub[..., None] * w + lp[..., None]) * w
+                     + lp[..., None, :]).ravel())
+        vals.append(np.multiply.outer([0.5, -0.5], robin).ravel())
+        self.S = np.bincount(np.concatenate(flat), np.concatenate(vals),
+                             minlength=n_sub * w * w).reshape(n_sub, w, w)
+        self.S = self.S.astype(float, copy=False)  # an empty bincount is int
+        self.G = sp.csr_matrix(self.S.reshape(n_sub * w, w))
+
+        # T and B: each entry goes to the owner of its interior DOF
+        T, B = self.A[n0:, :n0].tocoo(), self.A[:n0, n0:].tocoo()
+        s = dofs.owner[T.col]
+        self.T = sp.csr_matrix((T.data, (self.gstart[s] + local(s, T.row),
+                                         T.col)), shape=(row_sub.size, n0))
+        self.B = sp.csr_matrix((B.data, (B.row, local(dofs.owner[B.row],
+                                                      B.col))), shape=(n0, w))
+
+        # S_i -= T_i X_i, X = A_II^-1 B per group.  All factorizations come
+        # first: SuperLU's work arrays then do not land in heap pages that
+        # the solves touched and freed (resident memory)
+        bounds, rows, width = [0], 0, 0
+        for s, (ni, ng) in enumerate(zip(self.nI.tolist(), self.nG.tolist())):
+            rows, width = rows + ni, max(width, ng)
+            if rows * width > GROUP_ENTRIES and s > bounds[-1]:
+                bounds.append(s)
+                rows, width = ni, ng
+        ranges = list(zip(bounds, bounds[1:] + [n_sub]))
+        self.groups = [(self.istart[s0], self.istart[s1], self._factor(s0, s1))
+                       for s0, s1 in ranges]
+        for (s0, s1), (a, b, lu) in zip(ranges, self.groups):
+            wg = int(self.nG[s0:s1].max())
+            X = lu.solve(self.B[a:b, :wg].toarray())
+            g0, g1 = self.gstart[s0], self.gstart[s1]
+            # X's rows of subdomain s are zero past column nG[s]
+            self.S[row_sub[g0:g1], row_loc[g0:g1], :wg] -= \
+                self.T[g0:g1, a:b] @ X
+
+    def _factor(self, s0, s1):
+        """splu of the A_II slice of subdomains [s0, s1), or SubdomainError
+        naming a singular one: a failed group is refactored subdomain by
+        subdomain, and a pivot below 1e-14 max |A_II| fails its owner."""
+        a, b = self.istart[s0], self.istart[s1]
+        block = self.A[a:b, a:b].tocsc()
+        msg = "interior block of subdomain %d is singular"
+        try:
+            lu = spla.splu(block)
+        except RuntimeError as exc:
+            if s1 - s0 == 1:
+                raise SubdomainError(msg % s0) from exc
+            for s in range(s0, s1):
+                self._factor(s, s + 1)
+            raise SubdomainError("interior blocks of subdomains %d-%d are "
+                                 "singular" % (s0, s1 - 1)) from exc
+        piv = np.abs(lu.U.diagonal())[lu.perm_c]   # pivot of each column
+        amax = np.maximum.reduceat(np.abs(block.data),
+                                   block.indptr[self.istart[s0:s1] - a])
+        tol = np.repeat(1e-14 * np.maximum(amax, 1e-300), self.nI[s0:s1])
+        bad = np.flatnonzero(~np.isfinite(piv) | (piv < tol))
+        if bad.size:
+            raise SubdomainError(msg % self.dofs.owner[a + bad[0]])
+        return lu
+
+    def __iter__(self):
+        return (Subdomain(self, s) for s in range(self.nI.size))
+
+    def __getitem__(self, s):
+        return Subdomain(self, range(self.nI.size)[s])
+
+    def extend(self, lamG, bI=0.0):
+        """Full free-DOF vector (lam_I, lamG), A_II lam_I = bI - A_IG lamG
+        solved group by group (bI = 0: the discrete harmonic extension)."""
+        n0 = self.dofs.n_interior
+        lam = np.concatenate([bI - self.A[:n0, n0:] @ lamG, lamG])
+        for a, b, lu in self.groups:
+            lam[a:b] = lu.solve(lam[a:b])
+        return lam
 
 
-def scatter_blocks(blocks, shape):
-    """Sparse sum of dense blocks; ``blocks`` yields (B, rows, cols) with B
-    placed at rows x cols.  COO with int32 indices, duplicates unsummed."""
-    rr, cc, vv = [], [], []
-    for B, rows, cols in blocks:
-        rr.append(np.repeat(rows.astype(np.int32), cols.size))
-        cc.append(np.tile(cols.astype(np.int32), rows.size))
-        vv.append(np.ravel(B))
-    if not vv:
-        return sp.coo_matrix(shape)
-    return sp.coo_matrix((np.concatenate(vv),
-                          (np.concatenate(rr), np.concatenate(cc))),
-                         shape=shape)
+def build_subdomains(mesh, dofs, spec, k, sys):
+    """The torn interface layer of the assembled ``sys``, with its local
+    Schur complements."""
+    return Subdomains(sys, _robin_edge_matrices(mesh, spec, k))
 
 
 class InterfaceOperator:
-    """S_Gamma = sum_i R_i^T S^(i) R_i over the interface DOFs, assembled
-    once from the dense local Schur complements into the CSR matrix ``S``."""
+    """S_Gamma = sum_i R_i^T S^(i) R_i, assembled once from the stacked
+    local Schur complements into the CSR matrix ``S``."""
 
     def __init__(self, subs, dofs):
-        self.subs = subs
-        self.dofs = dofs
-        self.n = dofs.n_interface
-        self.S = scatter_blocks(
-            ((sub.dense_schur(), sub.interface_pos, sub.interface_pos)
-             for sub in subs), (self.n, self.n)).tocsr()
+        self.subs, self.dofs, self.n = subs, dofs, dofs.n_interface
+        self.S = scatter_blocks([(subs.S, subs.pos, subs.pos)],
+                                (self.n, self.n)).tocsr()
         self._b = None
 
     def apply(self, lamG):
@@ -207,11 +233,11 @@ class InterfaceOperator:
 
     @property
     def b_gamma(self):
+        """b_G - A_GI A_II^-1 b_I, the sum of the local interface RHS."""
         if self._b is None:
-            b = np.zeros(self.n)
-            for sub in self.subs:
-                b[sub.interface_pos] += sub.b_gamma()
-            self._b = b
+            n0, A = self.dofs.n_interior, self.subs.A
+            lamI = self.subs.extend(np.zeros(self.n), self.subs.b[:n0])[:n0]
+            self._b = self.subs.b[n0:] - A[n0:, :n0] @ lamI
         return self._b
 
     def as_dense(self):
@@ -219,13 +245,8 @@ class InterfaceOperator:
         return self.S.toarray()
 
     def back_substitute(self, lamG):
-        """Full free-DOF vector (interiors recovered subdomain by subdomain)."""
-        lam = np.zeros(self.dofs.n_dofs)
-        lam[self.dofs.n_interior:] = lamG
-        for sub in self.subs:
-            lam[sub.interior_gids] = sub.back_substitute(
-                lamG[sub.interface_pos])
-        return lam
+        """Full free-DOF vector, interiors recovered from lamG and the load."""
+        return self.subs.extend(lamG, self.subs.b[:self.dofs.n_interior])
 
 
 def build_interface_operator(subs, dofs):

@@ -84,20 +84,10 @@ def jump_seminorm(coef, mesh):
     return float(np.sqrt(np.sum(per_el / perim)))
 
 
-def harmonic_extension(subs, dofs, lamG):
-    """Discrete extension of interface values into all subdomain interiors."""
-    out = np.zeros(dofs.n_dofs)
-    out[dofs.n_interior:] = lamG
-    for sub in subs:
-        loc = sub.extend_interior(lamG[sub.interface_pos])
-        out[sub.interior_gids] = loc[:sub.nI]
-    return out
-
-
 def b_gamma_inner(lamG, muG, subs, sys):
-    """(<lam,mu>_{B_Gamma}, <lam,mu>_{Z_Gamma}) via discrete extensions."""
-    lamA = harmonic_extension(subs, sys.dofs, lamG)
-    muA = harmonic_extension(subs, sys.dofs, muG)
+    """(<lam,mu>_{B_Gamma}, <lam,mu>_{Z_Gamma}) via the discrete harmonic
+    extensions ``subs.extend`` (``subs`` from ``dd.build_subdomains``)."""
+    lamA, muA = subs.extend(lamG), subs.extend(muG)
     return float(muA @ (sys.B @ lamA)), float(muA @ (sys.Z @ lamA))
 
 

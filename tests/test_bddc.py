@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from hdglab.assembly import assemble_trace_system
-from hdglab.bddc import (BddcPreconditioner, EdgeBasisTransform,
-                         PreconditionerError, _raw_rows, build_constraints,
+from hdglab.bddc import (BddcPreconditioner, PreconditionerError,
+                         _change_of_basis, _raw_rows, build_constraints,
                          build_preconditioner, constraint_rows)
 from hdglab.dd import build_interface_operator, build_subdomains
 from hdglab.fespace import (EdgeBasis, build_trace_dof_map,
@@ -90,11 +91,11 @@ def test_change_of_basis_two_edge_block():
     dofs = build_trace_dof_map(mesh, 0)
     spec = make_spec("poisson", 1.0)
     cons = build_constraints("bddc1", spec, mesh, dofs, 0)
-    tr = EdgeBasisTransform(cons.rows[0])
+    Q = _change_of_basis(cons.rows[0][None])[0]
     s = 1.0 / np.sqrt(2.0)
-    assert np.allclose(tr.Q[0], [s, s], atol=1e-14)
-    assert np.allclose(tr.Q[1], [s, -s], atol=1e-14)
-    assert np.allclose(tr.Q @ tr.inverse, np.eye(2), atol=1e-13)
+    assert np.allclose(Q[0], [s, s], atol=1e-14)
+    assert np.allclose(Q[1], [s, -s], atol=1e-14)
+    assert np.allclose(Q @ Q.T, np.eye(2), atol=1e-13)
 
 
 def test_duals_annihilate_constraints_rotating_k2():
@@ -103,13 +104,30 @@ def test_duals_annihilate_constraints_rotating_k2():
     spec = make_spec("rotating", 1e-3)
     cons = build_constraints("bddc3", spec, mesh, dofs, 2)
     for i, se in enumerate(mesh.subdomain_edges):
-        tr = EdgeBasisTransform(cons.rows[i])
+        Q = _change_of_basis(cons.rows[i][None])[0]
         raw = constraint_rows(mesh, se, spec, 2)
         scale = np.linalg.norm(raw[0])
-        nP = tr.n_primal
+        nP = cons.rows[i].shape[0]
         for c in raw:
-            assert np.abs(tr.Q[nP:] @ c).max() < 1e-12 * max(scale, 1.0)
-        assert np.allclose(tr.Q @ tr.Q.T, np.eye(tr.Q.shape[0]), atol=1e-12)
+            assert np.abs(Q[nP:] @ c).max() < 1e-12 * max(scale, 1.0)
+        assert np.allclose(Q @ Q.T, np.eye(Q.shape[0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["bddc1", "bddc2", "bddc3"])
+def test_change_of_basis_matches_null_space(variant):
+    # every Qg block is its rows plus scipy's per-edge null_space completion,
+    # each completion vector signed so that its first entry above 1e-12 in
+    # magnitude is positive
+    *_, cons, pre = setup("rotating", 1e-3, variant, nx=3, ny=2, ratio=3, k=2)
+    dofs = pre.dofs
+    for i, (a, b) in enumerate(dofs.se_blocks - dofs.n_interior):
+        dual = sla.null_space(cons.rows[i]).T
+        for v in dual:
+            big = np.flatnonzero(np.abs(v) > 1e-12)
+            if big.size and v[big[0]] < 0:
+                v *= -1.0
+        ref = np.vstack([cons.rows[i], dual])
+        assert np.abs(pre.Qg[a:b, a:b].toarray() - ref).max() <= 1e-15
 
 
 def test_normal_convention_sign_flip():
@@ -129,6 +147,8 @@ def test_coarse_dimension_bddc1():
     *_, pre = setup("thermal", 1.0, "bddc1")
     assert pre.n_primal == 4
     assert pre.Fc.shape == (4, 4)
+    # plain ints: the benchmark writes these counts as JSON
+    assert {type(pre.n_tilde), type(pre.n_dual_total)} == {int}
 
 
 def test_partition_of_unity():
@@ -240,6 +260,18 @@ def test_tilde_skew_annihilation():
         assert abs(w @ (Zt @ w)) < 1e-13 * max(np.abs(Zt).max() * (w @ w), 1.0)
 
 
+@pytest.mark.parametrize("variant", ["bddc1", "bddc3"])
+def test_singular_dual_block_raises(variant):
+    # a zero local Schur complement makes the subdomain's dual block singular
+    mesh, dofs, spec, subs, iface, cons, _ = setup("rotating", 1e-3, variant,
+                                                   nx=3, ny=3, ratio=4)
+    subs.S[4] = 0.0
+    with pytest.raises(PreconditionerError,
+                       match=r"singular dual block in subdomain 4 "
+                             r"\(variant %s, eps 0\.001\)" % variant):
+        build_preconditioner(subs, iface, cons, dofs)
+
+
 def test_variant_none_rejected():
     mesh = build_structured_mesh(2, 2, 2)
     dofs = build_trace_dof_map(mesh, 0)
@@ -320,6 +352,6 @@ def test_batched_change_of_basis_is_the_edge_transform(variant):
     mesh, dofs, spec, subs, iface, cons, pre = setup(
         "rotating", 1e-3, variant, nx=3, ny=2, ratio=3, k=1)
     for i, (a, b) in enumerate(dofs.se_blocks - dofs.n_interior):
-        Q = EdgeBasisTransform(cons.rows[i]).Q
+        Q = _change_of_basis(cons.rows[i][None])[0]
         assert np.array_equal(pre.Qg[a:b, a:b].toarray(), Q)
         assert pre.Qg[a:b].nnz == np.count_nonzero(Q)

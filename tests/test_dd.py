@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hdglab.assembly import assemble_trace_system, direct_solve
-from hdglab.dd import (InterfaceOperator, SubdomainError, SubdomainSystem,
+from hdglab.dd import (InterfaceOperator, SubdomainError,
                        build_interface_operator, build_subdomains)
 from hdglab.fespace import build_trace_dof_map
 from hdglab.hdg import ProblemSpec
@@ -60,23 +59,25 @@ def test_symmetric_part_positive():
 
 
 def test_extend_interior():
-    _, _, _, _, subs, _ = setup("thermal", 1e-2, k=1)
-    sub = subs[3]
-    assert np.allclose(sub.extend_interior(np.zeros(sub.nG)), 0.0)
+    # A_II^(i) lam_I + A_IG^(i) lam_G = 0 in every local Robin system
+    _, dofs, _, _, subs, _ = setup("thermal", 1e-2, k=1)
+    assert np.allclose(subs.extend(np.zeros(dofs.n_interface)), 0.0)
     rng = np.random.default_rng(1)
-    lamG = rng.standard_normal(sub.nG)
-    full = sub.extend_interior(lamG)
-    res = sub.AII @ full[:sub.nI] + sub.AIG @ lamG
-    assert np.linalg.norm(res) < 1e-11 * max(np.linalg.norm(lamG), 1.0)
+    lamG = rng.standard_normal(dofs.n_interface)
+    full = subs.extend(lamG)
+    for sub in subs:
+        res = sub.A[:sub.nI] @ np.concatenate(
+            [full[sub.interior_gids], lamG[sub.interface_pos]])
+        assert np.linalg.norm(res) < 1e-11 * max(np.linalg.norm(lamG), 1.0)
 
 
 def test_extend_constant_floating_pure_diffusion():
     # constants lie in the kernel of the condensed pure-diffusion operator
-    _, _, _, _, subs, _ = setup("poisson", 1.0, nx=3, ny=3, ratio=2)
+    _, dofs, _, _, subs, _ = setup("poisson", 1.0, nx=3, ny=3, ratio=2)
     sub = subs[4]  # interior subdomain of the 3x3 grid
     c = 2.25
-    full = sub.extend_interior(np.full(sub.nG, c))
-    assert np.allclose(full, c, atol=1e-10)
+    full = subs.extend(np.full(dofs.n_interface, c))
+    assert np.allclose(full[sub.interior_gids], c, atol=1e-10)
     assert np.linalg.norm(sub.dense_schur() @ np.full(sub.nG, c)) < 1e-10
 
 
@@ -97,12 +98,13 @@ def test_dense_schur_matches_elimination():
 
 def test_schur_quadratic_form_identity():
     # lam^T S^(i) lam = lam_A^T A^(i) lam_A with lam_A the discrete extension
-    _, _, _, _, subs, _ = setup("thermal", 1e-3, k=0, ratio=4)
+    _, dofs, _, _, subs, _ = setup("thermal", 1e-3, k=0, ratio=4)
     rng = np.random.default_rng(3)
-    for sub in subs[:2]:
+    for sub in (subs[0], subs[1]):
         for _ in range(5):
-            lamG = rng.standard_normal(sub.nG)
-            lamA = sub.extend_interior(lamG)
+            full = subs.extend(rng.standard_normal(dofs.n_interface))
+            lamG = full[sub.interface_gids]
+            lamA = np.concatenate([full[sub.interior_gids], lamG])
             lhs = lamG @ (sub.dense_schur() @ lamG)
             rhs = lamA @ (sub.A @ lamA)
             assert abs(lhs - rhs) < 1e-11 * max(abs(rhs), 1.0)
@@ -179,12 +181,35 @@ def test_full_solve_robin():
     assert np.linalg.norm(sub.A @ x - rhs) < 1e-11 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("A", [
-    sp.csr_matrix((3, 3)),                       # exactly singular: splu fails
-    sp.diags([1.0, 1e-20, 1.0]).tocsr(),         # tiny pivot: the pivot check
-], ids=["zero", "tiny-pivot"])
-def test_singular_interior_block_raises(A):
+@pytest.mark.parametrize("pivot", [0.0, 1e-20], ids=["zero", "tiny-pivot"])
+def test_singular_interior_block_raises(pivot):
+    # the 4x4 grid at H/h=2 factors all interiors as one group; one interior
+    # row of subdomain 5 is replaced by the pivot (0: splu fails on the
+    # group, 1e-20: the pivot check)
+    mesh = build_structured_mesh(4, 4, 2)
+    dofs = build_trace_dof_map(mesh, 0)
+    spec = make_spec("rotating", 1e-3)
+    sys = assemble_trace_system(mesh, dofs, spec, 0)
+    assert len(build_subdomains(mesh, dofs, spec, 0, sys=sys).groups) == 1
+    r = dofs.interior_by_sub[5][1]
+    A = sys.A.tolil()
+    A[r] = 0.0
+    A[r, r] = pivot
+    sys.A = A.tocsr()
     with pytest.raises(SubdomainError,
-                       match="interior block of subdomain 7 is singular"):
-        SubdomainSystem(7, A, 2, np.arange(2), np.arange(2, 3), np.arange(1),
-                        np.zeros(3))
+                       match="interior block of subdomain 5 is singular"):
+        build_subdomains(mesh, dofs, spec, 0, sys=sys)
+
+
+def test_single_subdomain_has_no_interface():
+    # one subdomain: an empty interface, and back-substitution is the solve
+    mesh = build_structured_mesh(1, 1, 3)
+    dofs = build_trace_dof_map(mesh, 1)
+    spec = make_spec("rotating", 1e-3)
+    sys = assemble_trace_system(mesh, dofs, spec, 1)
+    subs = build_subdomains(mesh, dofs, spec, 1, sys=sys)
+    iface = build_interface_operator(subs, dofs)
+    assert iface.n == 0 and iface.b_gamma.shape == (0,)
+    lam_ref = direct_solve(sys)
+    assert np.linalg.norm(iface.back_substitute(np.zeros(0)) - lam_ref) \
+        < 1e-12 * np.linalg.norm(lam_ref)
