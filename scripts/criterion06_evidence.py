@@ -145,6 +145,7 @@ def dual_weights(make_blocks, *args):
              for i, parts in blocks.items() for sidx, idx, _ in parts),
             (self.n_tilde, self.n_tilde))
         self.RD = (Wt @ self.R).tocsr()
+        self.RDT = self.RD.T.tocsr()
 
     with swapped(cls, "__init__", __init__):
         yield

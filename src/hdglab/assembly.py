@@ -155,15 +155,13 @@ def recover_all(sys, lam):
 def l2_error_u(sys, u, uexact):
     """L2(Omega) error of the recovered scalar field against a callable."""
     blocks = sys.blocks
-    mesh = sys.mesh
     wv = blocks.vrule.weights
     err2 = 0.0
     for t, els in enumerate(blocks._type_groups()):
         if els.size == 0:
             continue
         geo = blocks.type_geo[t]
-        p0 = mesh.vertices[mesh.triangles[els, 0]]
-        Xv = p0[:, None, :] + blocks.vrule.points @ geo["J"].T
+        Xv = blocks._volume_points(geo, els)
         ue = np.broadcast_to(uexact(Xv[..., 0], Xv[..., 1]),
                              Xv.shape[:2]).astype(float)
         uh = u[els] @ geo["phiv"]

@@ -188,6 +188,7 @@ class BddcPreconditioner:
 
     Assembled operators: ``Qg`` (change of basis), ``R`` and ``RD``
     (restriction Rt and weighted restriction Rt_D, n_tilde x n_interface),
+    ``QgT`` and ``RDT`` (the transposes of ``Qg`` and ``RD`` as CSR),
     ``Sdd_inv`` (block-diagonal inverse of the dual blocks), ``Spd`` and
     ``Kdp`` = S_dd^-1 S_dp (the primal-dual couplings) and the coarse matrix
     ``Fc`` with its LU ``coarse_lu``.
@@ -262,6 +263,9 @@ class BddcPreconditioner:
         self.R = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape)
         self.RD = sp.csr_matrix(
             (np.where(rows < self.n_primal, 1.0, 0.5), (rows, cols)), shape)
+        # the transposes the applies use, stored once as CSR
+        self.QgT = self.Qg.T.tocsr()
+        self.RDT = self.RD.T.tocsr()
         self.Sdd_inv = scatter_blocks(inv_dd, (n_dual, n_dual)).tocsr()
         self.Spd = scatter_blocks(c_pd, (self.n_primal, n_dual)).tocsr()
         self.Kdp = scatter_blocks(c_dp, (n_dual, self.n_primal)).tocsr()
@@ -326,7 +330,7 @@ class BddcPreconditioner:
 
     def hat_from_tilde(self, t, weighted):
         """Rt^T (or Rt_D^T) applied to a partially assembled vector t."""
-        return (self.RD if weighted else self.R).T @ t
+        return (self.RDT if weighted else self.R.T) @ t
 
     def inner_solve(self, rt):
         """Solve the partially assembled system St x = rt (two-level)."""
@@ -341,11 +345,11 @@ class BddcPreconditioner:
         if r.shape != (self.dofs.n_interface,):
             raise InvalidConfigError("interface residual has wrong length")
         xt = self.inner_solve(self.RD @ (self.Qg @ r))
-        return self.Qg.T @ (self.RD.T @ xt)
+        return self.QgT @ (self.RDT @ xt)
 
     def apply_average(self, t):
         """E_D t = Rt Rt_D^T t on partially assembled vectors."""
-        return self.R @ (self.RD.T @ t)
+        return self.R @ (self.RDT @ t)
 
     def dense_partially_assembled(self):
         """Dense St (oracle for small problems), summed from the local

@@ -21,6 +21,26 @@ assembled operator has positive-definite symmetric part).
 mesh; ``ElementLocal`` is the single-element view that slices its arrays, and
 ``recover`` is the one single-element solve (the lift (Q mu, U mu) is
 ``recover`` with zero load).
+
+On an affine element A = a*I with a = detJ/eps, and Bt and C are fixed per
+element type (the two triangle orientations of the structured mesh).  The
+quadrature sums become products with per-type tables: R from beta and
+div(beta) at the volume points, R, S1, S2 and T from beta.n at the edge
+points and tau.  The flux block is eliminated by hand, so only the d x d block
+
+    Sigma = R - Bt' Bt / a
+
+is inverted per element, and
+
+    N     = (S2 - C Bt / a) Sigma^-1,
+    S_K   = C C' / a + N (S1 - Bt' C' / a) - T,
+    K_loc^-1 = [ I/a + Bt Sigma^-1 Bt' / a^2   -Bt Sigma^-1 / a ]
+               [ -Sigma^-1 Bt' / a              Sigma^-1        ],
+
+with 1/a computed as eps/detJ.  K_loc^-1 is formed for the condition check
+rcond = 1/(|K_loc|_1 |K_loc^-1|_1) and kept only when asked for.  Elements
+are processed in chunks sized by ``CHUNK_ENTRIES``, so only the outputs are
+mesh-sized.
 """
 
 import numpy as np
@@ -30,6 +50,16 @@ from .mesh import InvalidConfigError
 
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+# elements are condensed in chunks whose (3d x 3d) local inverses hold at
+# most this many entries, so only the outputs are mesh-sized
+CHUNK_ENTRIES = 2 ** 16
+
+
+def _rows(vals, table):
+    """Row n of ``vals`` times ``table``: one product per element, so an
+    element's result does not depend on how many share the call."""
+    return (vals[:, None, :] @ table)[:, 0]
 
 
 class StabilizationError(RuntimeError):
@@ -75,11 +105,12 @@ class ElementBlocks:
     """Batched HDG blocks for all elements of a mesh.
 
     Always stores the condensed trace blocks ``S_hat`` (nel,m,m), the load
-    condensation maps ``N`` (nel,m,d) and the stabilizers ``taus`` (nel,3).
-    With ``keep_local=True`` also stores R, S1, S2, T and the inverse of the
-    local saddle block (needed for lifts and interior recovery).
-    ``type_geo[t]`` holds the affine data of element type t and its blocks
-    ``Bt`` and ``C``, which do not vary within a type.
+    condensation maps ``N`` (nel,m,d), the stabilizers ``taus`` (nel,3) and
+    ``hK``.  With ``keep_local=True`` also stores R, S1, S2, T and the inverse
+    of the local saddle block (needed for lifts and interior recovery).
+    ``type_geo[t]`` holds the affine data of element type t, its blocks
+    ``Bt`` and ``C``, which do not vary within a type, and its quadrature
+    tables.
     """
 
     def __init__(self, mesh, spec, k, keep_local=False):
@@ -100,10 +131,23 @@ class ElementBlocks:
     def _type_groups(self):
         return [np.where(self.mesh.tri_type == t)[0] for t in (0, 1)]
 
+    def _chunks(self, els):
+        """``els`` in runs of at most CHUNK_ENTRIES / (3d)^2 elements."""
+        step = max(1, CHUNK_ENTRIES // (3 * self.d) ** 2)
+        return [els[s:s + step] for s in range(0, els.size, step)]
+
+    def _volume_points(self, geo, els):
+        """Volume quadrature points of elements ``els``, (n, nqv, 2)."""
+        p0 = self.mesh.vertices[self.mesh.triangles[els, 0]]
+        return p0[:, None, :] + self.vrule.points @ geo["J"].T
+
     def _build_type_geometry(self, els):
-        """Fixed affine data of one element type from a representative,
-        with the blocks ``Bt`` and ``C`` that all elements of the type share."""
+        """Fixed affine data of one element type from a representative, with
+        the blocks ``Bt`` and ``C`` that all elements of the type share and
+        the quadrature tables that turn beta, div(beta), beta.n and tau into
+        the element blocks (see the module docstring)."""
         mesh, tri = self.mesh, self.tri
+        d, m, nds = self.d, self.m, self.k + 1
         verts = mesh.vertices[mesh.triangles[els[0]]]
         J = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
         detJ = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
@@ -135,25 +179,53 @@ class ElementBlocks:
             edata.append(dict(lo=lo, hi=hi, n=n, elen=elen, P=P, phie=phie,
                               we=we, E=E, F=F, Mdiag=Mdiag))
         hK = min(ed["elen"] for ed in edata)
-        d, nds = tri.dim, self.k + 1
         Bt = np.empty((2 * d, d))
         for comp in (0, 1):
             Bt[comp * d:(comp + 1) * d] = -detJ * np.einsum(
                 "q,jq,iq->ij", vq.weights, phiv, Gp[:, :, comp])
-        C = np.zeros((self.m, 2 * d))
+        C = np.zeros((m, 2 * d))
         for e, ed in enumerate(edata):
             sl = slice(e * nds, (e + 1) * nds)
             for comp in (0, 1):
                 C[sl, comp * d:(comp + 1) * d] = ed["n"][comp] * ed["E"]
-        return dict(J=J, detJ=detJ, phiv=phiv, Gp=Gp, edata=edata, hK=hK,
-                    Bt=Bt, C=C)
+
+        # R from [bx | by | div] at the volume points: skew advection and
+        # (div b/2 phi_i, phi_j)
+        wv = detJ * vq.weights
+        adv = np.einsum("q,iqc,jq->cqij", wv, Gp, phiv)
+        Tvol = np.concatenate([
+            0.5 * (adv - adv.swapaxes(2, 3)),
+            0.5 * np.einsum("q,iq,jq->qij", wv, phiv, phiv)[None]])
+        # [R | S1 | S2 | T] from [beta.n at the points, tau] of each edge
+        nqe = self.erule.points.size
+        Tedge = np.zeros((3, nqe + 1, d * d + 2 * d * m + m * m))
+        o1, o2, o3 = d * d, d * d + d * m, d * d + 2 * d * m
+        R_t = Tedge[:, :, :o1].reshape(3, nqe + 1, d, d)
+        S1_t = Tedge[:, :, o1:o2].reshape(3, nqe + 1, d, m)
+        S2_t = Tedge[:, :, o2:o3].reshape(3, nqe + 1, m, d)
+        T_t = Tedge[:, :, o3:].reshape(3, nqe + 1, m, m)
+        for e, ed in enumerate(edata):
+            sl = slice(e * nds, (e + 1) * nds)
+            we, P, phie = ed["we"], ed["P"], ed["phie"]
+            R_t[e, :nqe] = 0.5 * np.einsum("q,iq,jq->qij", we, phie, phie)
+            R_t[e, nqe] = -ed["F"]
+            S1_t[e, :nqe, :, sl] = -np.einsum("q,iq,lq->qil", we, phie, P)
+            S1_t[e, nqe, :, sl] = ed["E"].T
+            S2_t[e, nqe, sl, :] = ed["E"]
+            T_t[e, :nqe, sl, sl] = np.einsum("q,lq,jq->qlj", we, P, P)
+            T_t[e, nqe, sl, sl] = -np.diag(ed["Mdiag"])
+        return dict(J=J, detJ=detJ, phiv=phiv, edata=edata, hK=hK, Bt=Bt, C=C,
+                    Tvol=Tvol.reshape(3 * vq.weights.size, d * d),
+                    Tedge=Tedge.reshape(3 * (nqe + 1), -1),
+                    Tload=-(wv * phiv).T)
 
     # -- assembly --------------------------------------------------------
 
     def _build(self):
-        mesh, spec, k = self.mesh, self.spec, self.k
-        d, m, nds = self.d, self.m, self.k + 1
+        mesh, spec = self.mesh, self.spec
+        d, m = self.d, self.m
         nel = mesh.n_triangles
+        nqv, nqe = self.vrule.weights.size, self.erule.points.size
         self.S_hat = np.empty((nel, m, m))
         self.N = np.empty((nel, m, d))
         self.taus = np.empty((nel, 3))
@@ -165,129 +237,134 @@ class ElementBlocks:
             self.T = np.empty((nel, m, m))
             self.Kinv = np.empty((nel, 3 * d, 3 * d))
         self.type_geo = []
+        o1, o2, o3 = d * d, d * d + d * m, d * d + 2 * d * m
+        flux = np.arange(2 * d)
 
         for els in self._type_groups():
             geo = self._build_type_geometry(els)
             self.type_geo.append(geo)
             if els.size == 0:
                 continue
-            net = els.size
-            detJ, Gp, phiv = geo["detJ"], geo["Gp"], geo["phiv"]
-            wv = self.vrule.weights
             self.hK[els] = geo["hK"]
+            chunks = self._chunks(els)
 
-            # volume quadrature points (net, nqv, 2)
-            p0 = mesh.vertices[mesh.triangles[els, 0]]
-            Xv = p0[:, None, :] + self.vrule.points @ geo["J"].T
-            bx, by = spec.beta_at(Xv[..., 0], Xv[..., 1])
-            div = np.broadcast_to(spec.div_beta(Xv[..., 0], Xv[..., 1]),
-                                  bx.shape).astype(float)
-            bscale = max(np.max(np.hypot(bx, by)), 1.0)
-            if np.max(div) > 1e-12 * bscale:
+            # the checks below scale by the largest |beta| over the volume
+            # points of the whole type, so that is found first
+            bscale, divmax = 1.0, -np.inf
+            for ch in chunks:
+                Xv = self._volume_points(geo, ch)
+                bx, by = spec.beta_at(Xv[..., 0], Xv[..., 1])
+                bscale = max(bscale, np.max(np.hypot(bx, by)))
+                divmax = max(divmax, np.max(spec.div_beta(Xv[..., 0],
+                                                          Xv[..., 1])))
+            if divmax > 1e-12 * bscale:
                 raise StabilizationError(
-                    "-div(beta) >= 0 violated (max div = %g)" % np.max(div))
+                    "-div(beta) >= 0 violated (max div = %g)" % divmax)
 
+            detJ, Bt, C = geo["detJ"], geo["Bt"], geo["C"]
             a_val = detJ / spec.eps
-            Bt, C = geo["Bt"], geo["C"]
+            ia = spec.eps / detJ
+            BtBt, CBt, BtCt, CCt = Bt.T @ Bt, C @ Bt, Bt.T @ C.T, C @ C.T
+            # |K_loc|_1 is the larger of a + the largest row sum of |Bt| and
+            # the column sums of |Bt| + |R|
+            Bt_row1 = np.abs(Bt).sum(axis=1).max()
+            Bt_col1 = np.abs(Bt).sum(axis=0)
+            lo = np.array([ed["lo"] for ed in geo["edata"]])
+            hi = np.array([ed["hi"] for ed in geo["edata"]])
+            tq = self.erule.points
+            for ch in chunks:
+                net = ch.size
+                # beta at the volume points, the edge points and the vertices
+                p = mesh.vertices[mesh.triangles[ch]]            # (net, 3, 2)
+                plo, phi_pt = p[:, lo], p[:, hi]
+                Xe = plo[:, :, None, :] + 0.5 * np.multiply.outer(
+                    tq + 1.0, phi_pt - plo).transpose(1, 2, 0, 3)
+                X = np.concatenate([self._volume_points(geo, ch),
+                                    Xe.reshape(net, 3 * nqe, 2), p], axis=1)
+                bx, by = spec.beta_at(X[..., 0], X[..., 1])
+                div = np.broadcast_to(
+                    spec.div_beta(X[:, :nqv, 0], X[:, :nqv, 1]),
+                    (net, nqv)).astype(float)
 
-            # advective volume parts
-            bgrad = np.einsum("nqc,iqc->niq", np.stack([bx, by], axis=-1), Gp)
-            Vol1 = detJ * np.einsum("q,niq,jq->nij", wv, bgrad, phiv)
-            Rdiv = 0.5 * detJ * np.einsum("q,nq,iq,jq->nij", wv, div, phiv, phiv)
-            Rm = 0.5 * (Vol1 - np.transpose(Vol1, (0, 2, 1))) + Rdiv
+                vals = np.empty((net, 3, nqe + 1))     # [beta.n, tau] per edge
+                taus = vals[:, :, nqe]
+                margin = np.full(net, -np.inf)
+                for e, ed in enumerate(geo["edata"]):
+                    n = ed["n"]
+                    sl = slice(nqv + e * nqe, nqv + (e + 1) * nqe)
+                    bn = bx[:, sl] * n[0] + by[:, sl] * n[1]     # (net, nqe)
+                    ends = [nqv + 3 * nqe + ed["lo"], nqv + 3 * nqe + ed["hi"]]
+                    bn_end = bx[:, ends] * n[0] + by[:, ends] * n[1]
+                    samples = np.concatenate([bn, bn_end], axis=1)
+                    tau = np.maximum(samples.max(axis=1), 0.0)
+                    if spec.tau_strategy == "upwind_plus_diffusive":
+                        tau = tau + spec.sigma * spec.eps / geo["hK"]
+                    vals[:, e, :nqe] = bn
+                    taus[:, e] = tau
+                    slack = tau[:, None] - 0.5 * samples
+                    if np.min(slack) < -1e-12 * bscale:
+                        raise StabilizationError("tau - beta.n/2 < 0 on an edge")
+                    margin = np.maximum(margin, slack.max(axis=1))
+                bad = margin <= 1e-14 * bscale
+                if np.any(bad):
+                    raise StabilizationError(
+                        "Assumption 2.1 violated: tau - beta.n/2 vanishes on all "
+                        "edges of element(s) %s (e.g. global element %d); enable "
+                        "the upwind_plus_diffusive strategy"
+                        % (ch[bad][:5], ch[bad][0]))
 
-            S1 = np.zeros((net, d, m))
-            S2 = np.zeros((net, m, d))
-            T = np.zeros((net, m, m))
-            taus = np.empty((net, 3))
-            margin = np.full(net, -np.inf)
-            for e, ed in enumerate(geo["edata"]):
-                lo, hi, n = ed["lo"], ed["hi"], ed["n"]
-                plo = mesh.vertices[mesh.triangles[els, lo]]
-                phi_pt = mesh.vertices[mesh.triangles[els, hi]]
-                tq = self.erule.points
-                Xe = plo[:, None, :] + 0.5 * np.multiply.outer(
-                    tq + 1.0, phi_pt - plo).transpose(1, 0, 2)
-                ex, ey = spec.beta_at(Xe[..., 0], Xe[..., 1])
-                bn = ex * n[0] + ey * n[1]                       # (net, nqe)
-                vx, vy = spec.beta_at(
-                    np.stack([plo[:, 0], phi_pt[:, 0]], axis=1),
-                    np.stack([plo[:, 1], phi_pt[:, 1]], axis=1))
-                bn_end = vx * n[0] + vy * n[1]                   # (net, 2)
-                samples = np.concatenate([bn, bn_end], axis=1)
-                tau = np.maximum(samples.max(axis=1), 0.0)
-                if spec.tau_strategy == "upwind_plus_diffusive":
-                    tau = tau + spec.sigma * spec.eps / geo["hK"]
-                taus[:, e] = tau
-                margin = np.maximum(margin, (tau[:, None] - 0.5 * samples).max(axis=1))
-                if np.min(tau[:, None] - 0.5 * samples) < -1e-12 * bscale:
-                    raise StabilizationError("tau - beta.n/2 < 0 on an edge")
+                # [R | S1 | S2 | T] of every element of the chunk
+                blk = _rows(vals.reshape(net, -1), geo["Tedge"])
+                blk[:, :o1] += _rows(
+                    np.concatenate([bx[:, :nqv], by[:, :nqv], div], axis=1),
+                    geo["Tvol"])
+                Rm = blk[:, :o1].reshape(net, d, d)
+                S1 = blk[:, o1:o2].reshape(net, d, m)
+                S2 = blk[:, o2:o3].reshape(net, m, d)
+                T = blk[:, o3:].reshape(net, m, m)
 
-                we, P, phie, E, F = ed["we"], ed["P"], ed["phie"], ed["E"], ed["F"]
-                W1 = np.einsum("q,nq,mq,iq->nmi", we, bn, P, phie)  # int bn P phi
-                W2 = np.einsum("q,nq,mq,lq->nml", we, bn, P, P)
-                W3 = np.einsum("q,nq,iq,jq->nij", we, bn, phie, phie)
-                sl = slice(e * nds, (e + 1) * nds)
-                S1[:, :, sl] = tau[:, None, None] * E.T[None] - np.transpose(W1, (0, 2, 1))
-                S2[:, sl, :] = tau[:, None, None] * E[None]
-                T[:, sl, sl] = -tau[:, None, None] * np.diag(ed["Mdiag"])[None] + W2
-                Rm += -tau[:, None, None] * F[None] + 0.5 * W3
+                # block elimination of the flux block a*I
+                Sinv = np.linalg.inv(Rm - ia * BtBt)
+                BS = Bt @ Sinv
+                Kinv = np.empty((net, 3 * d, 3 * d))
+                Kinv[:, :2 * d, :2 * d] = (ia * ia) * (BS @ Bt.T)
+                Kinv[:, flux, flux] += ia
+                Kinv[:, :2 * d, 2 * d:] = -ia * BS
+                Kinv[:, 2 * d:, :2 * d] = -ia * (Sinv @ Bt.T)
+                Kinv[:, 2 * d:, 2 * d:] = Sinv
+                n1 = np.maximum(a_val + Bt_row1,
+                                (Bt_col1 + np.abs(Rm).sum(axis=1)).max(axis=1))
+                n1i = np.abs(Kinv).sum(axis=1).max(axis=1)
+                rcond = 1.0 / (n1 * n1i)
+                if np.min(rcond) <= 1e-14:
+                    raise StabilizationError(
+                        "local saddle block nearly singular (rcond %g) in "
+                        "element %d" % (np.min(rcond), ch[int(np.argmin(rcond))]))
 
-            strict_tol = 1e-14 * bscale
-            bad = margin <= strict_tol
-            if np.any(bad):
-                raise StabilizationError(
-                    "Assumption 2.1 violated: tau - beta.n/2 vanishes on all edges "
-                    "of element(s) %s (e.g. global element %d); enable the "
-                    "upwind_plus_diffusive strategy" % (els[bad][:5], els[bad][0]))
-
-            # local saddle block and condensation
-            K = np.zeros((net, 3 * d, 3 * d))
-            K[:, :2 * d, :2 * d] = a_val * np.eye(2 * d)
-            K[:, :2 * d, 2 * d:] = Bt
-            K[:, 2 * d:, :2 * d] = Bt.T
-            K[:, 2 * d:, 2 * d:] = Rm
-            Kinv = np.linalg.inv(K)
-            n1 = np.abs(K).sum(axis=1).max(axis=1)
-            n1i = np.abs(Kinv).sum(axis=1).max(axis=1)
-            rcond = 1.0 / (n1 * n1i)
-            if np.min(rcond) <= 1e-14:
-                raise StabilizationError(
-                    "local saddle block nearly singular (rcond %g) in element %d"
-                    % (np.min(rcond), els[int(np.argmin(rcond))]))
-
-            MCS = np.concatenate([np.broadcast_to(C.T[None], (net, 2 * d, m)),
-                                  S1], axis=1)                            # [Ct; S1]
-            CS2 = np.concatenate([np.broadcast_to(C[None], (net, m, 2 * d)), S2],
-                                 axis=2)                                 # [C  S2]
-            X = np.einsum("nij,njk->nik", CS2, Kinv)
-            self.S_hat[els] = np.einsum("nij,njk->nik", X, MCS) - T
-            self.N[els] = X[:, :, 2 * d:]
-            self.taus[els] = taus
-            if self.keep_local:
-                self.R[els] = Rm
-                self.S1[els] = S1
-                self.S2[els] = S2
-                self.T[els] = T
-                self.Kinv[els] = Kinv
+                N = (S2 - ia * CBt) @ Sinv
+                self.S_hat[ch] = ia * CCt + N @ (S1 - ia * BtCt) - T
+                self.N[ch] = N
+                self.taus[ch] = taus
+                if self.keep_local:
+                    self.R[ch] = Rm
+                    self.S1[ch] = S1
+                    self.S2[ch] = S2
+                    self.T[ch] = T
+                    self.Kinv[ch] = Kinv
 
     # -- loads and recovery ----------------------------------------------
 
     def load_vectors(self, f=None):
         """Local load vectors F with entries -(f, phi_i)_K, shape (nel, d)."""
         f = self.spec.f if f is None else f
-        mesh = self.mesh
-        out = np.zeros((mesh.n_triangles, self.d))
+        out = np.zeros((self.mesh.n_triangles, self.d))
         for t, els in enumerate(self._type_groups()):
-            if els.size == 0:
-                continue
             geo = self.type_geo[t]
-            p0 = mesh.vertices[mesh.triangles[els, 0]]
-            Xv = p0[:, None, :] + self.vrule.points @ geo["J"].T
-            fv = np.broadcast_to(f(Xv[..., 0], Xv[..., 1]),
-                                 Xv.shape[:2]).astype(float)
-            out[els] = -geo["detJ"] * np.einsum(
-                "q,nq,iq->ni", self.vrule.weights, fv, geo["phiv"])
+            for ch in self._chunks(els):
+                Xv = self._volume_points(geo, ch)
+                fv = np.broadcast_to(f(Xv[..., 0], Xv[..., 1]),
+                                     Xv.shape[:2]).astype(float)
+                out[ch] = _rows(fv, geo["Tload"])
         return out
 
     def element(self, idx):

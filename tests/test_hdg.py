@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hdglab import hdg
 from hdglab.fespace import EdgeBasis, build_trace_dof_map, quadrature_rule
 from hdglab.hdg import (ElementBlocks, ProblemSpec, StabilizationError,
                         eval_tau, recover)
@@ -102,6 +105,55 @@ def test_assumption_violation_raises():
     mesh = build_structured_mesh(2, 2, 2)
     with pytest.raises(StabilizationError):
         ElementBlocks(mesh, spec_beta0(strategy="upwind"), 0)
+
+
+@pytest.mark.parametrize("spec", [spec_thermal, spec_rotating])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_nearly_singular_saddle_block_raises(spec, k):
+    # eps = 1e20 or 1e-300 leaves rcond(K_loc) far below 1e-14; eps = 1 and
+    # 1e-6 are well conditioned
+    mesh = build_structured_mesh(2, 2, 2)
+    for eps in (1e20, 1e-300):
+        with pytest.raises(StabilizationError, match="nearly singular"):
+            ElementBlocks(mesh, spec(eps=eps), k)
+    for eps in (1.0, 1e-6):
+        ElementBlocks(mesh, spec(eps=eps), k)
+
+
+def test_chunk_size_does_not_change_the_blocks(monkeypatch):
+    mesh = build_structured_mesh(3, 2, 3)
+    spec = spec_rotating(eps=1e-3)
+    per_element = (3 * hdg.TriBasis(2).dim) ** 2       # one (3d)^2 inverse
+    ref = None
+    for n in (1, 7, mesh.n_triangles):
+        monkeypatch.setattr(hdg, "CHUNK_ENTRIES", n * per_element)
+        b = ElementBlocks(mesh, spec, 2, keep_local=True)
+        got = (b.S_hat, b.N, b.taus, b.Kinv)
+        if ref is None:
+            ref = got
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, y)
+
+
+def test_condensation_memory_does_not_grow_with_the_mesh():
+    # beyond its outputs, ElementBlocks holds one chunk of elements at a
+    # time; only index arrays over the elements (a few integers each) grow
+    # with the mesh, a whole-mesh float block (d^2 = 36 per element at k=2)
+    # would not fit in the bound
+    extra, nel = [], []
+    for n in (4, 8):
+        mesh = build_structured_mesh(n, n, 4)
+        spec = spec_rotating(eps=1e-5)
+        tracemalloc.start()
+        try:
+            b = ElementBlocks(mesh, spec, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = b.S_hat.nbytes + b.N.nbytes + b.taus.nbytes + b.hK.nbytes
+        extra.append(peak - out)
+        nel.append(mesh.n_triangles)
+    assert extra[1] - extra[0] <= 64 * (nel[1] - nel[0])
 
 
 def test_beta0_symmetric_system():

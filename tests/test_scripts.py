@@ -1,5 +1,6 @@
-"""Smoke tests of scripts/criterion06_evidence.py and of the snapshot
-comparison in scripts/bench_snapshot.py.
+"""Smoke tests of scripts/criterion06_evidence.py, of the snapshot
+comparison in scripts/bench_snapshot.py and of the paired summary in
+scripts/ab_pairs.py.
 
 The criterion-06 script swaps package definitions per row; its tau rows
 recompile ``hdg.ElementBlocks._build`` from source, so an edit there that
@@ -55,3 +56,25 @@ def test_bench_snapshot_compare():
         "| `x` (s) | 1 → 0.25 | - → - |",
         "| `y` (s) | 0.5 → 0.5 | - → 2 |",
     ]
+
+
+def test_ab_pairs_summary():
+    spec = importlib.util.spec_from_file_location(
+        "ab_pairs", SCRIPTS / "ab_pairs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    run = lambda t, it, failed=0: {"failed": failed, "metrics": {
+        "t": {"value": t, "unit": "s"}, "it": {"value": it, "unit": "count"}}}
+    parent = [run(4.0, 10), run(5.0, 10), run(6.0, 10), run(3.0, 10)]
+    change = [run(3.0, 10), run(4.0, 10), run(7.0, 10, failed=1), None]
+    metrics = [{"name": "t", "better": "lower"},
+               {"name": "it", "better": "lower"}]
+    lines = script.summarize(parent, change, metrics)
+    assert lines[:2] == ["FLAGGED: change run of pair 3 has failed = 1",
+                         "FLAGGED: change run of pair 4 printed no result"]
+    # three complete pairs: t 4/5/6 against 3/4/7, two won; it all tied
+    t = lines[3].split()
+    assert t[0] == "t" and t[1:4] == ["5", "[4.5,", "5.5]"]
+    assert t[4:7] == ["4", "[3.5,", "5.5]"] and t[7:] == ["-20.0%", "2/3"]
+    it = lines[4].split()
+    assert it[0] == "it" and it[7:] == ["+0.0%", "0/3"]
