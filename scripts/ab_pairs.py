@@ -1,15 +1,18 @@
 """Paired A/B runs of one benchmark workload: a parent checkout against this one.
 
-    python3 scripts/ab_pairs.py PARENT_DIR --workload W [--pairs N]
+    python3 scripts/ab_pairs.py PARENT_DIR --workload W [--pairs N] [--trace]
 
 Runs the benchmark command of ``BENCHMARK.json`` (``--seconds <run_seconds>
 --trace 0``) N times in PARENT_DIR and N times in this checkout, alternating:
 the parent runs first in odd pairs, this checkout in even ones.  Prints each
 run's end-to-end metrics as it finishes, then per end-to-end metric the
 median [q1, q3] on each side, the change of the medians and in how many pairs
-this checkout was better (ties count for neither side).  Any run that
-reports ``failed > 0``, or prints no result, is flagged.  Exits non-zero if
-any run is flagged.
+this checkout was better (ties count for neither side).  With ``--trace`` the
+runs are ``--trace 1`` runs and the summary covers the ``per_layer`` metrics
+instead: per-layer times read against a parent traced in the same session,
+not against a snapshot recorded at another time on a machine whose speed
+drifts.  Any run that reports ``failed > 0``, or prints no result, is
+flagged.  Exits non-zero if any run is flagged.
 """
 
 import argparse
@@ -49,7 +52,7 @@ def summarize(parent, change, end_to_end):
                              % (side, i, run["failed"]))
     pairs = [(p, c) for p, c in zip(parent, change)
              if p is not None and c is not None]
-    lines.append("%-20s %-30s %-30s %8s %6s" % (
+    lines.append("%-28s %-30s %-30s %8s %6s" % (
         "metric", "parent median [q1, q3]", "change median [q1, q3]",
         "median", "won"))
     for metric in end_to_end:
@@ -58,12 +61,12 @@ def summarize(parent, change, end_to_end):
         vals = np.array([[run["metrics"][name]["value"] for run in pair]
                          for pair in pairs]).reshape(-1, 2)
         if not len(vals):
-            lines.append("%-20s no complete pair" % name)
+            lines.append("%-28s no complete pair" % name)
             continue
         q = np.percentile(vals, [25, 50, 75], axis=0)
         won = int(np.sum(sign * (vals[:, 1] - vals[:, 0]) < 0))
         rel = (q[1, 1] - q[1, 0]) / abs(q[1, 0]) if q[1, 0] else float("nan")
-        lines.append("%-20s %-30s %-30s %+7.1f%% %3d/%d" % (
+        lines.append("%-28s %-30s %-30s %+7.1f%% %3d/%d" % (
             name,
             "%.4g [%.4g, %.4g]" % (q[1, 0], q[0, 0], q[2, 0]),
             "%.4g [%.4g, %.4g]" % (q[1, 1], q[0, 1], q[2, 1]),
@@ -71,16 +74,27 @@ def summarize(parent, change, end_to_end):
     return lines
 
 
+def plan(bench, workload, trace):
+    """The benchmark command of one run and the metrics to summarize, from
+    the parsed BENCHMARK.json ``bench``: the ``per_layer`` metrics of
+    ``--trace 1`` runs, or the ``end_to_end`` metrics of ``--trace 0``."""
+    cmd = bench["command"] + ["--workload", workload, "--seconds",
+                              str(bench["run_seconds"]), "--trace",
+                              "1" if trace else "0"]
+    return cmd, bench["per_layer" if trace else "end_to_end"]
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", help="root of the parent checkout")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--trace", action="store_true",
+                   help="traced runs; summarize the per-layer metrics")
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    cmd = bench["command"] + ["--workload", args.workload, "--seconds",
-                              str(bench["run_seconds"]), "--trace", "0"]
-    names = [m["name"] for m in bench["end_to_end"]]
+    cmd, metrics = plan(bench, args.workload, args.trace)
+    names = [m["name"] for m in metrics]
     sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
     print("# " + " ".join(cmd), flush=True)
@@ -94,7 +108,7 @@ def main(argv=None):
                     "%s=%.4g" % (n, run["metrics"][n]["value"])
                     for n in names if n in run.get("metrics", {})))
             print("# pair %d %s: %s" % (i, side, got), flush=True)
-    lines = summarize(runs["parent"], runs["change"], bench["end_to_end"])
+    lines = summarize(runs["parent"], runs["change"], metrics)
     print("\n".join(lines))
     return 1 if any(ln.startswith("FLAGGED") for ln in lines) else 0
 

@@ -29,7 +29,6 @@ import textwrap
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
-import scipy.sparse as sp
 
 from hdglab import bddc, bench, dd, hdg
 from hdglab.bench import build_case, run_case
@@ -132,22 +131,18 @@ def dual_weights(make_blocks, *args):
     weighted average is sum_i W_i x_i, so W_i + W_j = I keeps E_D a
     projection; the primal DOFs stay assembled with weight 1.
     """
-    cls = bddc.BddcPreconditioner
-    init = cls.__init__
-
-    def __init__(self, *a, **kw):
-        init(self, *a, **kw)
+    def weights(self):
         blocks = _se_dual_blocks(self)
         W = make_blocks(self, blocks, *args)
-        primal = np.arange(self.n_tilde) < self.n_primal
-        Wt = sp.diags(primal.astype(float)) + dd.scatter_blocks(
-            ((W[sidx, i].T[None], idx[None], idx[None])
-             for i, parts in blocks.items() for sidx, idx, _ in parts),
-            (self.n_tilde, self.n_tilde))
-        self.RD = (Wt @ self.R).tocsr()
-        self.RDT = self.RD.T.tocsr()
+        wd = int(self.n_dual_by_sub.max(initial=0))
+        D = np.zeros((self.n_dual_by_sub.size, wd, wd))
+        for i, parts in blocks.items():
+            for sidx, idx, _ in parts:
+                loc = idx - self.dual_start[sidx]
+                D[sidx, loc[:, None], loc] = W[sidx, i].T
+        return D
 
-    with swapped(cls, "__init__", __init__):
+    with swapped(bddc.BddcPreconditioner, "dual_weights", weights):
         yield
 
 

@@ -13,14 +13,17 @@ The raw rows of all SubdomainEdges come from one edge-quadrature table
 orthonormalized and completed to an orthogonal change of basis Q_E per
 SubdomainEdge, batched over the SubdomainEdges of equal block shape.  In the
 transformed variables the primal DOFs are assembled across the interface
-while dual DOFs stay subdomain-local; the
-preconditioner is M^-1 = Q^T Rt_D^T St^-1 Rt_D Q (Li & Widlund 2006).  Setup
-assembles a few global sparse operators from the local Schur complements: the
-restriction Rt and its weighted form Rt_D, the block-diagonal inverse of the
-dual blocks S_dd, the two primal-dual couplings and the coarse LU; each apply
-is then a handful of sparse products and one coarse solve (the two-level
-structure of Dohrmann 2003).
+while dual DOFs stay subdomain-local; the preconditioner is
+M^-1 = Q^T Rt_D^T St^-1 Rt_D Q (Li & Widlund 2006), solved in two levels, a
+local correction per subdomain and one coarse problem over the primal DOFs
+(Dohrmann 2003).  Setup fuses the change of basis, the weights and the dual
+solves into per-subdomain stacks, from one batched solve with the stacked
+local Schur complements; each apply is then one batched product, the coarse
+solve and one more batched product (``BddcPreconditioner``).  The unfused
+sparse operators stay as the oracle path of the tests, built on first use.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -34,6 +37,10 @@ from .mesh import InvalidConfigError
 VARIANTS = ("bddc1", "bddc2", "bddc3", "all-primal", "none")
 
 _N_FUNCTIONALS = {"bddc1": 1, "bddc2": 2, "bddc3": 3}
+
+# subdomains of equal shape are set up in runs whose (n, n) stacks hold at
+# most this many entries, which bounds the setup's temporaries
+STACK_ENTRIES = 2 ** 16
 
 
 class PreconditionerError(RuntimeError):
@@ -183,15 +190,29 @@ class BddcPreconditioner:
     """Two-level BDDC in the transformed interface variables.
 
     Partially assembled layout: [primal (n_primal); dual copies per subdomain
-    in subdomain order].  Dual weights are 1/2 (every interface DOF is shared
-    by exactly two subdomains); primal weight is 1.
+    in subdomain order].  Every interface DOF is shared by exactly two
+    subdomains.  The weighted restriction Rt_D keeps the primal DOFs with
+    weight 1 and weights the dual copies by ``dual_weights`` (1/2).
 
-    Assembled operators: ``Qg`` (change of basis), ``R`` and ``RD``
-    (restriction Rt and weighted restriction Rt_D, n_tilde x n_interface),
-    ``QgT`` and ``RDT`` (the transposes of ``Qg`` and ``RD`` as CSR),
-    ``Sdd_inv`` (block-diagonal inverse of the dual blocks), ``Spd`` and
-    ``Kdp`` = S_dd^-1 S_dp (the primal-dual couplings) and the coarse matrix
-    ``Fc`` with its LU ``coarse_lu``.
+    The apply is fused per subdomain.  With P_i = D_i Q_i, where D_i is 1/2 on
+    the primal DOFs (each one half from each of its two subdomains) and the
+    dual weights on the dual copies,
+
+        M^-1 = sum_i R_i^T (L_i + C_i Fc^-1 G_i) R_i,
+        L_i = P_d^T S_dd^-1 P_d,   G_i = P_p - S_pd S_dd^-1 P_d,
+        C_i = P_p^T - P_d^T K_dp,  K_dp = S_dd^-1 S_dp,
+
+    with S = Q_i S^(i) Q_i^T split into primal (p) and dual (d) parts.  They
+    are stored as ``LG`` = [L_i; G_i] (n_sub, w + wp, w) and ``C`` (n_sub, w,
+    wp), zero-padded to w = max nG interface and wp = max primal DOFs per
+    subdomain, with the coarse matrix ``Fc`` and its LU ``coarse_lu``.
+
+    The unfused operators are the oracle path, built on first use: ``Qg``
+    (change of basis), ``R`` and ``RD`` (restriction Rt and weighted
+    restriction Rt_D, n_tilde x n_interface), ``Sdd_inv`` (block-diagonal
+    inverse of the dual blocks), ``Spd`` and ``Kdp`` (the primal-dual
+    couplings), with ``inner_solve``, ``tilde_from_hat``, ``hat_from_tilde``,
+    ``apply_average`` and ``dense_partially_assembled``.
     """
 
     def __init__(self, subs, constraints, dofs):
@@ -204,17 +225,13 @@ class BddcPreconditioner:
         # Q_rows[p]: the row of Q_E at interface position p, within its
         # SubdomainEdge block (padded with zeros to the widest block)
         start = dofs.se_blocks[:, 0] - dofs.n_interior
-        size = dofs.se_blocks[:, 1] - dofs.se_blocks[:, 0]
-        self.se_of = np.repeat(np.arange(size.size), size)
+        self.se_size = dofs.se_blocks[:, 1] - dofs.se_blocks[:, 0]
+        self.se_of = np.repeat(np.arange(self.se_size.size), self.se_size)
         self.block_off = np.arange(n_ifc) - start[self.se_of]
-        self.Q_rows = np.zeros((n_ifc, size.max(initial=0)))
-        blocks = []
+        self.Q_rows = np.zeros((n_ifc, self.se_size.max(initial=0)))
         for idx, R in constraints.blocks:
             rows = start[idx, None] + np.arange(R.shape[2])
-            blocks.append((_change_of_basis(R), rows, rows))
-            self.Q_rows[rows, :rows.shape[1]] = blocks[-1][0]
-        self.Qg = scatter_blocks(blocks, (n_ifc, n_ifc)).tocsr()
-        self.Qg.eliminate_zeros()
+            self.Q_rows[rows, :rows.shape[1]] = _change_of_basis(R)
 
         # the first n_primal_by_se components of each transformed
         # SubdomainEdge block are primal, numbered in SubdomainEdge order
@@ -227,48 +244,33 @@ class BddcPreconditioner:
         self.primal_index = np.full(n_ifc, -1, dtype=np.int64)
         self.primal_index[primal_pos] = np.arange(self.n_primal)
 
-        # row t of Rt picks the interface position of tilde component t
-        self.n_tilde = self.n_primal + int(np.count_nonzero(
-            (subs.pos >= 0) & ~self.is_primal[subs.pos]))
-        self.n_dual_total = n_dual = self.n_tilde - self.n_primal
-        cols = np.empty(self.n_tilde, dtype=np.int64)
-        inv_dd, c_pd, c_dp, coarse = [], [], [], []
-        for sids, pos, idx, npr, St in self._local_stacks():
-            cols[idx] = pos
-            gp, gd = idx[:, :npr], idx[:, npr:] - self.n_primal
-            Spp, Spd = St[:, :npr, :npr], St[:, :npr, npr:]
-            Sdp, Sdd = St[:, npr:, :npr], St[:, npr:, npr:]
-            if gd.shape[1]:
-                # singular: non-finite, or an LU pivot below 1e-14 max |S_dd|
-                piv = sla.lu(Sdd, p_indices=True, check_finite=False)[2]
-                piv = np.abs(np.diagonal(piv, axis1=1, axis2=2)).min(axis=1)
-                bad = ~(piv >= 1e-14 * np.maximum(
-                    np.abs(Sdd).max(axis=(1, 2)), 1e-300))
-                if bad.any():
-                    raise PreconditionerError(
-                        "singular dual block in subdomain %d (variant %s, "
-                        "eps %g)" % (sids[bad.argmax()], self.variant,
-                                     constraints.spec.eps))
-                X = np.linalg.solve(Sdd, np.concatenate(
-                    [Sdp, np.broadcast_to(np.eye(gd.shape[1]), Sdd.shape)],
-                    axis=2))
-                Kdp = X[:, :, :npr]
-                inv_dd.append((X[:, :, npr:], gd, gd))
-                c_pd.append((Spd, gp, gd))
-                c_dp.append((Kdp, gd, gp))
-                Spp = Spp - Spd @ Kdp
+        # dual copies of subdomain s: [dual_start[s], + n_dual_by_sub[s])
+        dual = (subs.pos >= 0) & ~self.is_primal[subs.pos]
+        self.n_dual_by_sub = dual.sum(axis=1)
+        self.n_dual_total = n_dual = int(self.n_dual_by_sub.sum())
+        self.n_tilde = self.n_primal + n_dual
+        self.dual_start = self.n_primal + np.cumsum(self.n_dual_by_sub) \
+            - self.n_dual_by_sub
+
+        n_sub, w = subs.pos.shape
+        wp = int((subs.nG - self.n_dual_by_sub).max(initial=0))
+        self.pos = np.where(subs.pos >= 0, subs.pos, n_ifc)
+        self.pidx = np.full((n_sub, wp), self.n_primal, dtype=np.int64)
+        self.LG = np.zeros((n_sub, w + wp, w))
+        self.C = np.zeros((n_sub, w, wp))
+        self._cols = np.empty(self.n_tilde, dtype=np.int64)
+        self._weights = self.dual_weights()
+        coarse = []
+        for sids, rows, idx, npr, Qi, St in self._local_stacks():
+            n = rows.shape[1]
+            self._cols[idx] = rows
+            gp = idx[:, :npr]
+            self.pidx[sids, :npr] = gp
+            L, G, C, Spp = self._fused_blocks(sids, npr, Qi, St)
+            self.LG[sids, :n, :n] = L
+            self.LG[sids, w:w + npr, :n] = G
+            self.C[sids, :n, :npr] = C
             coarse.append((Spp, gp, gp))
-        rows = np.arange(self.n_tilde)
-        shape = (self.n_tilde, n_ifc)
-        self.R = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape)
-        self.RD = sp.csr_matrix(
-            (np.where(rows < self.n_primal, 1.0, 0.5), (rows, cols)), shape)
-        # the transposes the applies use, stored once as CSR
-        self.QgT = self.Qg.T.tocsr()
-        self.RDT = self.RD.T.tocsr()
-        self.Sdd_inv = scatter_blocks(inv_dd, (n_dual, n_dual)).tocsr()
-        self.Spd = scatter_blocks(c_pd, (self.n_primal, n_dual)).tocsr()
-        self.Kdp = scatter_blocks(c_dp, (n_dual, self.n_primal)).tocsr()
 
         if self.n_primal:
             Fc = scatter_blocks(coarse,
@@ -284,22 +286,62 @@ class BddcPreconditioner:
             self.coarse_lu = None
             self.Fc = sp.csc_matrix((0, 0))
 
+    def _fused_blocks(self, sids, npr, Qi, St):
+        """L_i, G_i, C_i and the coarse block S_pp - S_pd K_dp of the
+        subdomains ``sids`` from their Q_i and St_i (primal rows first);
+        PreconditionerError if a dual block S_dd is singular."""
+        n, D = Qi.shape[1], self._weights
+        Pp, Pd = 0.5 * Qi[:, :npr], Qi[:, npr:]
+        Pd = D * Pd if np.ndim(D) == 0 else D[sids, :n - npr, :n - npr] @ Pd
+        Spp, Spd = St[:, :npr, :npr], St[:, :npr, npr:]
+        Sdp, Sdd = St[:, npr:, :npr], St[:, npr:, npr:]
+        if n == npr:
+            return 0.0, Pp, Pp.swapaxes(1, 2), Spp
+        # singular: non-finite, or an LU pivot below 1e-14 max |S_dd|
+        piv = sla.lu(Sdd, p_indices=True, check_finite=False)[2]
+        piv = np.abs(np.diagonal(piv, axis1=1, axis2=2)).min(axis=1)
+        bad = ~(piv >= 1e-14 * np.maximum(np.abs(Sdd).max(axis=(1, 2)),
+                                          1e-300))
+        if bad.any():
+            raise PreconditionerError(
+                "singular dual block in subdomain %d (variant %s, eps %g)"
+                % (sids[bad.argmax()], self.variant,
+                   self.constraints.spec.eps))
+        X = np.linalg.solve(Sdd, np.concatenate([Sdp, Pd], axis=2))
+        Kdp, W = X[:, :, :npr], X[:, :, npr:]
+        PdT = Pd.swapaxes(1, 2)
+        return (PdT @ W, Pp - Spd @ W, Pp.swapaxes(1, 2) - PdT @ Kdp,
+                Spp - Spd @ Kdp)
+
+    def dual_weights(self):
+        """Weights D_i of the dual copies in Rt_D: the scalar 1/2, or a stack
+        (n_sub, wd, wd) whose block i acts on the dual copies of subdomain i
+        in their partially assembled order (entries past ``n_dual_by_sub[i]``
+        are not read).  Rt_D gives subdomain i the dual values D_i c and
+        averages back by sum_i D_i^T x_i; D_i + D_j = I on the dual copies of
+        each SubdomainEdge keeps E_D a projection."""
+        return 0.5
+
     def _local_stacks(self):
-        """Per group of subdomains with equal nG and primal count, stacked:
-        (subdomains, interface positions, their partially assembled indices,
-        primal count, St_i = Q_i S^(i) Q_i^T), primal DOFs first, each part in
-        local order.  Dual copies are numbered in subdomain order."""
+        """Per run of subdomains with equal nG and primal count, stacked:
+        (subdomains, interface positions of the transformed components,
+        their partially assembled indices, primal count, Q_i, St_i = Q_i
+        S^(i) Q_i^T).  The rows of Q_i (and of St_i) are the transformed
+        components, primal first, each part in local order; the columns of
+        Q_i are the subdomain's interface positions ``subs.pos`` in order.
+        Dual copies are numbered in subdomain order."""
         subs = self.subs
-        dual = (subs.pos >= 0) & ~self.is_primal[subs.pos]
-        n_dual = dual.sum(axis=1)
-        first = self.n_primal + np.cumsum(n_dual) - n_dual
-        _, group = np.unique(np.column_stack([subs.nG, n_dual]), axis=0,
-                             return_inverse=True)
+        _, group = np.unique(np.column_stack([subs.nG, self.n_dual_by_sub]),
+                             axis=0, return_inverse=True)
+        runs = []
         for g in range(group.max(initial=-1) + 1):
             sids = np.flatnonzero(group == g)
-            n, nd = subs.nG[sids[0]], n_dual[sids[0]]
+            size = max(STACK_ENTRIES // max(subs.nG[sids[0]], 1) ** 2, 1)
+            runs += [sids[i:i + size] for i in range(0, sids.size, size)]
+        for sids in runs:
+            n, nd = subs.nG[sids[0]], self.n_dual_by_sub[sids[0]]
             pos = subs.pos[sids, :n]
-            p = np.argsort(dual[sids, :n], axis=1, kind="stable")
+            p = np.argsort(~self.is_primal[pos], axis=1, kind="stable")
             rows = pos[np.arange(sids.size)[:, None], p]
             # Q_i, block-diagonal over the SubdomainEdges, rows primal first
             Qi = np.where(self.se_of[rows][:, :, None]
@@ -307,22 +349,96 @@ class BddcPreconditioner:
                           self.Q_rows[rows[:, :, None],
                                       self.block_off[pos][:, None, :]], 0.0)
             St = Qi @ subs.S[sids, :n, :n] @ Qi.swapaxes(1, 2)
-            del Qi
             idx = self.primal_index[rows]
-            idx[:, n - nd:] = first[sids, None] + np.arange(nd)
-            yield sids, rows, idx, n - nd, St
+            idx[:, n - nd:] = self.dual_start[sids, None] + np.arange(nd)
+            yield sids, rows, idx, n - nd, Qi, St
 
     def local_blocks(self):
         """Per subdomain, in subdomain order: (sub, interface positions,
         their partially assembled indices, dual mask, St_i)."""
         out = [None] * self.subs.nI.size
-        for sids, pos, idx, npr, St in self._local_stacks():
+        for sids, pos, idx, npr, _, St in self._local_stacks():
             dual = np.arange(pos.shape[1]) >= npr
             for j, s in enumerate(sids.tolist()):
                 out[s] = (self.subs[s], pos[j], idx[j], dual, St[j])
         return out
 
-    # -- restriction maps on transformed vectors ---------------------------
+    def apply(self, r):
+        """M^-1 r from the fused stacks: gather, one batched product with
+        [L_i; G_i], the coarse solve, one batched product with C_i, scatter."""
+        r = np.asarray(r, dtype=float)
+        n = self.dofs.n_interface
+        if r.shape != (n,):
+            raise InvalidConfigError("interface residual has wrong length")
+        w = self.pos.shape[1]
+        y = np.matmul(self.LG, np.append(r, 0.0)[self.pos][..., None])[..., 0]
+        g = np.bincount(self.pidx.ravel(), y[:, w:].ravel(),
+                        minlength=self.n_primal + 1)[:self.n_primal]
+        xp = self.coarse_lu.solve(g) if self.coarse_lu is not None else g
+        y = y[:, :w] + np.matmul(self.C, np.append(xp, 0.0)[self.pidx]
+                                 [..., None])[..., 0]
+        return np.bincount(self.pos.ravel(), y.ravel(), minlength=n + 1)[:n]
+
+    # -- the unfused operators (oracle path) --------------------------------
+
+    @cached_property
+    def Qg(self):
+        """The change of basis, block-diagonal over the SubdomainEdges."""
+        n_ifc, width = self.Q_rows.shape
+        c = np.arange(width)
+        keep = c < self.se_size[self.se_of][:, None]
+        rows = np.broadcast_to(np.arange(n_ifc)[:, None], keep.shape)
+        cols = (np.arange(n_ifc) - self.block_off)[:, None] + c
+        Qg = sp.csr_matrix((self.Q_rows[keep], (rows[keep], cols[keep])),
+                           shape=(n_ifc, n_ifc))
+        Qg.eliminate_zeros()
+        return Qg
+
+    @cached_property
+    def R(self):
+        """Rt: row t picks the interface position of tilde component t."""
+        t = np.arange(self.n_tilde)
+        return sp.csr_matrix((np.ones(t.size), (t, self._cols)),
+                             shape=(self.n_tilde, self.dofs.n_interface))
+
+    @cached_property
+    def RD(self):
+        """Rt_D = W Rt: weight 1 on the primal DOFs, the dual weights on
+        the dual copies."""
+        D, t = self._weights, np.arange(self.n_tilde)
+        scalar = np.ndim(D) == 0
+        Wt = sp.diags(np.where(t < self.n_primal, 1.0, D if scalar else 0.0))
+        if not scalar:
+            d = np.arange(D.shape[1])
+            gd = np.where(d < self.n_dual_by_sub[:, None],
+                          self.dual_start[:, None] + d, -1)
+            Wt = Wt + scatter_blocks([(D, gd, gd)], Wt.shape)
+        return (Wt @ self.R).tocsr()
+
+    @cached_property
+    def _couplings(self):
+        inv_dd, c_pd, c_dp = [], [], []
+        for _, _, idx, npr, _, St in self._local_stacks():
+            if idx.shape[1] > npr:
+                gp, gd = idx[:, :npr], idx[:, npr:] - self.n_primal
+                Sdd = St[:, npr:, npr:]
+                X = np.linalg.solve(Sdd, np.concatenate(
+                    [St[:, npr:, :npr], np.broadcast_to(
+                        np.eye(gd.shape[1]), Sdd.shape)], axis=2))
+                inv_dd.append((X[:, :, npr:], gd, gd))
+                c_pd.append((St[:, :npr, npr:], gp, gd))
+                c_dp.append((X[:, :, :npr], gd, gp))
+        n_p, n_d = self.n_primal, self.n_dual_total
+        return (scatter_blocks(inv_dd, (n_d, n_d)).tocsr(),
+                scatter_blocks(c_pd, (n_p, n_d)).tocsr(),
+                scatter_blocks(c_dp, (n_d, n_p)).tocsr())
+
+    Sdd_inv = property(lambda self: self._couplings[0],
+                       doc="Block-diagonal inverse of the dual blocks.")
+    Spd = property(lambda self: self._couplings[1],
+                   doc="Primal-dual coupling S_pd.")
+    Kdp = property(lambda self: self._couplings[2],
+                   doc="S_dd^-1 S_dp.")
 
     def tilde_from_hat(self, c, weighted):
         """Rt (or Rt_D) applied to an assembled transformed vector c."""
@@ -330,7 +446,7 @@ class BddcPreconditioner:
 
     def hat_from_tilde(self, t, weighted):
         """Rt^T (or Rt_D^T) applied to a partially assembled vector t."""
-        return (self.RDT if weighted else self.R.T) @ t
+        return (self.RD if weighted else self.R).T @ t
 
     def inner_solve(self, rt):
         """Solve the partially assembled system St x = rt (two-level)."""
@@ -339,17 +455,9 @@ class BddcPreconditioner:
         xp = self.coarse_lu.solve(g) if self.coarse_lu is not None else g
         return np.concatenate([xp, w - self.Kdp @ xp])
 
-    def apply(self, r):
-        """M^-1 r = Q^T Rt_D^T St^-1 Rt_D Q r."""
-        r = np.asarray(r, dtype=float)
-        if r.shape != (self.dofs.n_interface,):
-            raise InvalidConfigError("interface residual has wrong length")
-        xt = self.inner_solve(self.RD @ (self.Qg @ r))
-        return self.QgT @ (self.RDT @ xt)
-
     def apply_average(self, t):
         """E_D t = Rt Rt_D^T t on partially assembled vectors."""
-        return self.R @ (self.RDT @ t)
+        return self.R @ (self.RD.T @ t)
 
     def dense_partially_assembled(self):
         """Dense St (oracle for small problems), summed from the local

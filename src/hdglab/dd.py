@@ -12,7 +12,9 @@ are slices of ``sys.A`` and each entry of T = A_GI belongs to the owner of its
 interior column.  G_i = A_GG^(i) + Robin is one scatter of all elements into a
 stack.  Runs of consecutive subdomains share one sparse LU of their A_II slice
 and one solve with a shared right-hand-side block, giving the stack
-S_i = G_i - T_i A_II^(i)^-1 B_i; S_Gamma = sum_i R_i^T S_i R_i is one CSR.
+S_i = G_i - T_i A_II^(i)^-1 B_i.  S_Gamma = sum_i R_i^T S_i R_i is never
+assembled: ``InterfaceOperator`` applies it from the stack with one gather,
+one batched product and one scatter-add.
 """
 
 import numpy as np
@@ -216,20 +218,24 @@ def build_subdomains(mesh, dofs, spec, k, sys):
 
 
 class InterfaceOperator:
-    """S_Gamma = sum_i R_i^T S^(i) R_i, assembled once from the stacked
-    local Schur complements into the CSR matrix ``S``."""
+    """S_Gamma = sum_i R_i^T S^(i) R_i, applied from the stacked local Schur
+    complements: a gather of every subdomain's interface values, one batched
+    product with ``subs.S`` and one scatter-add.  Padded slots of ``subs.pos``
+    gather a zero and scatter into a dummy entry past the end."""
 
     def __init__(self, subs, dofs):
         self.subs, self.dofs, self.n = subs, dofs, dofs.n_interface
-        self.S = scatter_blocks([(subs.S, subs.pos, subs.pos)],
-                                (self.n, self.n)).tocsr()
+        self.pos = np.where(subs.pos >= 0, subs.pos, self.n)
         self._b = None
 
     def apply(self, lamG):
         lamG = np.asarray(lamG, dtype=float)
         if lamG.shape != (self.n,):
             raise InvalidConfigError("interface vector has wrong length")
-        return self.S @ lamG
+        x = np.append(lamG, 0.0)[self.pos]
+        y = np.matmul(self.subs.S, x[..., None])[..., 0]
+        return np.bincount(self.pos.ravel(), y.ravel(),
+                           minlength=self.n + 1)[:self.n]
 
     @property
     def b_gamma(self):
@@ -241,8 +247,12 @@ class InterfaceOperator:
         return self._b
 
     def as_dense(self):
-        """Dense interface matrix (tests / all-primal coarse problem)."""
-        return self.S.toarray()
+        """Dense interface matrix (the dense-Schur oracle of the tests),
+        summed straight from the stack."""
+        n1, P = self.n + 1, self.pos
+        flat = (P[:, :, None] * n1 + P[:, None, :]).ravel()
+        return np.bincount(flat, self.subs.S.ravel(), minlength=n1 * n1) \
+            .reshape(n1, n1)[:self.n, :self.n]
 
     def back_substitute(self, lamG):
         """Full free-DOF vector, interiors recovered from lamG and the load."""

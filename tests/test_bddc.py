@@ -199,16 +199,29 @@ def test_apply_matches_dense_tilde_oracle(variant, eps):
                 < 1e-10 * max(np.linalg.norm(ref), 1.0)
 
 
-@pytest.mark.parametrize("variant", ["bddc1", "bddc3"])
-def test_apply_is_the_transposed_product(variant):
-    # the stored CSR transposes give the same bits as the transposed views
-    mesh, dofs, spec, subs, iface, cons, pre = setup(
-        "rotating", 1e-3, variant, nx=3, ny=2, ratio=2, k=2)
-    rng = np.random.default_rng(4)
-    for _ in range(3):
-        r = rng.standard_normal(iface.n)
-        ref = pre.Qg.T @ (pre.RD.T @ pre.inner_solve(pre.RD @ (pre.Qg @ r)))
-        assert np.array_equal(pre.apply(r), ref)
+def _full_dual_weights(self):
+    # a full block D_i per subdomain (no partition of unity needed here)
+    wd = int(self.n_dual_by_sub.max(initial=0))
+    return np.random.default_rng(7).uniform(
+        0.0, 1.0, (self.subs.nI.size, wd, wd))
+
+
+@pytest.mark.parametrize("variant", ["bddc1", "bddc3", "all-primal"])
+def test_apply_is_the_transposed_product(variant, monkeypatch):
+    # the fused apply equals Qg^T Rt_D^T St^-1 Rt_D Qg r from the unfused
+    # operators, with the default dual weights 1/2 and with full blocks
+    for weights in (None, _full_dual_weights):
+        if weights is not None:
+            monkeypatch.setattr(BddcPreconditioner, "dual_weights", weights)
+        mesh, dofs, spec, subs, iface, cons, pre = setup(
+            "rotating", 1e-3, variant, nx=3, ny=2, ratio=2, k=2)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            r = rng.standard_normal(iface.n)
+            ref = pre.Qg.T @ pre.hat_from_tilde(
+                pre.inner_solve(pre.tilde_from_hat(pre.Qg @ r, True)), True)
+            assert np.linalg.norm(pre.apply(r) - ref) \
+                <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_inner_solve_against_dense_tilde():

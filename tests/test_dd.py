@@ -129,6 +129,18 @@ def test_interface_equals_global_schur():
                 < 1e-11 * np.linalg.norm(S_ref @ x)
 
 
+def test_stacked_apply_equals_dense_schur():
+    # the batched apply and the dense matrix scattered from the same stack
+    for nx, ny, k in ((2, 2, 0), (3, 2, 2)):
+        *_, iface = setup("rotating", 1e-3, nx=nx, ny=ny, k=k)
+        S = iface.as_dense()
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            x = rng.standard_normal(iface.n)
+            assert np.linalg.norm(iface.apply(x) - S @ x) \
+                <= 1e-13 * np.linalg.norm(S @ x)
+
+
 def test_interface_rhs_zero_data():
     _, _, _, _, _, iface = setup("thermal", 1.0, g=zero)
     assert np.allclose(iface.b_gamma, 0.0)

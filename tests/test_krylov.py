@@ -177,3 +177,27 @@ def test_thermal_layer_deg0_counts():
     assert abs(counts["bddc2"] - 10) <= 1
     assert abs(counts["bddc3"] - 9) <= 1
     assert counts["bddc3"] <= counts["bddc2"] <= counts["bddc1"]
+
+
+def test_cost_split_reported():
+    *_, iface, pre = interface_problem("rotating", 1e-2, "bddc2",
+                                       ns=2, ratio=4, k=1)
+    _, rep = gmres(iface.apply, pre.apply, iface.b_gamma)
+    parts = (rep.op_s, rep.precond_s, rep.orth_s)
+    assert all(p >= 0.0 for p in parts)
+    assert sum(parts) <= rep.wall_time
+
+
+def test_long_nonnormal_solve_keeps_true_residual():
+    # 1-D upwinded convection-diffusion, Peclet number 10^3 per cell: a
+    # strongly nonnormal matrix whose Krylov basis runs past 300 vectors
+    n = 400
+    eps, h = 1e-3, 1.0 / 401
+    A = (np.diag(np.full(n, 2 * eps / h ** 2 + 1 / h))
+         + np.diag(np.full(n - 1, -eps / h ** 2 - 1 / h), -1)
+         + np.diag(np.full(n - 1, -eps / h ** 2), 1))
+    b = np.random.default_rng(3).standard_normal(n)
+    tol = 1e-10
+    x, rep = gmres(lambda v: A @ v, None, b, tol=tol, maxit=n)
+    assert rep.converged and rep.iterations > 300
+    assert rep.true_residual <= 10 * tol

@@ -78,3 +78,18 @@ def test_ab_pairs_summary():
     assert t[4:7] == ["4", "[3.5,", "5.5]"] and t[7:] == ["-20.0%", "2/3"]
     it = lines[4].split()
     assert it[0] == "it" and it[7:] == ["+0.0%", "0/3"]
+    # --trace: traced runs, summarized over the per-layer metrics
+    bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 20,
+             "end_to_end": metrics,
+             "per_layer": [{"name": "dd.apply_ms", "better": "lower"}]}
+    cmd, layer = script.plan(bench, "w", trace=True)
+    assert cmd[-2:] == ["--trace", "1"] and layer == bench["per_layer"]
+    cmd, e2e = script.plan(bench, "w", trace=False)
+    assert cmd == ["python3", "perfbench/run.py", "--workload", "w",
+                   "--seconds", "20", "--trace", "0"] and e2e == metrics
+    traced = lambda ms: {"failed": 0, "metrics": {
+        "dd.apply_ms": {"value": ms, "unit": "ms"}}}
+    lines = script.summarize([traced(2.0), traced(3.0)],
+                             [traced(1.0), traced(1.5)], layer)
+    row = lines[1].split()
+    assert row[0] == "dd.apply_ms" and row[7:] == ["-50.0%", "2/2"]
