@@ -6,27 +6,42 @@ of the subdomain).  The modification cancels pairwise across an interface, so
 the subdomain systems sum back to the global operator exactly, while making
 each local problem solvable on its own.
 
-The subdomain systems are held torn, as one layer.  Interiors never couple
-and ``TraceDofMap`` numbers them by subdomain, so A_II^(i) and B_i = A_IG^(i)
-are slices of ``sys.A`` and each entry of T = A_GI belongs to the owner of its
-interior column.  G_i = A_GG^(i) + Robin is one scatter of all elements into a
-stack.  Runs of consecutive subdomains share one sparse LU of their A_II slice
-and one solve with a shared right-hand-side block, giving the stack
-S_i = G_i - T_i A_II^(i)^-1 B_i.  S_Gamma = sum_i R_i^T S_i R_i is never
-assembled: ``InterfaceOperator`` applies it from the stack with one gather,
-one batched product and one scatter-add.
+The local Schur complements S_i come from multilevel static condensation of
+the element blocks ``sys.blocks.S_hat``: nested dissection (George, 1973) of
+each subdomain's r x r cells, r = H/h.  Every subdomain of the structured
+mesh is a translate of the first one, so one elimination plan, built from that
+reference subdomain with its edges named by geometry, serves all of them.  The
+two triangles of a cell merge into a square by eliminating the diagonal; then
+rectangles merge pairwise by recursive bisection (1x1 -> 2x1 -> 2x2 -> ...
+-> r x r, uneven halves where r is odd).  A merge eliminates the DOFs that the
+two halves share, for every (subdomain, rectangle) of one shape at once: one
+batched elimination X = A_ss^-1 [A_sb | f_s] and one batched update
+S_bb - A_bs X.  Each cluster keeps its DOFs as [shared with its sibling | own]
+blocks, so a merge is slicing, one s x s add and one flat permutation.  The
+merges do not pivot: the symmetric part of the HDG form is positive definite
+on the interior DOFs, and every pivot is checked against the block it sits in.
+
+Dirichlet edges ride through the merges as kept DOFs, so the shapes are the
+same in every subdomain, and are dropped at the root.  The interior load of
+``sys.b`` is eliminated with the matrix, as one more column, so the root yields
+S_i (to which the Robin terms are then added) and the condensed interface
+load.  The stored X of every merge give the back-substitution (``extend``).
+Subdomains are condensed in runs whose stacks stay within ``CHUNK_ENTRIES``.
+
+S_Gamma = sum_i R_i^T S_i R_i is never assembled: ``InterfaceOperator``
+applies it from the stack with one gather, one batched product and one
+scatter-add.
 """
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fespace import interface_quadrature
 from .mesh import InvalidConfigError
 
-# a factor group grows while its interior rows x its largest nG stay within
-# this: SuperLU solves a wide block slower than narrow ones of large subdomains
-GROUP_ENTRIES = 2 ** 16
+# subdomains are condensed in runs whose largest merge stack holds at most
+# this many entries, so only the outputs grow with the number of subdomains
+CHUNK_ENTRIES = 2 ** 20
 
 
 class SubdomainError(RuntimeError):
@@ -60,9 +75,171 @@ def scatter_blocks(blocks, shape):
     return sp.coo_matrix((v, (r, c)), shape=shape)
 
 
+# -- the elimination plan ----------------------------------------------------
+#
+# An edge is named by the doubled coordinates (X, Y) of its midpoint, in cell
+# units from the corner of the node that holds it: horizontal edges have X
+# odd and Y even, vertical ones X even and Y odd, diagonals both odd.  A node
+# is a triangle (shape 0 or 1, its type) or a w x h rectangle of cells (shape
+# (w, h)); child j of a node sits at a cell offset within it.
+
+def _order(edges):
+    return sorted(edges, key=lambda e: (e[1], e[0]))
+
+
+def _shift(edges, off, sign=1):
+    return [(x + sign * 2 * off[0], y + sign * 2 * off[1]) for x, y in edges]
+
+
+def _children(shape):
+    """[(shape, offset)] of the two children: the triangles of a cell, or the
+    halves of a rectangle cut across its longer side."""
+    w, h = shape
+    if shape == (1, 1):
+        return [(0, (0, 0)), (1, (0, 0))]
+    if w >= h:
+        return [((w // 2, h), (0, 0)), ((w - w // 2, h), (w // 2, 0))]
+    return [((w, h // 2), (0, 0)), ((w, h - h // 2), (0, h // 2))]
+
+
+class _Merge:
+    """The merge that forms every node of one rectangle shape.
+
+    ``shared`` are the edges its two children share (eliminated), ``out`` the
+    kept edges in the order of the merged stack (child 0's own edges, then
+    child 1's), both in the node's frame; ``layouts[j]`` is child j's
+    [shared | own] order in the child's frame.  ``nodes`` (n, 2) are the cell
+    offsets of all nodes of the shape in the reference subdomain, in stack
+    order, and ``takes`` [(parent shape, j, first, count, perm)] say which
+    runs of them are child j of a parent and in what order (indices into
+    ``out``) that parent reads their edges."""
+
+    def __init__(self, shape, tri_edges):
+        self.shape = shape
+        kids = _children(shape)
+        kept = [_shift(tri_edges[c] if isinstance(c, int) else _rim(c), off)
+                for c, off in kids]
+        self.shared = _order(set(kept[0]) & set(kept[1]))
+        own = [_order(set(e) - set(self.shared)) for e in kept]
+        self.out = own[0] + own[1]
+        self.layouts = [_shift(self.shared + o, off, -1)
+                        for o, (_, off) in zip(own, kids)]
+        self.nodes = np.zeros((0, 2), dtype=np.int64)
+        self.takes = []
+
+
+def _rim(shape):
+    """The boundary edges of a w x h rectangle at the origin."""
+    w, h = shape
+    xs, ys = range(1, 2 * w, 2), range(1, 2 * h, 2)
+    return _order([(x, y) for y in (0, 2 * h) for x in xs]
+                  + [(x, y) for y in ys for x in (0, 2 * w)])
+
+
+def _plan(r, tri_edges):
+    """The merges of an r x r subdomain, bottom-up (increasing area), with
+    the stack order of every shape's nodes fixed top-down, and the runs of
+    triangles [(type, cell offsets (n, 2), slot order)] that feed the cell
+    merge.  Child j of the nodes of shape P, taken in P's stack order, is one
+    contiguous run of the child shape's stack; so each merge reads its two
+    children as two whole stacks."""
+    merges, todo = {}, [(r, r)]
+    while todo:
+        shape = todo.pop()
+        if shape not in merges:
+            merges[shape] = _Merge(shape, tri_edges)
+            todo += [c for c, _ in _children(shape) if isinstance(c, tuple)]
+    merges[(r, r)].nodes = np.zeros((1, 2), dtype=np.int64)
+    leaves = []
+    for shape in sorted(merges, key=lambda s: -s[0] * s[1]):
+        m = merges[shape]
+        for j, (child, off) in enumerate(_children(shape)):
+            nodes = m.nodes + off
+            if isinstance(child, int):
+                slots = [tri_edges[child].index(e) for e in m.layouts[j]]
+                leaves.append((child, nodes, slots))
+                continue
+            c = merges[child]
+            perm = [c.out.index(e) for e in m.layouts[j]]
+            c.takes.append((shape, j, len(c.nodes), len(nodes), perm))
+            c.nodes = np.concatenate([c.nodes, nodes])
+    return sorted(merges.values(), key=lambda m: m.shape[0] * m.shape[1]), \
+        leaves
+
+
+def _dof_perm(perm, nds):
+    return (np.asarray(perm, dtype=np.int64)[:, None] * nds
+            + np.arange(nds)).ravel()
+
+
+def _slots(id_at, edges, nodes, nds):
+    """(len(nodes), len(edges) * nds) reference slots of ``edges`` (node
+    frame) at every node offset: local edge index * nds + component."""
+    xy = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    ids = id_at[xy[:, 0] + 2 * nodes[:, :1], xy[:, 1] + 2 * nodes[:, 1:]]
+    return (ids[..., None] * nds + np.arange(nds)).reshape(len(nodes), -1)
+
+
+def _flat_take(perm, n):
+    """Flat indices reordering an (n, n+1) [matrix | load] block into the
+    rows and columns ``perm``, the load column kept last."""
+    cols = np.r_[perm, n]
+    return (perm[:, None] * (n + 1) + cols).ravel()
+
+
+def _reference(mesh):
+    """Every subdomain's elements (n_sub, 2 r^2) and edges (n_sub, n_edges)
+    in one relative order, read off the first subdomain, with the first
+    subdomain's geometry: the element of each (cell i, cell j, type), the
+    edges of each triangle type in slot order (cell frame) and the local edge
+    at each doubled coordinate (-1 where there is none)."""
+    r, n_sub = mesh.ratio, mesh.n_subdomains
+    elems = np.argsort(mesh.tri_sub, kind="stable").reshape(n_sub, -1)
+    te = mesh.tri_edges[elems]
+    ref, inv = np.unique(te[0], return_inverse=True)
+    inv = inv.reshape(te.shape[1:])
+    edge_of = np.empty((n_sub, ref.size), dtype=np.int64)
+    edge_of[:, inv] = te
+    if not np.array_equal(edge_of[:, inv], te):
+        raise InvalidConfigError("subdomains are not translates of one "
+                                 "another")
+    V = mesh.vertices[mesh.triangles[elems[0]]]
+    lo = V.min(axis=(0, 1))
+    cell = (V.max(axis=(0, 1)) - lo) / r
+    ij = np.floor((V.mean(axis=1) - lo) / cell).astype(np.int64)
+    tri_at = np.empty((r, r, 2), dtype=np.int64)
+    tri_at[ij[:, 0], ij[:, 1], mesh.tri_type[elems[0]]] = \
+        np.arange(elems.shape[1])
+    mid = mesh.vertices[mesh.edges[ref]].mean(axis=1)
+    XY = np.rint(2.0 * (mid - lo) / cell).astype(np.int64)
+    id_at = np.full((2 * r + 1, 2 * r + 1), -1, dtype=np.int64)
+    id_at[XY[:, 0], XY[:, 1]] = np.arange(ref.size)
+    tri_edges = [[tuple(XY[e]) for e in inv[tri_at[0, 0, t]]]
+                 for t in (0, 1)]
+    return elems, edge_of, tri_at, tri_edges, id_at
+
+
+def _eliminate(M, ns):
+    """In place on the stack M = [K | R] (N, ns, ns + c): X = K^-1 R into
+    M[:, :, ns:] by recursive 2 x 2 block elimination without pivoting (the
+    Schur updates are batched products).  Returns the pivots (N, ns), those
+    of the unpivoted LU of K; non-finite where elimination broke down."""
+    if ns == 1:
+        piv = M[:, :, 0].copy()
+        M[:, 0, 1:] /= piv
+        return piv
+    h = ns // 2
+    p1 = _eliminate(M[:, :h], h)
+    M[:, h:, h:] -= np.matmul(M[:, h:, :h], M[:, :h, h:])
+    p2 = _eliminate(M[:, h:, h:], ns - h)
+    M[:, :h, ns:] -= np.matmul(M[:, :h, h:ns], M[:, h:, ns:])
+    return np.concatenate([p1, p2], axis=1)
+
+
 class Subdomain:
-    """One subdomain's view of the torn layer.  ``A_sparse``/``A`` rebuild its
-    Robin-modified matrix (test oracles): interior DOFs, then interface DOFs."""
+    """One subdomain's view of the torn layer.  ``A``/``A_sparse`` rebuild its
+    Robin-modified matrix (test oracles): interior DOFs, then interface DOFs,
+    scattered from its elements, plus its Robin terms."""
 
     def __init__(self, layer, sidx):
         self.layer, self.sidx = layer, sidx
@@ -76,124 +253,170 @@ class Subdomain:
         return self.layer.S[self.sidx, :self.nG, :self.nG]
 
     @property
-    def A_sparse(self):
-        L, s, nG = self.layer, self.sidx, self.nG
-        a, b, g, w = L.istart[s], L.istart[s + 1], L.gstart[s], L.S.shape[1]
-        return sp.bmat([[L.A[a:b, a:b], L.B[a:b, :nG]],
-                        [L.T[g:g + nG, a:b], L.G[s * w:s * w + nG, :nG]]],
-                       format="csr")
+    def A(self):
+        L, n = self.layer, self.nI + self.nG
+        loc = np.full(L.dofs.n_dofs + 1, n)     # fixed slots -> n, dropped
+        loc[np.concatenate([self.interior_gids, self.interface_gids])] = \
+            np.arange(n)
+        els = L.elems[self.sidx]
+        ed = loc[L.sys.elem_dofs[els]]
+        A = np.zeros((n + 1) ** 2)
+        np.add.at(A, (ed[:, :, None] * (n + 1) + ed[:, None, :]).ravel(),
+                  L.sys.blocks.S_hat[els].ravel())
+        A = A.reshape(n + 1, n + 1)[:n, :n]
+        sub, lp, vals = L.robin
+        mine = sub == self.sidx
+        lp = self.nI + lp[mine]
+        A[lp[:, :, None], lp[:, None, :]] += vals[mine]
+        return A
 
     @property
-    def A(self):
-        return self.A_sparse.toarray()
+    def A_sparse(self):
+        return sp.csr_matrix(self.A)
 
 
 class Subdomains:
     """The torn interface layer; iterating yields one ``Subdomain`` each.
 
-    Subdomain s owns the interiors [istart[s], istart[s+1]) and the stacked
-    interface rows [gstart[s], gstart[s+1]); ``pos`` (n_sub, w) holds its
-    interface positions, padded with -1 to w = max nG.  ``S`` (n_sub, w, w)
-    stacks the local Schur complements, ``G`` (csr, n_sub*w x w) the
-    A_GG^(i) + Robin, ``T`` (csr, sum nG x n_interior) the torn A_GI and ``B``
-    (csr, n_interior x w) A_IG with local columns; ``groups`` is [(a, b, lu)]
-    over the factor groups' interior ranges."""
+    ``pos`` (n_sub, w) holds every subdomain's interface positions, padded
+    with -1 to w = max nG.  ``S`` (n_sub, w, w) stacks the local Schur
+    complements with their Robin terms, and ``b_gamma`` is
+    b_G - sum_i A_GI^(i) A_II^(i)^-1 b_I^(i).  ``elems`` (n_sub, 2 r^2) lists
+    every subdomain's elements in the same relative order, and ``robin``
+    (sub, lp, vals) the Robin terms: for each side (2, n_edges) of every
+    interface edge its subdomain, the edge's local interface slots and
+    +-M_e / 2.  ``steps`` holds, per merge and run of subdomains in build
+    order, (X, s_ids, b_ids): X = A_ss^-1 [A_sb | f_s] and the free-DOF ids
+    of the eliminated and kept DOFs (n_dofs for a Dirichlet DOF, n_dofs + 1
+    for the load column)."""
 
     def __init__(self, sys, robin):
         dofs, mesh, nds = sys.dofs, sys.mesh, sys.k + 1
-        self.dofs, self.A, self.b = dofs, sys.A, sys.b
+        self.sys, self.dofs = sys, dofs
         n_sub, n0, n_ifc = mesh.n_subdomains, dofs.n_interior, dofs.n_interface
+        n = dofs.n_dofs
         self.nI = np.array([g.size for g in dofs.interior_by_sub])
         self.nG = np.array([p.size for p in dofs.sub_interface_pos])
-        self.istart = np.r_[0, np.cumsum(self.nI)]
-        self.gstart = np.r_[0, np.cumsum(self.nG)]
         w = int(self.nG.max(initial=0))
 
         # stacked row of (subdomain s, interface position p): positions
         # ascend within a subdomain, so the keys s * n_ifc + p are sorted
         row_sub = np.repeat(np.arange(n_sub), self.nG)
         row_pos = np.concatenate(dofs.sub_interface_pos)
-        row_loc = np.arange(row_sub.size) - self.gstart[row_sub]
+        gstart = np.r_[0, np.cumsum(self.nG)]
+        row_loc = np.arange(row_sub.size) - gstart[row_sub]
         keys = row_sub * n_ifc + row_pos
         local = lambda s, p: row_loc[np.searchsorted(keys, s * n_ifc + p)]
         self.pos = np.full((n_sub, w), -1, dtype=np.int64)
         self.pos[row_sub, row_loc] = row_pos
 
-        # G: the elements with interface slots, then both sides of every
-        # interface edge (at most two terms meet in one entry)
-        els = np.flatnonzero((sys.elem_dofs >= n0).any(axis=1))
-        ed = sys.elem_dofs[els]
-        sub = np.broadcast_to(mesh.tri_sub[els, None], ed.shape)
-        lr = np.full(ed.shape, -1)
-        lr[ed >= n0] = local(sub[ed >= n0], ed[ed >= n0] - n0)
-        both = (lr[:, :, None] >= 0) & (lr[:, None, :] >= 0)
-        flat = [((sub[..., None] * w + lr[..., None]) * w
-                 + lr[:, None, :])[both]]
-        vals = [sys.blocks.S_hat[els][both]]
+        # the plan, and every subdomain's slot -> free DOF map (n for a
+        # Dirichlet slot)
+        self.elems, edge_of, tri_at, tri_edges, id_at = _reference(mesh)
+        gdof = dofs.edge_dofs[edge_of].reshape(n_sub, -1).astype(np.int32)
+        gdof[gdof < 0] = n
+        merges, leaves = _plan(mesh.ratio, tri_edges)
+        # per merge: the reference slots of the eliminated and kept DOFs
+        for m in merges:
+            m.s_slots = _slots(id_at, m.shared, m.nodes, nds)
+            m.b_slots = _slots(id_at, m.out, m.nodes, nds)
+        leaves = [(tri_at[nodes[:, 0], nodes[:, 1], t], _dof_perm(slots, nds))
+                  for t, nodes, slots in leaves]
+        root = merges[-1]
+        root_gid = gdof[:, root.b_slots[0]]
+        is_ifc = (root_gid >= n0) & (root_gid < n)
+        dst = np.full(root_gid.shape, -1)
+        dst[is_ifc] = local(np.nonzero(is_ifc)[0], root_gid[is_ifc] - n0)
+
+        per_sub = max(m.nodes.shape[0] * (len(m.out) * nds + 1) ** 2
+                      for m in merges)
+        run = max(1, CHUNK_ENTRIES // per_sub)
+        self.S = np.zeros((n_sub, w, w))
+        cond = np.zeros(n_ifc)
+        self.steps = []
+        bext = np.append(sys.b, 0.0)
+        for s0 in range(0, n_sub, run):
+            cs = np.arange(s0, min(s0 + run, n_sub))
+            U = self._condense(cs, merges, leaves, sys.blocks.S_hat,
+                               gdof[cs], bext, nds)
+            # the root: interface rows and columns into S, the condensed
+            # load onto the interface positions
+            d, keep = dst[cs], is_ifc[cs]
+            pair = keep[:, :, None] & keep[:, None, :]
+            flat = (cs[:, None, None] * w + d[:, :, None]) * w + d[:, None, :]
+            nr = U.shape[1]
+            self.S.reshape(-1)[flat[pair]] = U[:, :, :nr][pair]
+            cond += np.bincount(root_gid[cs][keep] - n0, U[:, :, nr][keep],
+                                minlength=n_ifc)
+        self.b_gamma = sys.b[n0:] + cond
+
+        # Robin terms: both sides of every interface edge (at most one term
+        # per entry)
         runs = mesh.interface_runs
         edge_pos = np.arange(n_ifc).reshape(-1, nds)
         sub = runs.pair[runs.run_of_edge].T[:, :, None]   # sides 0, 1
         lp = local(sub, edge_pos)
-        flat.append(((sub[..., None] * w + lp[..., None]) * w
-                     + lp[..., None, :]).ravel())
-        vals.append(np.multiply.outer([0.5, -0.5], robin).ravel())
-        self.S = np.bincount(np.concatenate(flat), np.concatenate(vals),
-                             minlength=n_sub * w * w).reshape(n_sub, w, w)
-        self.S = self.S.astype(float, copy=False)  # an empty bincount is int
-        self.G = sp.csr_matrix(self.S.reshape(n_sub * w, w))
+        self.robin = (sub[:, :, 0], lp,
+                       np.multiply.outer([0.5, -0.5], robin))
+        self.S[sub[..., None], lp[..., None], lp[..., None, :]] += \
+            self.robin[2]
 
-        # T and B: each entry goes to the owner of its interior DOF
-        T, B = self.A[n0:, :n0].tocoo(), self.A[:n0, n0:].tocoo()
-        s = dofs.owner[T.col]
-        self.T = sp.csr_matrix((T.data, (self.gstart[s] + local(s, T.row),
-                                         T.col)), shape=(row_sub.size, n0))
-        self.B = sp.csr_matrix((B.data, (B.row, local(dofs.owner[B.row],
-                                                      B.col))), shape=(n0, w))
-
-        # S_i -= T_i X_i, X = A_II^-1 B per group.  All factorizations come
-        # first: SuperLU's work arrays then do not land in heap pages that
-        # the solves touched and freed (resident memory)
-        bounds, rows, width = [0], 0, 0
-        for s, (ni, ng) in enumerate(zip(self.nI.tolist(), self.nG.tolist())):
-            rows, width = rows + ni, max(width, ng)
-            if rows * width > GROUP_ENTRIES and s > bounds[-1]:
-                bounds.append(s)
-                rows, width = ni, ng
-        ranges = list(zip(bounds, bounds[1:] + [n_sub]))
-        self.groups = [(self.istart[s0], self.istart[s1], self._factor(s0, s1))
-                       for s0, s1 in ranges]
-        for (s0, s1), (a, b, lu) in zip(ranges, self.groups):
-            wg = int(self.nG[s0:s1].max())
-            X = lu.solve(self.B[a:b, :wg].toarray())
-            g0, g1 = self.gstart[s0], self.gstart[s1]
-            # X's rows of subdomain s are zero past column nG[s]
-            self.S[row_sub[g0:g1], row_loc[g0:g1], :wg] -= \
-                self.T[g0:g1, a:b] @ X
-
-    def _factor(self, s0, s1):
-        """splu of the A_II slice of subdomains [s0, s1), or SubdomainError
-        naming a singular one: a failed group is refactored subdomain by
-        subdomain, and a pivot below 1e-14 max |A_II| fails its owner."""
-        a, b = self.istart[s0], self.istart[s1]
-        block = self.A[a:b, a:b].tocsc()
+    def _condense(self, cs, merges, leaves, S_hat, gdof, bext, nds):
+        """Run the plan on the subdomains ``cs`` (gdof: their slot -> free DOF
+        map); stores each merge's (X, s_ids, b_ids) and returns the root
+        stack (len(cs), n, n + 1) in the root's ``out`` order."""
+        c, m3 = cs.size, S_hat.shape[1]
+        n_dofs = bext.size - 1
+        stacks = {}
+        for t, (rel, perm) in enumerate(leaves):
+            # one gather of the element blocks in [shared | own] order; the
+            # load column reads entry 0 and is then zeroed
+            els = self.elems[cs][:, rel].T.ravel()
+            flat = np.concatenate([perm[:, None] * m3 + perm,
+                                   np.zeros((m3, 1), dtype=np.int64)], axis=1)
+            leaf = np.take(S_hat.reshape(-1), els[:, None, None] * m3 * m3
+                           + flat)
+            leaf[:, :, m3] = 0.0
+            stacks[(1, 1), t] = leaf
         msg = "interior block of subdomain %d is singular"
-        try:
-            lu = spla.splu(block)
-        except RuntimeError as exc:
-            if s1 - s0 == 1:
-                raise SubdomainError(msg % s0) from exc
-            for s in range(s0, s1):
-                self._factor(s, s + 1)
-            raise SubdomainError("interior blocks of subdomains %d-%d are "
-                                 "singular" % (s0, s1 - 1)) from exc
-        piv = np.abs(lu.U.diagonal())[lu.perm_c]   # pivot of each column
-        amax = np.maximum.reduceat(np.abs(block.data),
-                                   block.indptr[self.istart[s0:s1] - a])
-        tol = np.repeat(1e-14 * np.maximum(amax, 1e-300), self.nI[s0:s1])
-        bad = np.flatnonzero(~np.isfinite(piv) | (piv < tol))
-        if bad.size:
-            raise SubdomainError(msg % self.dofs.owner[a + bad[0]])
-        return lu
+        for m in merges:
+            A, B = stacks.pop((m.shape, 0)), stacks.pop((m.shape, 1))
+            ns, N = len(m.shared) * nds, A.shape[0]
+            na = A.shape[1] - ns
+            nk = na + B.shape[1] - ns
+            sid = gdof[:, m.s_slots].transpose(1, 0, 2).reshape(N, ns)
+            bid = np.empty((N, nk + 1), dtype=gdof.dtype)
+            bid[:, :nk] = gdof[:, m.b_slots].transpose(1, 0, 2).reshape(N, nk)
+            bid[:, nk] = n_dofs + 1
+            M = np.empty((N, ns, ns + nk + 1))
+            np.add(A[:, :ns, :ns], B[:, :ns, :ns], out=M[:, :, :ns])
+            M[:, :, ns:ns + na] = A[:, :ns, ns:-1]
+            M[:, :, ns + na:-1] = B[:, :ns, ns:-1]
+            M[:, :, -1] = A[:, :ns, -1] + B[:, :ns, -1] + bext[sid]
+            tol = 1e-14 * np.maximum(np.abs(M[:, :, :ns]).max(axis=(1, 2)),
+                                     1e-300)
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                piv = _eliminate(M, ns)
+            bad = ~(np.abs(piv).min(axis=1, initial=np.inf) >= tol)
+            if bad.any():
+                raise SubdomainError(msg % cs[bad.argmax() % c])
+            X = M[:, :, ns:].copy()
+            del M
+            L = np.concatenate([A[:, ns:, :ns], B[:, ns:, :ns]], axis=1)
+            U = np.matmul(np.negative(L, out=L), X)
+            U[:, :na, :na] += A[:, ns:, ns:-1]
+            U[:, :na, -1] += A[:, ns:, -1]
+            U[:, na:, na:-1] += B[:, ns:, ns:-1]
+            U[:, na:, -1] += B[:, ns:, -1]
+            del A, B, L
+            self.steps.append((X, sid, bid))
+            for parent, j, first, count, perm in m.takes:
+                flat = _flat_take(_dof_perm(perm, nds), nk)
+                stacks[parent, j] = np.take(
+                    U[first * c:(first + count) * c].reshape(count * c, -1),
+                    flat, axis=1).reshape(count * c, nk, nk + 1)
+        return U
 
     def __iter__(self):
         return (Subdomain(self, s) for s in range(self.nI.size))
@@ -201,14 +424,17 @@ class Subdomains:
     def __getitem__(self, s):
         return Subdomain(self, range(self.nI.size)[s])
 
-    def extend(self, lamG, bI=0.0):
-        """Full free-DOF vector (lam_I, lamG), A_II lam_I = bI - A_IG lamG
-        solved group by group (bI = 0: the discrete harmonic extension)."""
-        n0 = self.dofs.n_interior
-        lam = np.concatenate([bI - self.A[:n0, n0:] @ lamG, lamG])
-        for a, b, lu in self.groups:
-            lam[a:b] = lu.solve(lam[a:b])
-        return lam
+    def extend(self, lamG, loaded=False):
+        """Full free-DOF vector (lam_I, lamG) with A_II lam_I = b_I - A_IG lamG
+        (``loaded``) or -A_IG lamG (the discrete harmonic extension): the
+        merges' back-substitution x_s = y_s - X x_b, top-down."""
+        n0, n = self.dofs.n_interior, self.dofs.n_dofs
+        x = np.zeros(n + 2)
+        x[n0:n] = lamG
+        x[n + 1] = -1.0 if loaded else 0.0
+        for X, sid, bid in reversed(self.steps):
+            x[sid] = -np.matmul(X, x[bid][..., None])[..., 0]
+        return x[:n]
 
 
 def build_subdomains(mesh, dofs, spec, k, sys):
@@ -226,7 +452,6 @@ class InterfaceOperator:
     def __init__(self, subs, dofs):
         self.subs, self.dofs, self.n = subs, dofs, dofs.n_interface
         self.pos = np.where(subs.pos >= 0, subs.pos, self.n)
-        self._b = None
 
     def apply(self, lamG):
         lamG = np.asarray(lamG, dtype=float)
@@ -240,11 +465,7 @@ class InterfaceOperator:
     @property
     def b_gamma(self):
         """b_G - A_GI A_II^-1 b_I, the sum of the local interface RHS."""
-        if self._b is None:
-            n0, A = self.dofs.n_interior, self.subs.A
-            lamI = self.subs.extend(np.zeros(self.n), self.subs.b[:n0])[:n0]
-            self._b = self.subs.b[n0:] - A[n0:, :n0] @ lamI
-        return self._b
+        return self.subs.b_gamma
 
     def as_dense(self):
         """Dense interface matrix (the dense-Schur oracle of the tests),
@@ -256,7 +477,7 @@ class InterfaceOperator:
 
     def back_substitute(self, lamG):
         """Full free-DOF vector, interiors recovered from lamG and the load."""
-        return self.subs.extend(lamG, self.subs.b[:self.dofs.n_interior])
+        return self.subs.extend(lamG, loaded=True)
 
 
 def build_interface_operator(subs, dofs):

@@ -195,22 +195,58 @@ def test_full_solve_robin():
 
 @pytest.mark.parametrize("pivot", [0.0, 1e-20], ids=["zero", "tiny-pivot"])
 def test_singular_interior_block_raises(pivot):
-    # the 4x4 grid at H/h=2 factors all interiors as one group; one interior
-    # row of subdomain 5 is replaced by the pivot (0: splu fails on the
-    # group, 1e-20: the pivot check)
+    # one interior edge of subdomain 5 is decoupled in both of its elements
+    # and keeps only the diagonal ``pivot`` (0: the elimination breaks down,
+    # 1e-20: the pivot check)
     mesh = build_structured_mesh(4, 4, 2)
     dofs = build_trace_dof_map(mesh, 0)
     spec = make_spec("rotating", 1e-3)
     sys = assemble_trace_system(mesh, dofs, spec, 0)
-    assert len(build_subdomains(mesh, dofs, spec, 0, sys=sys).groups) == 1
-    r = dofs.interior_by_sub[5][1]
-    A = sys.A.tolil()
-    A[r] = 0.0
-    A[r, r] = pivot
-    sys.A = A.tocsr()
+    els, slots = np.nonzero(sys.elem_dofs == dofs.interior_by_sub[5][1])
+    S_hat = sys.blocks.S_hat
+    S_hat[els, slots, :] = 0.0
+    S_hat[els, :, slots] = 0.0
+    S_hat[els[0], slots[0], slots[0]] = pivot
     with pytest.raises(SubdomainError,
                        match="interior block of subdomain 5 is singular"):
         build_subdomains(mesh, dofs, spec, 0, sys=sys)
+
+
+def assert_equals_dense_elimination(sys, dofs, subs, iface):
+    """The Schur stack, b_gamma and the back-substitution of ``subs`` against
+    the dense local Robin matrices, eliminated subdomain by subdomain, to
+    1e-10 relative."""
+    rel = lambda a, b: np.linalg.norm(a - b) / max(np.linalg.norm(b), 1.0)
+    n0 = dofs.n_interior
+    lamG = np.random.default_rng(0).standard_normal(dofs.n_interface)
+    b_ref = sys.b[n0:].copy()
+    lam_ref = np.concatenate([np.zeros(n0), lamG])
+    for sub in subs:
+        A, nI = sub.A, sub.nI
+        AII, AIG, AGI = A[:nI, :nI], A[:nI, nI:], A[nI:, :nI]
+        bI = sys.b[sub.interior_gids]
+        S_ref = A[nI:, nI:] - AGI @ np.linalg.solve(AII, AIG)
+        assert rel(sub.dense_schur(), S_ref) < 1e-10
+        b_ref[sub.interface_pos] -= AGI @ np.linalg.solve(AII, bI)
+        lam_ref[sub.interior_gids] = np.linalg.solve(
+            AII, bI - AIG @ lamG[sub.interface_pos])
+    assert rel(iface.b_gamma, b_ref) < 1e-10
+    assert rel(iface.back_substitute(lamG), lam_ref) < 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("diag", ["ne", "nw"])
+@pytest.mark.parametrize("ratio", [1, 2, 3, 5, 6])
+def test_elimination_plans_equal_dense_elimination(ratio, diag, k):
+    # uneven bisections (H/h 3, 5, 6), both diagonals, and on the 3x3 grid
+    # corner, edge and inner subdomains, with Dirichlet edges on 0-2 sides
+    mesh = build_structured_mesh(3, 3, ratio, diag=diag)
+    dofs = build_trace_dof_map(mesh, k)
+    spec = make_spec("rotating", 1e-4)
+    sys = assemble_trace_system(mesh, dofs, spec, k)
+    subs = build_subdomains(mesh, dofs, spec, k, sys=sys)
+    assert_equals_dense_elimination(sys, dofs, subs,
+                                    InterfaceOperator(subs, dofs))
 
 
 def test_single_subdomain_has_no_interface():

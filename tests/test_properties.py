@@ -22,6 +22,8 @@ from hdglab.hdg import ElementBlocks, ProblemSpec, StabilizationError
 from hdglab.krylov import gmres
 from hdglab.mesh import build_structured_mesh
 
+from test_dd import assert_equals_dense_elimination
+
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
                     database=None)
 
@@ -102,21 +104,7 @@ def test_robin_sum_equals_global_operator(problem, eps, grid, ratio, k):
 def test_torn_layer_equals_dense_elimination(problem, eps, grid, ratio, k):
     # per subdomain, eliminate the interiors of the dense local Robin matrix
     _, dofs, _, sys_, subs, iface = _build_dd(problem, eps, grid, ratio, k)
-    n0 = dofs.n_interior
-    lamG = np.random.default_rng(0).standard_normal(dofs.n_interface)
-    b_ref = sys_.b[n0:].copy()
-    lam_ref = np.concatenate([np.zeros(n0), lamG])
-    for sub in subs:
-        A, nI = sub.A, sub.nI
-        AII, AIG, AGI = A[:nI, :nI], A[:nI, nI:], A[nI:, :nI]
-        bI = sys_.b[sub.interior_gids]
-        S_ref = A[nI:, nI:] - AGI @ np.linalg.solve(AII, AIG)
-        assert _rel(sub.dense_schur(), S_ref) < 1e-10
-        b_ref[sub.interface_pos] -= AGI @ np.linalg.solve(AII, bI)
-        lam_ref[sub.interior_gids] = np.linalg.solve(
-            AII, bI - AIG @ lamG[sub.interface_pos])
-    assert _rel(iface.b_gamma, b_ref) < 1e-10
-    assert _rel(iface.back_substitute(lamG), lam_ref) < 1e-10
+    assert_equals_dense_elimination(sys_, dofs, subs, iface)
 
 
 @PROPERTY

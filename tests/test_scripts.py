@@ -1,6 +1,6 @@
 """Smoke tests of scripts/criterion06_evidence.py, of the snapshot
-comparison in scripts/bench_snapshot.py and of the paired summary in
-scripts/ab_pairs.py.
+comparison in scripts/bench_snapshot.py, of the paired summary in
+scripts/ab_pairs.py and of the memory reading in scripts/rss_rounds.py.
 
 The criterion-06 script swaps package definitions per row; its tau rows
 recompile ``hdg.ElementBlocks._build`` from source, so an edit there that
@@ -93,3 +93,14 @@ def test_ab_pairs_summary():
                              [traced(1.0), traced(1.5)], layer)
     row = lines[1].split()
     assert row[0] == "dd.apply_ms" and row[7:] == ["-50.0%", "2/2"]
+
+
+def test_rss_rounds_reads_resident_memory(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "rss_rounds", SCRIPTS / "rss_rounds.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rss = script.current_rss_mib()
+    assert rss is None or rss > 1.0
+    assert script.main(["no-such-workload"]) == 2
+    assert "unknown workload" in capsys.readouterr().err
