@@ -2,10 +2,14 @@
 
 Boundary edges carry no unknowns: the Dirichlet datum g is projected onto the
 trace space of all boundary edges at once (``fespace.project_boundary``) and
-enters through lifting (b -= A[:, fixed] g).  The assembled operator acts on
-the free coefficients only, ordered as in TraceDofMap (subdomain interiors
-first, then the interface).
+enters through lifting (b -= A[:, fixed] g).  The operator acts on the free
+coefficients only, ordered as in TraceDofMap (subdomain interiors first, then
+the interface).  The solver reads only the element blocks and ``b``; the
+assembled matrix ``TraceSystem.A`` is built on first access, for the direct
+solve, the diagnostics and the checks.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,50 +21,46 @@ from .mesh import InvalidConfigError
 
 
 class TraceSystem:
-    """Assembled condensed system with its ingredients.
+    """Condensed system with its ingredients.
 
     Attributes
     ----------
-    A : csr_matrix over the free trace DOFs
-    b : right-hand side (element loads + Dirichlet lifting)
+    A : csr_matrix over the free trace DOFs, assembled on first access
+    b : right-hand side (condensed element loads + Dirichlet lifting)
     gcoef : (n_edges, k+1) fixed boundary coefficients (zero off the boundary)
     elem_dofs : (nel, 3*(k+1)) global DOF of each local trace slot, -1 if fixed
     blocks : the ElementBlocks used for assembly
     dofs : TraceDofMap
     """
 
-    def __init__(self, mesh, spec, k, dofs, blocks, A, b, b_elem, elem_dofs,
-                 gcoef):
+    def __init__(self, mesh, spec, k, dofs, blocks, b, elem_dofs, gcoef):
         self.mesh = mesh
         self.spec = spec
         self.k = k
         self.dofs = dofs
         self.blocks = blocks
-        self.A = A
         self.b = b
-        self.b_elem = b_elem
         self.elem_dofs = elem_dofs
         self.gcoef = gcoef
-        self._B = None
-        self._Z = None
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return self.dofs.n_dofs
 
-    @property
+    @cached_property
+    def A(self):
+        return assemble_matrix(self.blocks.S_hat, self.elem_dofs, self.n,
+                               self.k + 1)
+
+    @cached_property
     def B(self):
         """Symmetric part (A + A^T)/2, built on demand."""
-        if self._B is None:
-            self._B = (0.5 * (self.A + self.A.T)).tocsr()
-        return self._B
+        return (0.5 * (self.A + self.A.T)).tocsr()
 
-    @property
+    @cached_property
     def Z(self):
         """Skew part (A - A^T)/2, built on demand."""
-        if self._Z is None:
-            self._Z = (0.5 * (self.A - self.A.T)).tocsr()
-        return self._Z
+        return (0.5 * (self.A - self.A.T)).tocsr()
 
     def local_traces(self, lam):
         """Per-element local trace coefficients (free values + boundary data)."""
@@ -73,35 +73,60 @@ class TraceSystem:
         return self.gcoef[self.mesh.tri_edges].reshape(self.elem_dofs.shape)
 
 
+def assemble_matrix(S_hat, elem_dofs, n, nds):
+    """Sum of the element blocks ``S_hat`` over the free DOFs ``elem_dofs``
+    (n of them, nds per edge, -1 where fixed) as CSR with int32 indices.
+
+    The DOFs of a free edge are consecutive, and a free edge is interior, so
+    the rows of free edge e are the slot rows of e in its two elements: six
+    edge blocks, in column order, fixed edges dropped and the two blocks on
+    e itself summed.  They are written straight into the CSR arrays in runs
+    of edges (2^16 entries), so only the output and one run are allocated.
+    """
+    ne = n // nds
+    edge = (elem_dofs[:, ::nds] // nds).astype(np.int32)  # -1 where fixed
+    slots = np.argsort(edge, axis=None, kind="stable")[edge.size - 2 * ne:]
+    el, a = np.divmod(slots.astype(np.int32).reshape(ne, 2), 3)
+    col = edge[el].reshape(ne, 6)
+    col[np.arange(ne), 3 + a[:, 1]] = -1        # e itself, from element 0
+    indptr = np.r_[0, np.cumsum(np.repeat((col >= 0).sum(axis=1) * nds,
+                                          nds))].astype(np.int32)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    rows = S_hat.reshape(-1, 3, nds, 3, nds)
+    j = np.arange(nds)
+    step = max(1, 2 ** 16 // (6 * nds * nds))   # edges per run
+    for e0 in range(0, ne, step):
+        s = slice(e0, e0 + step)
+        blk = rows[el[s], a[s]].transpose(0, 2, 1, 3, 4).reshape(
+            -1, nds, 6, nds)
+        c = np.arange(blk.shape[0])
+        blk[c, :, a[s, 0]] += blk[c, :, 3 + a[s, 1]]
+        cs = np.where(col[s] < 0, ne, col[s])
+        order = np.argsort(cs, axis=1, kind="stable")[:, None, :, None]
+        blk = np.take_along_axis(blk, order, axis=2)
+        cs = np.take_along_axis(cs[:, None, :, None], order, axis=2)
+        sel = np.broadcast_to(cs < ne, blk.shape)
+        out = slice(indptr[e0 * nds], indptr[min(e0 + step, ne) * nds])
+        data[out] = blk[sel]
+        indices[out] = np.broadcast_to(cs * nds + j, blk.shape)[sel]
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def assemble_trace_system(mesh, dofs, spec, k, blocks=None, keep_local=False):
-    """Assemble A (csr, free DOFs) and b with Dirichlet lifting."""
+    """The trace system: b with Dirichlet lifting, A on first access."""
     if blocks is None:
         blocks = ElementBlocks(mesh, spec, k, keep_local=keep_local)
-    nds = k + 1
-    nel = mesh.n_triangles
-    m = 3 * nds
-
+    nel, m, n = mesh.n_triangles, 3 * (k + 1), dofs.n_dofs
     elem_dofs = dofs.edge_dofs[mesh.tri_edges].reshape(nel, m)
-
     gcoef = project_boundary(mesh, spec.g, k)
-
-    F = blocks.load_vectors()
-    b_elem = np.einsum("nmd,nd->nm", blocks.N, F)
-    gloc = gcoef[mesh.tri_edges].reshape(nel, m)
-    bvals = b_elem - np.einsum("nij,nj->ni", blocks.S_hat, gloc)
-
-    n = dofs.n_dofs
-    free = elem_dofs >= 0
-    b = np.zeros(n)
-    np.add.at(b, elem_dofs[free], bvals[free])
-
-    rows = np.broadcast_to(elem_dofs[:, :, None], (nel, m, m))
-    cols = np.broadcast_to(elem_dofs[:, None, :], (nel, m, m))
-    mask = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix((blocks.S_hat[mask], (rows[mask], cols[mask])),
-                      shape=(n, n)).tocsr()
-    return TraceSystem(mesh, spec, k, dofs, blocks, A, b, b_elem, elem_dofs,
-                       gcoef)
+    bvals = np.einsum("nij,nj->ni", blocks.S_hat,
+                      gcoef[mesh.tri_edges].reshape(nel, m))
+    np.subtract(blocks.b_hat, bvals, out=bvals)
+    # fixed slots (-1) land in bin 0, which is dropped
+    b = np.bincount(elem_dofs.ravel() + 1, bvals.ravel(),
+                    minlength=n + 1)[1:]
+    return TraceSystem(mesh, spec, k, dofs, blocks, b, elem_dofs, gcoef)
 
 
 def apply_operator(sys, lam):

@@ -41,7 +41,7 @@ from .mesh import InvalidConfigError
 
 # subdomains are condensed in runs whose largest merge stack holds at most
 # this many entries, so only the outputs grow with the number of subdomains
-CHUNK_ENTRIES = 2 ** 20
+CHUNK_ENTRIES = 2 ** 18
 
 
 class SubdomainError(RuntimeError):

@@ -38,9 +38,11 @@ is inverted per element, and
                [ -Sigma^-1 Bt' / a              Sigma^-1        ],
 
 with 1/a computed as eps/detJ.  K_loc^-1 is formed for the condition check
-rcond = 1/(|K_loc|_1 |K_loc^-1|_1) and kept only when asked for.  Elements
-are processed in chunks sized by ``CHUNK_ENTRIES``, so only the outputs are
-mesh-sized.
+rcond = 1/(|K_loc|_1 |K_loc^-1|_1) and kept only when asked for.  The
+condensed load b_K = N F is formed in the same pass, from f at the volume
+points that already give beta, so N itself is kept only when asked for.
+Elements are processed in chunks sized by ``CHUNK_ENTRIES``, so only the
+outputs are mesh-sized.
 """
 
 import numpy as np
@@ -60,6 +62,13 @@ def _rows(vals, table):
     """Row n of ``vals`` times ``table``: one product per element, so an
     element's result does not depend on how many share the call."""
     return (vals[:, None, :] @ table)[:, 0]
+
+
+def upwind_tau(samples):
+    """Stabilizer of each edge from its beta.n samples (n, nq) at the edge
+    quadrature points and endpoints: sup(beta.n)+, exact for affine beta.
+    ``eval_tau`` is the independent single-edge reference of this rule."""
+    return np.maximum(samples.max(axis=1), 0.0)
 
 
 class StabilizationError(RuntimeError):
@@ -104,10 +113,11 @@ class ProblemSpec:
 class ElementBlocks:
     """Batched HDG blocks for all elements of a mesh.
 
-    Always stores the condensed trace blocks ``S_hat`` (nel,m,m), the load
-    condensation maps ``N`` (nel,m,d), the stabilizers ``taus`` (nel,3) and
-    ``hK``.  With ``keep_local=True`` also stores R, S1, S2, T and the inverse
-    of the local saddle block (needed for lifts and interior recovery).
+    Always stores the condensed trace blocks ``S_hat`` (nel,m,m), the
+    condensed element loads ``b_hat`` = N F (nel,m), the stabilizers ``taus``
+    (nel,3) and ``hK``.  With ``keep_local=True`` also stores the load
+    condensation maps ``N`` (nel,m,d), R, S1, S2, T and the inverse of the
+    local saddle block (needed for lifts and interior recovery).
     ``type_geo[t]`` holds the affine data of element type t, its blocks
     ``Bt`` and ``C``, which do not vary within a type, and its quadrature
     tables.
@@ -227,10 +237,11 @@ class ElementBlocks:
         nel = mesh.n_triangles
         nqv, nqe = self.vrule.weights.size, self.erule.points.size
         self.S_hat = np.empty((nel, m, m))
-        self.N = np.empty((nel, m, d))
+        self.b_hat = np.empty((nel, m))
         self.taus = np.empty((nel, 3))
         self.hK = np.empty(nel)
         if self.keep_local:
+            self.N = np.empty((nel, m, d))
             self.R = np.empty((nel, d, d))
             self.S1 = np.empty((nel, d, m))
             self.S2 = np.empty((nel, m, d))
@@ -296,7 +307,7 @@ class ElementBlocks:
                     ends = [nqv + 3 * nqe + ed["lo"], nqv + 3 * nqe + ed["hi"]]
                     bn_end = bx[:, ends] * n[0] + by[:, ends] * n[1]
                     samples = np.concatenate([bn, bn_end], axis=1)
-                    tau = np.maximum(samples.max(axis=1), 0.0)
+                    tau = upwind_tau(samples)
                     if spec.tau_strategy == "upwind_plus_diffusive":
                         tau = tau + spec.sigma * spec.eps / geo["hK"]
                     vals[:, e, :nqe] = bn
@@ -344,9 +355,13 @@ class ElementBlocks:
 
                 N = (S2 - ia * CBt) @ Sinv
                 self.S_hat[ch] = ia * CCt + N @ (S1 - ia * BtCt) - T
-                self.N[ch] = N
+                fv = np.broadcast_to(spec.f(X[:, :nqv, 0], X[:, :nqv, 1]),
+                                     (net, nqv)).astype(float)
+                self.b_hat[ch] = np.einsum("nmd,nd->nm", N,
+                                           _rows(fv, geo["Tload"]))
                 self.taus[ch] = taus
                 if self.keep_local:
+                    self.N[ch] = N
                     self.R[ch] = Rm
                     self.S1[ch] = S1
                     self.S2[ch] = S2
@@ -356,7 +371,8 @@ class ElementBlocks:
     # -- loads and recovery ----------------------------------------------
 
     def load_vectors(self, f=None):
-        """Local load vectors F with entries -(f, phi_i)_K, shape (nel, d)."""
+        """Local load vectors F with entries -(f, phi_i)_K, shape (nel, d):
+        the recovery and oracle path (``b_hat`` holds N F of ``spec.f``)."""
         f = self.spec.f if f is None else f
         out = np.zeros((self.mesh.n_triangles, self.d))
         for t, els in enumerate(self._type_groups()):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hdglab.assembly import (TraceSystem, apply_operator,
                              assemble_trace_system, direct_solve, eval_forms,
                              export_coo, full_saddle_solve, l2_error_u,
                              recover_all)
+from hdglab.bench import build_case
 from hdglab.fespace import build_trace_dof_map
 from hdglab.hdg import ElementBlocks, ProblemSpec, recover
 from hdglab.mesh import InvalidConfigError, build_structured_mesh
@@ -73,6 +75,46 @@ def test_zero_data_gives_zero():
 def test_dof_count_2x2_ratio2_k0():
     _, _, _, sys = build("thermal", 1.0)
     assert sys.A.shape == (40, 40)
+
+
+def eager_coo(sys):
+    """The matrix as it was assembled eagerly: every element block entry
+    between free DOFs as one COO triplet, duplicates summed by tocsr."""
+    nel, m = sys.elem_dofs.shape
+    rows = np.broadcast_to(sys.elem_dofs[:, :, None], (nel, m, m))
+    cols = np.broadcast_to(sys.elem_dofs[:, None, :], (nel, m, m))
+    mask = (rows >= 0) & (cols >= 0)
+    A = sp.coo_matrix((sys.blocks.S_hat[mask], (rows[mask], cols[mask])),
+                      shape=(sys.n, sys.n)).tocsr()
+    A.sort_indices()
+    return A
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_matrix_built_on_first_access_matches_eager_assembly(k):
+    sys = build_case("rotating", 1e-3, k, (3, 2), 3)[3]
+    assert "A" not in vars(sys)
+    A, ref = sys.A, eager_coo(sys)
+    assert sys.A is A and A.indices.dtype == np.int32
+    assert A.has_sorted_indices
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_load_condensed_in_element_pass(k):
+    f = lambda x, y: np.cos(2.0 * x) + x * y
+    mesh, dofs, _, sys = build("rotating", 1e-2, nx=2, ny=3, ratio=2, k=k,
+                               keep_local=True, f=f)
+    blocks = sys.blocks
+    bvals = np.einsum("nmd,nd->nm", blocks.N, blocks.load_vectors()) \
+        - np.einsum("nij,nj->ni", blocks.S_hat, sys.gloc)
+    free = sys.elem_dofs >= 0
+    ref = np.zeros(sys.n)
+    np.add.at(ref, sys.elem_dofs[free], bvals[free])
+    assert np.linalg.norm(ref) > 0.1
+    assert np.linalg.norm(sys.b - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_scatter_matches_dense_oracle_two_elements():
@@ -236,6 +278,5 @@ def test_export_coo(tmp_path):
         rows.append(int(r))
         cols.append(int(c))
         vals.append(float(v))
-    import scipy.sparse as sp
     back = sp.coo_matrix((vals, (rows, cols)), shape=sys.A.shape).tocsr()
     assert np.allclose(back.toarray(), sys.A.toarray(), atol=0)

@@ -123,12 +123,13 @@ def test_nearly_singular_saddle_block_raises(spec, k):
 def test_chunk_size_does_not_change_the_blocks(monkeypatch):
     mesh = build_structured_mesh(3, 2, 3)
     spec = spec_rotating(eps=1e-3)
+    spec.f = lambda x, y: np.sin(3.0 * x) * y
     per_element = (3 * hdg.TriBasis(2).dim) ** 2       # one (3d)^2 inverse
     ref = None
     for n in (1, 7, mesh.n_triangles):
         monkeypatch.setattr(hdg, "CHUNK_ENTRIES", n * per_element)
         b = ElementBlocks(mesh, spec, 2, keep_local=True)
-        got = (b.S_hat, b.N, b.taus, b.Kinv)
+        got = (b.S_hat, b.b_hat, b.N, b.taus, b.Kinv)
         if ref is None:
             ref = got
         for x, y in zip(got, ref):
@@ -150,7 +151,7 @@ def test_condensation_memory_does_not_grow_with_the_mesh():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out = b.S_hat.nbytes + b.N.nbytes + b.taus.nbytes + b.hK.nbytes
+        out = b.S_hat.nbytes + b.b_hat.nbytes + b.taus.nbytes + b.hK.nbytes
         extra.append(peak - out)
         nel.append(mesh.n_triangles)
     assert extra[1] - extra[0] <= 64 * (nel[1] - nel[0])

@@ -1,10 +1,9 @@
 """Smoke tests of scripts/criterion06_evidence.py, of the snapshot
 comparison in scripts/bench_snapshot.py, of the paired summary in
-scripts/ab_pairs.py and of the memory reading in scripts/rss_rounds.py.
+scripts/ab_pairs.py and of the memory readings in scripts/rss_rounds.py.
 
-The criterion-06 script swaps package definitions per row; its tau rows
-recompile ``hdg.ElementBlocks._build`` from source, so an edit there that
-breaks the swap shows here.  The counts are the 2x2 cell (rotating,
+The criterion-06 script swaps package definitions per row (its tau rows
+swap ``hdg.upwind_tau``), so an edit that breaks a swap shows here.  The counts are the 2x2 cell (rotating,
 eps = 1e-6, k = 0, H/h = 6) of each row.
 """
 
@@ -104,3 +103,21 @@ def test_rss_rounds_reads_resident_memory(capsys):
     assert rss is None or rss > 1.0
     assert script.main(["no-such-workload"]) == 2
     assert "unknown workload" in capsys.readouterr().err
+
+
+def test_rss_rounds_stages(capsys):
+    from hdglab import bench
+    spec = importlib.util.spec_from_file_location(
+        "rss_rounds", SCRIPTS / "rss_rounds.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    build = bench.build_structured_mesh
+    assert script.main(["many-subdomains", "--rounds", "1", "--stages"]) == 0
+    assert bench.build_structured_mesh is build        # the swap is undone
+    labels = [ln[:24].rstrip() for ln in capsys.readouterr().out.splitlines()]
+    # one cell, then one op per variant (bddc1, bddc3)
+    op = ["constraints", "BDDC", "GMRES", "back-substitution"]
+    assert labels[1:] == (["imports", "mesh", "DOF map", "element blocks",
+                           "assembly", "dd"] + 2 * op
+                          + ["sys.A (checks)", labels[-1]])
+    assert labels[-1].startswith("round 1 (")
