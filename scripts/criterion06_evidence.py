@@ -65,13 +65,16 @@ def _se_dual_blocks(pre):
     for i, (a, b) in enumerate(dofs.se_blocks):
         se_of[a - dofs.n_interior:b - dofs.n_interior] = i
     blocks = {}
-    for sub, pos, idx, dual, St in pre.local_blocks():
-        owner = np.where(dual, se_of[pos], -1)
-        for i in np.unique(owner[dual]):
-            sel = owner == i
-            blocks.setdefault(int(i), []).append(
-                (sub.sidx, idx[sel], St[np.ix_(sel, sel)]))
-    return blocks
+    for sids, pos, idx, npr, _, St in pre._local_stacks():
+        for s, p, ix, S in zip(sids.tolist(), pos, idx, St):
+            owner = se_of[p[npr:]]
+            for i in np.unique(owner):
+                sel = npr + np.flatnonzero(owner == i)
+                blocks.setdefault(int(i), []).append(
+                    (s, ix[sel], S[np.ix_(sel, sel)]))
+    # the parts of each SubdomainEdge in subdomain order
+    return {i: sorted(parts, key=lambda part: part[0])
+            for i, parts in blocks.items()}
 
 
 def _upwind_blocks(pre, blocks, w_up):

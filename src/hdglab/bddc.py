@@ -19,8 +19,8 @@ local correction per subdomain and one coarse problem over the primal DOFs
 (Dohrmann 2003).  Setup fuses the change of basis, the weights and the dual
 solves into per-subdomain stacks, from one batched solve with the stacked
 local Schur complements; each apply is then one batched product, the coarse
-solve and one more batched product (``BddcPreconditioner``).  The unfused
-sparse operators stay as the oracle path of the tests, built on first use.
+solve and one more batched product (``BddcPreconditioner``).  The tests
+check that apply against the dense partially assembled system.
 """
 
 import warnings
@@ -208,12 +208,11 @@ class BddcPreconditioner:
     wp), zero-padded to w = max nG interface and wp = max primal DOFs per
     subdomain, with the coarse matrix ``Fc`` and its LU ``coarse_lu``.
 
-    The unfused operators are the oracle path, built on first use: ``Qg``
-    (change of basis), ``R`` and ``RD`` (restriction Rt and weighted
-    restriction Rt_D, n_tilde x n_interface), ``Sdd_inv`` (block-diagonal
-    inverse of the dual blocks), ``Spd`` and ``Kdp`` (the primal-dual
-    couplings), with ``inner_solve``, ``tilde_from_hat``, ``hat_from_tilde``,
-    ``apply_average`` and ``dense_partially_assembled``.
+    The oracle of the apply is the dense partially assembled system
+    ``dense_partially_assembled`` with the sparse operators built on first
+    use: ``Qg`` (change of basis), ``R`` and ``RD`` (restriction Rt and
+    weighted restriction Rt_D, n_tilde x n_interface), so that
+    M^-1 = Qg^T RD^T St^-1 RD Qg, and ``apply_average`` (E_D).
     """
 
     def __init__(self, subs, constraints, dofs):
@@ -246,7 +245,7 @@ class BddcPreconditioner:
         self.primal_index[primal_pos] = np.arange(self.n_primal)
 
         # dual copies of subdomain s: [dual_start[s], + n_dual_by_sub[s])
-        dual = (subs.pos >= 0) & ~self.is_primal[subs.pos]
+        dual = ~np.append(self.is_primal, True)[subs.pos]
         self.n_dual_by_sub = dual.sum(axis=1)
         self.n_dual_total = n_dual = int(self.n_dual_by_sub.sum())
         self.n_tilde = self.n_primal + n_dual
@@ -255,7 +254,6 @@ class BddcPreconditioner:
 
         n_sub, w = subs.pos.shape
         wp = int((subs.nG - self.n_dual_by_sub).max(initial=0))
-        self.pos = np.where(subs.pos >= 0, subs.pos, n_ifc)
         self.pidx = np.full((n_sub, wp), self.n_primal, dtype=np.int64)
         self.LG = np.zeros((n_sub, w + wp, w))
         self.C = np.zeros((n_sub, w, wp))
@@ -294,28 +292,28 @@ class BddcPreconditioner:
         n, D = Qi.shape[1], self._weights
         Pp, Pd = 0.5 * Qi[:, :npr], Qi[:, npr:]
         Pd = D * Pd if np.ndim(D) == 0 else D[sids, :n - npr, :n - npr] @ Pd
-        Spp, Spd = St[:, :npr, :npr], St[:, :npr, npr:]
-        Sdp, Sdd = St[:, npr:, :npr], St[:, npr:, npr:]
+        S_pp, S_pd = St[:, :npr, :npr], St[:, :npr, npr:]
+        S_dp, S_dd = St[:, npr:, :npr], St[:, npr:, npr:]
         if n == npr:
-            return 0.0, Pp, Pp.swapaxes(1, 2), Spp
+            return 0.0, Pp, Pp.swapaxes(1, 2), S_pp
         # singular: non-finite, or an LU pivot below 1e-14 max |S_dd|
         with warnings.catch_warnings():     # an exact zero pivot warns
             warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu = sla.lu_factor(Sdd, check_finite=False)
+            lu = sla.lu_factor(S_dd, check_finite=False)
         piv = np.abs(np.diagonal(lu[0], axis1=1, axis2=2)).min(axis=1)
-        bad = ~(piv >= 1e-14 * np.maximum(np.abs(Sdd).max(axis=(1, 2)),
+        bad = ~(piv >= 1e-14 * np.maximum(np.abs(S_dd).max(axis=(1, 2)),
                                           1e-300))
         if bad.any():
             raise PreconditionerError(
                 "singular dual block in subdomain %d (variant %s, eps %g)"
                 % (sids[bad.argmax()], self.variant,
                    self.constraints.spec.eps))
-        X = sla.lu_solve(lu, np.concatenate([Sdp, Pd], axis=2),
+        X = sla.lu_solve(lu, np.concatenate([S_dp, Pd], axis=2),
                          check_finite=False)
-        Kdp, W = X[:, :, :npr], X[:, :, npr:]
+        K_dp, W = X[:, :, :npr], X[:, :, npr:]
         PdT = Pd.swapaxes(1, 2)
-        return (PdT @ W, Pp - Spd @ W, Pp.swapaxes(1, 2) - PdT @ Kdp,
-                Spp - Spd @ Kdp)
+        return (PdT @ W, Pp - S_pd @ W, Pp.swapaxes(1, 2) - PdT @ K_dp,
+                S_pp - S_pd @ K_dp)
 
     def dual_weights(self):
         """Weights D_i of the dual copies in Rt_D: the scalar 1/2, or a stack
@@ -357,16 +355,6 @@ class BddcPreconditioner:
             idx[:, n - nd:] = self.dual_start[sids, None] + np.arange(nd)
             yield sids, rows, idx, n - nd, Qi, St
 
-    def local_blocks(self):
-        """Per subdomain, in subdomain order: (sub, interface positions,
-        their partially assembled indices, dual mask, St_i)."""
-        out = [None] * self.subs.nI.size
-        for sids, pos, idx, npr, _, St in self._local_stacks():
-            dual = np.arange(pos.shape[1]) >= npr
-            for j, s in enumerate(sids.tolist()):
-                out[s] = (self.subs[s], pos[j], idx[j], dual, St[j])
-        return out
-
     def apply(self, r):
         """M^-1 r from the fused stacks: gather, one batched product with
         [L_i; G_i], the coarse solve, one batched product with C_i, scatter."""
@@ -374,16 +362,17 @@ class BddcPreconditioner:
         n = self.dofs.n_interface
         if r.shape != (n,):
             raise InvalidConfigError("interface residual has wrong length")
-        w = self.pos.shape[1]
-        y = np.matmul(self.LG, np.append(r, 0.0)[self.pos][..., None])[..., 0]
+        pos = self.subs.pos
+        w = pos.shape[1]
+        y = np.matmul(self.LG, np.append(r, 0.0)[pos][..., None])[..., 0]
         g = np.bincount(self.pidx.ravel(), y[:, w:].ravel(),
                         minlength=self.n_primal + 1)[:self.n_primal]
         xp = self.coarse_lu.solve(g) if self.coarse_lu is not None else g
         y = y[:, :w] + np.matmul(self.C, np.append(xp, 0.0)[self.pidx]
                                  [..., None])[..., 0]
-        return np.bincount(self.pos.ravel(), y.ravel(), minlength=n + 1)[:n]
+        return np.bincount(pos.ravel(), y.ravel(), minlength=n + 1)[:n]
 
-    # -- the unfused operators (oracle path) --------------------------------
+    # -- the operators of the dense oracle ----------------------------------
 
     @cached_property
     def Qg(self):
@@ -419,56 +408,16 @@ class BddcPreconditioner:
             Wt = Wt + scatter_blocks([(D, gd, gd)], Wt.shape)
         return (Wt @ self.R).tocsr()
 
-    @cached_property
-    def _couplings(self):
-        inv_dd, c_pd, c_dp = [], [], []
-        for _, _, idx, npr, _, St in self._local_stacks():
-            if idx.shape[1] > npr:
-                gp, gd = idx[:, :npr], idx[:, npr:] - self.n_primal
-                Sdd = St[:, npr:, npr:]
-                X = np.linalg.solve(Sdd, np.concatenate(
-                    [St[:, npr:, :npr], np.broadcast_to(
-                        np.eye(gd.shape[1]), Sdd.shape)], axis=2))
-                inv_dd.append((X[:, :, npr:], gd, gd))
-                c_pd.append((St[:, :npr, npr:], gp, gd))
-                c_dp.append((X[:, :, :npr], gd, gp))
-        n_p, n_d = self.n_primal, self.n_dual_total
-        return (scatter_blocks(inv_dd, (n_d, n_d)).tocsr(),
-                scatter_blocks(c_pd, (n_p, n_d)).tocsr(),
-                scatter_blocks(c_dp, (n_d, n_p)).tocsr())
-
-    Sdd_inv = property(lambda self: self._couplings[0],
-                       doc="Block-diagonal inverse of the dual blocks.")
-    Spd = property(lambda self: self._couplings[1],
-                   doc="Primal-dual coupling S_pd.")
-    Kdp = property(lambda self: self._couplings[2],
-                   doc="S_dd^-1 S_dp.")
-
-    def tilde_from_hat(self, c, weighted):
-        """Rt (or Rt_D) applied to an assembled transformed vector c."""
-        return (self.RD if weighted else self.R) @ c
-
-    def hat_from_tilde(self, t, weighted):
-        """Rt^T (or Rt_D^T) applied to a partially assembled vector t."""
-        return (self.RD if weighted else self.R).T @ t
-
-    def inner_solve(self, rt):
-        """Solve the partially assembled system St x = rt (two-level)."""
-        w = self.Sdd_inv @ rt[self.n_primal:]
-        g = rt[:self.n_primal] - self.Spd @ w
-        xp = self.coarse_lu.solve(g) if self.coarse_lu is not None else g
-        return np.concatenate([xp, w - self.Kdp @ xp])
-
     def apply_average(self, t):
         """E_D t = Rt Rt_D^T t on partially assembled vectors."""
         return self.R @ (self.RD.T @ t)
 
     def dense_partially_assembled(self):
-        """Dense St (oracle for small problems), summed from the local
-        transformed Schur complements."""
+        """Dense St (the oracle of the apply on small problems), summed
+        from the local transformed Schur complements."""
         S = np.zeros((self.n_tilde, self.n_tilde))
-        for _, _, idx, _, St in self.local_blocks():
-            S[np.ix_(idx, idx)] += St
+        for _, _, idx, _, _, St in self._local_stacks():
+            np.add.at(S, (idx[:, :, None], idx[:, None, :]), St)
         return S
 
 

@@ -279,8 +279,10 @@ class Subdomains:
     """The torn interface layer; iterating yields one ``Subdomain`` each.
 
     ``pos`` (n_sub, w) holds every subdomain's interface positions, padded
-    with -1 to w = max nG.  ``S`` (n_sub, w, w) stacks the local Schur
-    complements with their Robin terms, and ``b_gamma`` is
+    with n_interface to w = max nG: a gather from a vector with one zero
+    appended reads 0 there, and a scatter-add drops it past the end.  ``S``
+    (n_sub, w, w) stacks the local Schur complements with their Robin
+    terms, and ``b_gamma`` is
     b_G - sum_i A_GI^(i) A_II^(i)^-1 b_I^(i).  ``elems`` (n_sub, 2 r^2) lists
     every subdomain's elements in the same relative order, and ``robin``
     (sub, lp, vals) the Robin terms: for each side (2, n_edges) of every
@@ -307,7 +309,7 @@ class Subdomains:
         row_loc = np.arange(row_sub.size) - gstart[row_sub]
         keys = row_sub * n_ifc + row_pos
         local = lambda s, p: row_loc[np.searchsorted(keys, s * n_ifc + p)]
-        self.pos = np.full((n_sub, w), -1, dtype=np.int64)
+        self.pos = np.full((n_sub, w), n_ifc, dtype=np.int64)
         self.pos[row_sub, row_loc] = row_pos
 
         # the plan, and every subdomain's slot -> free DOF map (n for a
@@ -447,19 +449,18 @@ class InterfaceOperator:
     """S_Gamma = sum_i R_i^T S^(i) R_i, applied from the stacked local Schur
     complements: a gather of every subdomain's interface values, one batched
     product with ``subs.S`` and one scatter-add.  Padded slots of ``subs.pos``
-    gather a zero and scatter into a dummy entry past the end."""
+    (n_interface) gather a zero and scatter into a dummy entry past the end."""
 
     def __init__(self, subs, dofs):
         self.subs, self.dofs, self.n = subs, dofs, dofs.n_interface
-        self.pos = np.where(subs.pos >= 0, subs.pos, self.n)
 
     def apply(self, lamG):
         lamG = np.asarray(lamG, dtype=float)
         if lamG.shape != (self.n,):
             raise InvalidConfigError("interface vector has wrong length")
-        x = np.append(lamG, 0.0)[self.pos]
+        x = np.append(lamG, 0.0)[self.subs.pos]
         y = np.matmul(self.subs.S, x[..., None])[..., 0]
-        return np.bincount(self.pos.ravel(), y.ravel(),
+        return np.bincount(self.subs.pos.ravel(), y.ravel(),
                            minlength=self.n + 1)[:self.n]
 
     @property
@@ -470,7 +471,7 @@ class InterfaceOperator:
     def as_dense(self):
         """Dense interface matrix (the dense-Schur oracle of the tests),
         summed straight from the stack."""
-        n1, P = self.n + 1, self.pos
+        n1, P = self.n + 1, self.subs.pos
         flat = (P[:, :, None] * n1 + P[:, None, :]).ravel()
         return np.bincount(flat, self.subs.S.ravel(), minlength=n1 * n1) \
             .reshape(n1, n1)[:self.n, :self.n]

@@ -47,7 +47,7 @@ outputs are mesh-sized.
 
 import numpy as np
 
-from .fespace import EdgeBasis, TriBasis, quadrature_rule
+from .fespace import EdgeQuadrature, TriBasis, quadrature_rule
 from .mesh import InvalidConfigError
 
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
@@ -129,7 +129,6 @@ class ElementBlocks:
         self.k = k
         self.keep_local = keep_local
         self.tri = TriBasis(k)
-        self.edgeb = EdgeBasis(k)
         self.d = self.tri.dim
         self.m = 3 * (k + 1)
         self.vrule = quadrature_rule("triangle", 2 * k + 4)
@@ -165,24 +164,23 @@ class ElementBlocks:
         vq = self.vrule
         phiv = tri.eval(vq.points)                       # (d, nqv)
         Gp = np.einsum("ab,dqb->dqa", JinvT, tri.grad(vq.points))
+        q = EdgeQuadrature(mesh, mesh.tri_edges[els[0]], self.k)
+        tq = q.rule.points
         edata = []
-        for a, b in _LOCAL_EDGES:
+        for e, (a, b) in enumerate(_LOCAL_EDGES):
             ga = mesh.triangles[els, a]
             gb = mesh.triangles[els, b]
             lo_first = bool(ga[0] < gb[0])
             if not (np.all((ga < gb) == lo_first)):
                 raise InvalidConfigError("inconsistent edge orientation in type group")
             lo, hi = (a, b) if lo_first else (b, a)
-            pa, pb = verts[a], verts[b]
-            dvec = pb - pa
+            dvec = verts[b] - verts[a]
             elen = float(np.hypot(*dvec))
             n = np.array([dvec[1], -dvec[0]]) / elen     # outward for CCW triangle
-            tq = self.erule.points
             rlo, rhi = _REF_VERTS[lo], _REF_VERTS[hi]
             ref_pts = rlo[None, :] + 0.5 * np.outer(tq + 1.0, rhi - rlo)
             phie = tri.eval(ref_pts)                     # (d, nqe)
-            P = self.edgeb.eval(tq)                      # (k+1, nqe)
-            we = self.erule.weights * (elen / 2.0)
+            P, we = q.P, q.weights[e]                    # (k+1, nqe), (nqe,)
             E = (P * we) @ phie.T                        # (k+1, d) = int P phi
             F = (phie * we) @ phie.T                     # (d, d)   = int phi phi
             Mdiag = elen / (2.0 * np.arange(self.k + 1) + 1.0)
@@ -280,16 +278,12 @@ class ElementBlocks:
             # the column sums of |Bt| + |R|
             Bt_row1 = np.abs(Bt).sum(axis=1).max()
             Bt_col1 = np.abs(Bt).sum(axis=0)
-            lo = np.array([ed["lo"] for ed in geo["edata"]])
-            hi = np.array([ed["hi"] for ed in geo["edata"]])
-            tq = self.erule.points
             for ch in chunks:
                 net = ch.size
                 # beta at the volume points, the edge points and the vertices
                 p = mesh.vertices[mesh.triangles[ch]]            # (net, 3, 2)
-                plo, phi_pt = p[:, lo], p[:, hi]
-                Xe = plo[:, :, None, :] + 0.5 * np.multiply.outer(
-                    tq + 1.0, phi_pt - plo).transpose(1, 2, 0, 3)
+                Xe = EdgeQuadrature(mesh, mesh.tri_edges[ch].ravel(),
+                                    self.k).points
                 X = np.concatenate([self._volume_points(geo, ch),
                                     Xe.reshape(net, 3 * nqe, 2), p], axis=1)
                 bx, by = spec.beta_at(X[..., 0], X[..., 1])

@@ -157,8 +157,8 @@ def test_partition_of_unity():
         rng = np.random.default_rng(0)
         c = rng.standard_normal(pre.dofs.n_interface)
         # Rt^T Rt_D = I and Rt_D^T Rt = I on assembled vectors
-        a = pre.hat_from_tilde(pre.tilde_from_hat(c, True), False)
-        b = pre.hat_from_tilde(pre.tilde_from_hat(c, False), True)
+        a = pre.R.T @ (pre.RD @ c)
+        b = pre.RD.T @ (pre.R @ c)
         assert np.allclose(a, c, atol=1e-13)
         assert np.allclose(b, c, atol=1e-13)
 
@@ -191,9 +191,9 @@ def test_apply_matches_dense_tilde_oracle(variant, eps):
         for _ in range(5):
             r = rng.standard_normal(iface.n)
             c = pre.Qg @ r
-            rt = pre.tilde_from_hat(c, weighted=True)
+            rt = pre.RD @ c
             xt = np.linalg.solve(St, rt)
-            ref = pre.Qg.T @ pre.hat_from_tilde(xt, weighted=True)
+            ref = pre.Qg.T @ (pre.RD.T @ xt)
             y = pre.apply(r)
             assert np.linalg.norm(y - ref) \
                 < 1e-10 * max(np.linalg.norm(ref), 1.0)
@@ -206,32 +206,36 @@ def _full_dual_weights(self):
         0.0, 1.0, (self.subs.nI.size, wd, wd))
 
 
-@pytest.mark.parametrize("variant", ["bddc1", "bddc3", "all-primal"])
+@pytest.mark.parametrize("variant", ["bddc1", "bddc2", "bddc3", "all-primal"])
 def test_apply_is_the_transposed_product(variant, monkeypatch):
-    # the fused apply equals Qg^T Rt_D^T St^-1 Rt_D Qg r from the unfused
-    # operators, with the default dual weights 1/2 and with full blocks
+    # the fused apply equals Qg^T Rt_D^T St^-1 Rt_D Qg r with the dense
+    # partially assembled St, with the default dual weights 1/2 and with
+    # full blocks
     for weights in (None, _full_dual_weights):
         if weights is not None:
             monkeypatch.setattr(BddcPreconditioner, "dual_weights", weights)
         mesh, dofs, spec, subs, iface, cons, pre = setup(
             "rotating", 1e-3, variant, nx=3, ny=2, ratio=2, k=2)
+        St = pre.dense_partially_assembled()
         rng = np.random.default_rng(4)
         for _ in range(3):
             r = rng.standard_normal(iface.n)
-            ref = pre.Qg.T @ pre.hat_from_tilde(
-                pre.inner_solve(pre.tilde_from_hat(pre.Qg @ r, True)), True)
+            ref = pre.Qg.T @ (pre.RD.T @ np.linalg.solve(
+                St, pre.RD @ (pre.Qg @ r)))
             assert np.linalg.norm(pre.apply(r) - ref) \
                 <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_inner_solve_against_dense_tilde():
-    *_, pre = setup("thermal", 1.0, "bddc2", ratio=2, k=0)
-    St = pre.dense_partially_assembled()
-    rng = np.random.default_rng(3)
-    r = rng.standard_normal(pre.dofs.n_interface)
-    rt = pre.tilde_from_hat(pre.Qg @ r, weighted=True)
-    xt = pre.inner_solve(rt)
-    assert np.linalg.norm(St @ xt - rt) < 1e-10 * np.linalg.norm(rt)
+@pytest.mark.parametrize("variant", ["bddc1", "bddc2", "bddc3", "all-primal"])
+def test_partially_assembled_is_the_transformed_schur(variant):
+    # the two dense oracles agree: assembling St gives Qg S_Gamma Qg^T
+    for nx, ny, k, eps in ((2, 2, 0, 1.0), (3, 2, 2, 1e-3)):
+        *_, iface, cons, pre = setup("rotating", eps, variant, nx=nx, ny=ny,
+                                     ratio=2, k=k)
+        St = pre.dense_partially_assembled()
+        R = pre.R.toarray()
+        ref = pre.Qg @ iface.as_dense() @ pre.Qg.T
+        assert np.abs(R.T @ St @ R - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_apply_average():
@@ -239,7 +243,7 @@ def test_apply_average():
     rng = np.random.default_rng(4)
     # continuous input: image of Rt
     c = rng.standard_normal(pre.dofs.n_interface)
-    t = pre.tilde_from_hat(c, weighted=False)
+    t = pre.R @ c
     assert np.allclose(pre.apply_average(t), t, atol=1e-13)
     # equal and opposite dual parts average to zero
     t2 = np.zeros(pre.n_tilde)
@@ -266,7 +270,7 @@ def test_primal_reproduction():
         "rotating", 1e-3, "bddc3", ratio=3, k=1)
     rng = np.random.default_rng(5)
     lam = rng.standard_normal(dofs.n_interface)
-    t = pre.tilde_from_hat(pre.Qg @ lam, weighted=False)
+    t = pre.R @ (pre.Qg @ lam)
     for i, se in enumerate(mesh.subdomain_edges):
         sl = slice(dofs.se_blocks[i][0] - dofs.n_interior,
                    dofs.se_blocks[i][1] - dofs.n_interior)

@@ -1,6 +1,7 @@
 """Smoke tests of scripts/criterion06_evidence.py, of the snapshot
 comparison in scripts/bench_snapshot.py, of the paired summary in
-scripts/ab_pairs.py and of the memory readings in scripts/rss_rounds.py.
+scripts/ab_pairs.py, of the memory readings in scripts/rss_rounds.py and of
+the array fingerprints in scripts/fingerprint.py.
 
 The criterion-06 script swaps package definitions per row (its tau rows
 swap ``hdg.upwind_tau``), so an edit that breaks a swap shows here.  The counts are the 2x2 cell (rotating,
@@ -121,3 +122,20 @@ def test_rss_rounds_stages(capsys):
                            "assembly", "dd"] + 2 * op
                           + ["sys.A (checks)", labels[-1]])
     assert labels[-1].startswith("round 1 (")
+
+
+def test_fingerprint_repeats(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "fingerprint", SCRIPTS / "fingerprint.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    runs = []
+    for _ in range(2):
+        assert script.main(["many-subdomains"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    # four arrays of the cell, then six arrays and the count per variant
+    assert len(runs[0]) == 4 + 2 * 7 and runs[0] == runs[1]
+    assert runs[0][0].startswith("many-subdomains 16x16/8 - blocks.S_hat ")
+    assert runs[0][-1] == "many-subdomains 16x16/8 bddc3 iterations 10"
+    assert script.main(["no-such-workload"]) == 2
+    assert "unknown workload" in capsys.readouterr().err
