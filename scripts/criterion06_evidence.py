@@ -80,20 +80,23 @@ def _se_dual_blocks(pre):
 def _upwind_blocks(pre, blocks, w_up):
     """Weight w_up on the subdomain the flow leaves at each mesh edge."""
     mesh, spec = pre.constraints.mesh, pre.constraints.spec
+    runs = mesh.interface_runs
     nds = pre.constraints.k + 1
     out = {}
     for i, parts in blocks.items():
-        se = mesh.subdomain_edges[i]
-        mid = mesh.vertices[mesh.edges[se.edges]].mean(axis=1)
+        edges = runs.edges[runs.offsets[i]:runs.offsets[i + 1]]
+        mid = mesh.vertices[mesh.edges[edges]].mean(axis=1)
         bx, by = spec.beta_at(mid[:, 0], mid[:, 1])
-        bn = bx * se.normal[0] + by * se.normal[1]   # outward of se.pair[0]
+        n = runs.normal[i]                   # outward of runs.pair[i, 0]
+        bn = bx * n[0] + by * n[1]
         w0 = np.where(bn > 1e-14, w_up, np.where(bn < -1e-14, 1 - w_up, 0.5))
         a, b = np.array(pre.dofs.se_blocks[i]) - pre.dofs.n_interior
         Q = pre.Qg[a:b, a:b].toarray()
         nP = pre.constraints.n_primal_by_se[i]
         W0 = (Q @ np.diag(np.repeat(w0, nds)) @ Q.T)[nP:, nP:]
         for sidx, _, _ in parts:
-            out[sidx, i] = W0 if sidx == se.pair[0] else np.eye(len(W0)) - W0
+            out[sidx, i] = W0 if sidx == runs.pair[i, 0] \
+                else np.eye(len(W0)) - W0
     return out
 
 

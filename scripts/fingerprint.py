@@ -9,10 +9,13 @@ Builds every cell of the named ``perfbench`` workloads (all of them by
 default) and solves every variant on it, as ``pipeline.run_untraced`` does,
 with one BLAS thread.  Prints one line per (workload, cell, variant, array):
 a short SHA-256 of the array's dtype, shape and bytes, or a count in clear.
-The arrays are the element blocks ``S_hat``, the load ``b``, the local Schur
-stack ``subs.S`` and ``b_gamma`` of each cell, and per variant the fused
-BDDC stacks ``LG`` and ``C``, the coarse matrix ``Fc`` (its data, indices
-and indptr), the solution ``lam`` and the iteration count.  Equal lines on
+The arrays are the interface decomposition ``mesh.interface_runs`` (its
+``edges``, ``offsets``, ``pair``, ``normal`` and ``t_range``), the element
+blocks ``S_hat``, the load ``b``, the local Schur stack ``subs.S`` and
+``b_gamma`` of each cell, and per variant the primal count per
+SubdomainEdge ``n_primal_by_se``, the fused BDDC stacks ``LG`` and ``C``,
+the coarse matrix ``Fc`` (its data, indices and indptr), the solution
+``lam`` and the iteration count.  Equal lines on
 two checkouts mean bit-identical arrays.
 
 ``hdglab`` is imported from ``PYTHONPATH`` (this checkout's ``src`` when it
@@ -60,6 +63,9 @@ def fingerprint(name, wl):
         mesh, dofs, spec, sys_, subs, iface = build_case(
             wl.problem, wl.eps, wl.degree, grid, ratio)
         b_gamma = iface.b_gamma
+        runs = mesh.interface_runs
+        for what in ("edges", "offsets", "pair", "normal", "t_range"):
+            line("-", "interface_runs." + what, digest(getattr(runs, what)))
         for what, a in (("blocks.S_hat", sys_.blocks.S_hat), ("sys.b", sys_.b),
                         ("subs.S", subs.S), ("b_gamma", b_gamma)):
             line("-", what, digest(a))
@@ -68,7 +74,8 @@ def fingerprint(name, wl):
             pre = build_preconditioner(subs, iface, cons, dofs)
             lam_g, rep = gmres(iface.apply, pre.apply, b_gamma)
             lam = iface.back_substitute(lam_g)
-            for what, a in (("LG", pre.LG), ("C", pre.C),
+            for what, a in (("n_primal_by_se", cons.n_primal_by_se),
+                            ("LG", pre.LG), ("C", pre.C),
                             ("Fc.data", pre.Fc.data),
                             ("Fc.indices", pre.Fc.indices),
                             ("Fc.indptr", pre.Fc.indptr), ("lam", lam)):

@@ -129,14 +129,6 @@ def assemble_trace_system(mesh, dofs, spec, k, blocks=None, keep_local=False):
     return TraceSystem(mesh, spec, k, dofs, blocks, b, elem_dofs, gcoef)
 
 
-def apply_operator(sys, lam):
-    """y = A lam."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (sys.n,):
-        raise InvalidConfigError("trace vector has wrong length")
-    return sys.A @ lam
-
-
 def eval_forms(sys, lam, mu):
     """(a_h, b_h, z_h) with a_h = mu^T A lam and its symmetric/skew split."""
     a1 = float(mu @ (sys.A @ lam))
@@ -246,11 +238,3 @@ def full_saddle_solve(mesh, dofs, spec, k):
     q = z[:nel * nloc].reshape(nel, nloc)[:, :2 * d].copy()
     u = z[:nel * nloc].reshape(nel, nloc)[:, 2 * d:].copy()
     return z[nel * nloc:], q, u
-
-
-def export_coo(sys, path):
-    """Write A in coordinate text format: one 'row col value' line per entry."""
-    coo = sys.A.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write("%d %d %.17g\n" % (r, c, v))

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dd import scatter_blocks
-from .fespace import EdgeQuadrature, interface_quadrature
+from .fespace import interface_quadrature
 from .mesh import InvalidConfigError
 
 VARIANTS = ("bddc1", "bddc2", "bddc3", "all-primal", "none")
@@ -64,13 +64,6 @@ def _raw_rows(q, bn, tangents, mid_t):
         np.reshape(mid_t, (-1, 1))
     w = q.weights
     return np.stack([w, w * bn, w * bn * s]) @ q.P.T
-
-
-def constraint_rows(mesh, se, spec, k):
-    """Raw functional rows (c1, c2, c3) over one SubdomainEdge's DOF block."""
-    q = EdgeQuadrature(mesh, se.edges, k)
-    raw = _raw_rows(q, q.beta_n(spec, se.normal), se.tangent, se.midpoint_t)
-    return tuple(raw.reshape(3, -1))
 
 
 def _orthonormalize(raw):
@@ -118,7 +111,7 @@ class PrimalConstraintSet:
         self.k = k
         nds = k + 1
         runs = mesh.interface_runs
-        n_se = len(runs.pair)
+        n_se = len(runs)
         start = runs.offsets[:-1] * nds
         size = runs.offsets[1:] * nds - start
         nfun = _N_FUNCTIONALS.get(self.variant)

@@ -237,9 +237,9 @@ def _eliminate(M, ns):
 
 
 class Subdomain:
-    """One subdomain's view of the torn layer.  ``A``/``A_sparse`` rebuild its
-    Robin-modified matrix (test oracles): interior DOFs, then interface DOFs,
-    scattered from its elements, plus its Robin terms."""
+    """One subdomain's view of the torn layer.  ``A`` rebuilds its dense
+    Robin-modified matrix (a test oracle): interior DOFs, then interface
+    DOFs, scattered from its elements, plus its Robin terms."""
 
     def __init__(self, layer, sidx):
         self.layer, self.sidx = layer, sidx
@@ -269,10 +269,6 @@ class Subdomain:
         lp = self.nI + lp[mine]
         A[lp[:, :, None], lp[:, None, :]] += vals[mine]
         return A
-
-    @property
-    def A_sparse(self):
-        return sp.csr_matrix(self.A)
 
 
 class Subdomains:

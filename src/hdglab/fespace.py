@@ -6,13 +6,17 @@ edge's global arclength coordinate t in [-1,1] (smaller vertex index -> larger),
 so both elements sharing an edge see identical basis functions.  Interior
 scalar basis: monomials orthonormalized on the reference triangle.
 
+Each quadrature rule is built once per (kind, exactness), and the edge
+rule's Legendre table once per k; both are shared read-only.
 ``EdgeQuadrature`` maps the edge rule onto a whole set of mesh edges at once
 (points, scaled weights, Legendre values, beta.n against given normals).  The
 element blocks (``hdg``), the Robin terms (``dd``), the primal constraints
-(``bddc``) and the boundary projection all read it, for every edge in one
-array operation.
+(``bddc``) and the boundary projection (``project_boundary``) all read it,
+for every edge in one array operation.
 ``TraceDofMap`` numbers the DOFs with sorts and splits over the edge arrays.
 """
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -37,6 +41,8 @@ class QuadRule:
     points : (nq, 2) on the unit triangle (0,0),(1,0),(0,1), or (nq,) on [-1,1]
     weights : (nq,) summing to the reference measure (1/2 resp. 2)
     exactness : largest total polynomial degree integrated exactly
+
+    ``quadrature_rule`` shares each rule, so the arrays are made read-only.
     """
 
     def __init__(self, kind, points, weights, exactness):
@@ -44,10 +50,13 @@ class QuadRule:
         self.points = points
         self.weights = weights
         self.exactness = exactness
+        points.flags.writeable = weights.flags.writeable = False
 
 
+@lru_cache(maxsize=None)
 def quadrature_rule(kind, exactness):
-    """Gauss rules: tensor Gauss-Legendre/Jacobi (triangle), Gauss-Legendre (edge)."""
+    """Gauss rules: tensor Gauss-Legendre/Jacobi (triangle), Gauss-Legendre
+    (edge); built once per (kind, exactness) and shared."""
     if exactness < 0:
         raise InvalidConfigError("exactness must be >= 0")
     if exactness > _MAX_EXACTNESS:
@@ -79,10 +88,6 @@ class EdgeBasis:
         """Values, shape (k+1, len(t))."""
         return legvander(np.asarray(t, dtype=float), self.k).T
 
-    def mass_diagonal(self):
-        """Diagonal of the reference mass matrix, 2/(2n+1)."""
-        return 2.0 / (2.0 * np.arange(self.k + 1) + 1.0)
-
 
 class TriBasis:
     """Monomial basis of P_k orthonormalized on the reference triangle."""
@@ -96,10 +101,6 @@ class TriBasis:
         M = self._monomials(rule.points)
         G = (M * rule.weights) @ M.T
         self._L = cholesky(G, lower=True)
-        # Gram matrix of the orthonormalized basis (identity up to roundoff)
-        check = quadrature_rule("triangle", 2 * k + 2)
-        V = self.eval(check.points)
-        self.gram_cond = np.linalg.cond((V * check.weights) @ V.T)
 
     def _monomials(self, pts):
         x, y = pts[:, 0], pts[:, 1]
@@ -136,11 +137,9 @@ class TraceDofMap:
     edge_dofs : (n_edges, k+1) global DOF ids, -1 on boundary edges
     owner : (n_dofs,) owning subdomain for interior DOFs, -1 for interface
     interior_by_sub : list of int arrays, per-subdomain interior DOF ids
-    se_blocks : (n_subdomain_edges, 2) global DOF ranges [start, stop) per
-        SubdomainEdge
-    sub_se : per subdomain, the ascending indices of its SubdomainEdges
+    se_blocks : (n_runs, 2) global DOF ranges [start, stop) per SubdomainEdge
     sub_interface_gids : per-subdomain global ids of its interface DOFs
-        (its SubdomainEdge blocks, concatenated in ``sub_se`` order)
+        (its SubdomainEdge blocks, concatenated in ascending run order)
     sub_interface_pos : same, as positions within Lambda_Gamma (0-based)
     """
 
@@ -174,12 +173,10 @@ class TraceDofMap:
             [runs.offsets[:-1], runs.offsets[1:]])
 
         # (subdomain, SubdomainEdge) incidences, by subdomain then edge
-        n_se = len(runs.pair)
         sub_of = runs.pair.T.ravel()
-        se = np.tile(np.arange(n_se), 2)
+        se = np.tile(np.arange(len(runs)), 2)
         order = np.lexsort((se, sub_of))
         sub_of, se = sub_of[order], se[order]
-        self.sub_se = np.split(se, np.searchsorted(sub_of, subs))
         # each incidence expands to the interface positions of its block
         start = self.se_blocks[se, 0] - self.n_interior
         size = self.se_blocks[se, 1] - self.se_blocks[se, 0]
@@ -193,6 +190,14 @@ class TraceDofMap:
 def build_trace_dof_map(mesh, k):
     """Build the TraceDofMap for degree-k traces on ``mesh``."""
     return TraceDofMap(mesh, k)
+
+
+@lru_cache(maxsize=None)
+def _legendre_table(k):
+    """P_0..P_k at the points of the edge rule of exactness 2k+4, read-only."""
+    P = EdgeBasis(k).eval(quadrature_rule("edge", 2 * k + 4).points)
+    P.flags.writeable = False
+    return P
 
 
 class EdgeQuadrature:
@@ -215,7 +220,7 @@ class EdgeQuadrature:
     def __init__(self, mesh, edges, k):
         self.edges = np.asarray(edges, dtype=np.int64)
         self.rule = quadrature_rule("edge", 2 * k + 4)
-        self.P = EdgeBasis(k).eval(self.rule.points)
+        self.P = _legendre_table(k)
         # np.take: row gathers several times faster than fancy indexing
         va, vb = np.take(mesh.vertices, np.take(mesh.edges, self.edges,
                                                 axis=0).T, axis=0)
@@ -263,11 +268,3 @@ def edge_points(mesh, edge, t):
     va, vb = mesh.vertices[mesh.edges[edge]]
     t = np.asarray(t, dtype=float)
     return 0.5 * (va + vb)[None, :] + 0.5 * np.outer(t, vb - va)
-
-
-def project_boundary_data(mesh, g, edge, k):
-    """L2 projection of g onto P_k of one boundary edge, in the Legendre
-    basis (the one-edge case of ``project_boundary``)."""
-    if mesh.edge_class[edge] != BOUNDARY:
-        raise InvalidConfigError("edge %d is not on the domain boundary" % edge)
-    return EdgeQuadrature(mesh, [edge], k).project(g)[0]

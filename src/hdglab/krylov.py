@@ -10,7 +10,7 @@ V (w - V^T h) = h - V V^T h, taken from the Gram matrix instead of a second
 pass over V.  The Givens-rotation least-squares update runs on Python floats.
 With a zero initial guess the iteration stops when the Euclidean norm of the
 preconditioned residual M^-1 (b - S lam_m) has dropped below ``tol`` times
-the norm of M^-1 b (optionally: when the true residual has).
+the norm of M^-1 b.
 
 The basis is read in column chunks of at most CHUNK_COLS entries and blocks
 of at most BLOCK_ROWS vectors: a product of V with a thin block is then one
@@ -101,8 +101,7 @@ def _timed(fn, clock, key):
     return call
 
 
-def gmres(apply_op, apply_precond, b, tol=1e-10, maxit=1000,
-          true_residual_stopping=False):
+def gmres(apply_op, apply_precond, b, tol=1e-10, maxit=1000):
     """Solve S lam = b by left-preconditioned GMRES, zero initial guess.
 
     Parameters
@@ -112,8 +111,6 @@ def gmres(apply_op, apply_precond, b, tol=1e-10, maxit=1000,
     b : interface right-hand side
     tol : relative reduction of the preconditioned residual
     maxit : Arnoldi step cap; exceeding it reports converged=False
-    true_residual_stopping : stop on the unpreconditioned residual instead
-        (sensitivity studies; costs one solution assembly per step)
 
     Returns (solution, SolveReport).
     """
@@ -197,12 +194,7 @@ def gmres(apply_op, apply_precond, b, tol=1e-10, maxit=1000,
         if not breakdown:
             V[j + 1] = (w / hj1).reshape(-1)
         clock["orth"] += time.perf_counter() - t
-        if true_residual_stopping:
-            x = _solution(V, R, g, n)
-            stop = np.linalg.norm(b - apply_op(x)) <= tol * nb
-        else:
-            stop = resvec[-1] <= tol
-        if stop or breakdown:   # breakdown: the Krylov space is invariant
+        if resvec[-1] <= tol or breakdown:  # breakdown: invariant Krylov space
             converged = True
             break
 

@@ -4,7 +4,9 @@ The domain is covered by a uniform grid of (nx*ratio) x (ny*ratio) rectangular
 cells, each split into two triangles along a configurable diagonal.  Cells are
 grouped into an nx x ny grid of rectangular subdomains.  Edges get a global
 orientation (lexicographically smaller vertex index first) so that the two
-elements sharing an edge agree on its tangent and arclength parameter.
+elements sharing an edge agree on its tangent and arclength parameter.  The
+interface between subdomains is decomposed into SubdomainEdges, held as
+arrays in ``InterfaceRuns``.
 """
 
 import numpy as np
@@ -18,36 +20,6 @@ class InvalidConfigError(ValueError):
 BOUNDARY = 0
 INTERIOR = 1
 INTERFACE = 2
-
-
-class SubdomainEdge:
-    """Maximal straight run of interface mesh edges shared by one subdomain pair.
-
-    Attributes
-    ----------
-    pair : tuple (i, j) of subdomain indices, i < j
-    edges : int array of mesh edge indices, ordered along the tangent
-    tangent : unit tangent along the run (global lexicographic orientation)
-    normal : unit normal, fixed as the outward normal of subdomain ``pair[0]``
-    t_range : (t0, t1) arclength parameter range of the run, t(x) = x . tangent
-    length : total arclength, t1 - t0
-    """
-
-    def __init__(self, pair, edges, tangent, normal, t_range):
-        self.pair = pair
-        self.edges = np.asarray(edges, dtype=np.int64)
-        self.tangent = np.asarray(tangent, dtype=float)
-        self.normal = np.asarray(normal, dtype=float)
-        self.t_range = (float(t_range[0]), float(t_range[1]))
-        self.length = self.t_range[1] - self.t_range[0]
-
-    @property
-    def midpoint_t(self):
-        """Arclength parameter of the run midpoint (origin of the centered s)."""
-        return 0.5 * (self.t_range[0] + self.t_range[1])
-
-    def __repr__(self):
-        return "SubdomainEdge(pair=%s, nedges=%d)" % (self.pair, len(self.edges))
 
 
 class Mesh2d:
@@ -64,8 +36,7 @@ class Mesh2d:
     edge_tris : (ne, 2) int array of incident triangles (-1 when boundary)
     tri_edges : (nt, 3) int array, local edges (0,1),(1,2),(2,0) -> edge index
     h, H : characteristic element / subdomain sizes
-    subdomain_edges : list of SubdomainEdge (interface decomposition)
-    interface_runs : the same decomposition as arrays (InterfaceRuns)
+    interface_runs : the SubdomainEdge decomposition (InterfaceRuns)
     """
 
     def __init__(self, nx, ny, ratio, diag, vertices, triangles, tri_sub,
@@ -85,7 +56,14 @@ class Mesh2d:
         self.n_subdomains = nx * ny
         self.h = 2.0 / (nx * ratio)
         self.H = 2.0 / max(nx, ny)
-        self.interface_runs, self.subdomain_edges = extract_interface(self)
+        self.interface_runs = extract_interface(self)
+
+    @property
+    def subdomain_edges(self):
+        """``interface_runs`` under its old name.  Kept, read-only, only for
+        the SubdomainEdge count (``len``) in ``perfbench/pipeline.py``; item 1
+        of ROADMAP.md (one instrumented pipeline) deletes it."""
+        return self.interface_runs
 
     @property
     def n_vertices(self):
@@ -110,20 +88,6 @@ class Mesh2d:
     def edge_lengths(self):
         d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         return np.hypot(d[:, 0], d[:, 1])
-
-    def edge_tangents(self):
-        """Unit tangents in global orientation (smaller vertex -> larger)."""
-        d = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
-        return d / np.hypot(d[:, 0], d[:, 1])[:, None]
-
-    def dump_text(self, stream):
-        """Plain-text mesh dump for debugging (not a stability contract)."""
-        for x, y in self.vertices:
-            stream.write("v %.17g %.17g\n" % (x, y))
-        for (i, j, k), s in zip(self.triangles, self.tri_sub):
-            stream.write("t %d %d %d %d\n" % (i, j, k, s))
-        for (i, j), c in zip(self.edges, self.edge_class):
-            stream.write("e %d %d %d\n" % (i, j, c))
 
 
 def build_structured_mesh(nx, ny, ratio, diag="ne"):
@@ -213,21 +177,18 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
 
 
 def extract_interface(mesh):
-    """Decompose the interface into SubdomainEdge runs.
+    """Decompose the interface into SubdomainEdges (InterfaceRuns).
 
     One SubdomainEdge per maximal straight contiguous run of interface mesh
     edges shared by one subdomain pair; runs are split at cross points
     (vertices where three or more subdomains meet).  Runs are sorted by
     pair, and by position along the tangent within a pair.
-
-    Returns (InterfaceRuns, list of SubdomainEdge); each SubdomainEdge views
-    its row of the InterfaceRuns arrays.
     """
     iface = np.flatnonzero(mesh.edge_class == INTERFACE)
     if iface.size == 0:
         none = np.zeros((0, 2))
         return InterfaceRuns(iface, np.zeros(1, dtype=np.int64),
-                             none.astype(np.int64), none, none, none), []
+                             none.astype(np.int64), none, none, none)
     V, E, nsub = mesh.vertices, mesh.edges, mesh.n_subdomains
 
     # vertices where >= 3 subdomains meet, from unique (vertex, subdomain)
@@ -288,24 +249,24 @@ def extract_interface(mesh):
                    np.sum(V[E[es, 1]] * tau, axis=1)], axis=1)
     t_range = np.column_stack([np.minimum.reduceat(ts.min(axis=1), starts),
                                np.maximum.reduceat(ts.max(axis=1), starts)])
-    runs = InterfaceRuns(es, np.r_[starts, es.size], pair, tau[starts],
+    return InterfaceRuns(es, np.r_[starts, es.size], pair, tau[starts],
                          normal, t_range)
-    off = runs.offsets
-    ses = [SubdomainEdge((int(p[0]), int(p[1])), es[off[r]:off[r + 1]],
-                         runs.tangent[r], runs.normal[r], runs.t_range[r])
-           for r, p in enumerate(pair)]
-    return runs, ses
 
 
 class InterfaceRuns:
-    """The SubdomainEdge decomposition as arrays, one row per run, in the
-    order of ``Mesh2d.subdomain_edges``.
+    """The SubdomainEdges (maximal straight interface runs shared by one
+    subdomain pair) as arrays, one row per run; ``len`` is the number of runs.
 
     Attributes
     ----------
-    edges : interface mesh edges, concatenated run by run in run order
+    edges : interface mesh edges, concatenated run by run in run order, and
+        ordered along the tangent within a run
     offsets : (n_runs+1,) run r holds edges[offsets[r]:offsets[r+1]]
-    pair, tangent, normal, t_range : (n_runs, 2) arrays, as in SubdomainEdge
+    pair : (n_runs, 2) subdomain indices (i, j) of each run, i < j
+    tangent : (n_runs, 2) unit tangent (global lexicographic orientation)
+    normal : (n_runs, 2) unit normal, outward of subdomain ``pair[r, 0]``
+    t_range : (n_runs, 2) arclength parameter range (t0, t1) of each run,
+        t(x) = x . tangent
     run_of_edge : (len(edges),) run index of each entry of ``edges``
     """
 
@@ -317,6 +278,9 @@ class InterfaceRuns:
         self.normal = normal
         self.t_range = t_range
         self.run_of_edge = np.repeat(np.arange(len(pair)), np.diff(offsets))
+
+    def __len__(self):
+        return len(self.pair)
 
     @property
     def midpoint_t(self):

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdglab.assembly import (TraceSystem, apply_operator,
-                             assemble_trace_system, direct_solve, eval_forms,
-                             export_coo, full_saddle_solve, l2_error_u,
-                             recover_all)
+from hdglab.assembly import (TraceSystem, assemble_trace_system,
+                             direct_solve, eval_forms, full_saddle_solve,
+                             l2_error_u, recover_all)
 from hdglab.bench import build_case
 from hdglab.fespace import build_trace_dof_map
 from hdglab.hdg import ElementBlocks, ProblemSpec, recover
-from hdglab.mesh import InvalidConfigError, build_structured_mesh
+from hdglab.mesh import build_structured_mesh
 
 
 def zero(x, y):
@@ -136,16 +135,13 @@ def test_scatter_matches_dense_oracle_two_elements():
 
 def test_apply_operator():
     _, _, _, sys = build("rotating", 1e-2, k=1)
-    assert np.allclose(apply_operator(sys, np.zeros(sys.n)), 0.0)
+    assert np.allclose(sys.A @ np.zeros(sys.n), 0.0)
     rng = np.random.default_rng(0)
     for _ in range(5):
         lam = rng.standard_normal(sys.n)
-        assert np.allclose(apply_operator(sys, lam), sys.A @ lam)
         # skew part annihilated in the quadratic form
-        assert abs(lam @ apply_operator(sys, lam) - lam @ (sys.B @ lam)) \
+        assert abs(lam @ (sys.A @ lam) - lam @ (sys.B @ lam)) \
             < 1e-12 * max(abs(lam @ (sys.B @ lam)), 1.0)
-    with pytest.raises(InvalidConfigError):
-        apply_operator(sys, np.zeros(sys.n + 1))
 
 
 def test_eval_forms_split_and_positivity():
@@ -266,17 +262,3 @@ def test_manufactured_convergence(k, eps, advect):
     assert np.all(np.diff(errs) < 0)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - (k + 1)) < 0.2
-
-
-def test_export_coo(tmp_path):
-    _, _, _, sys = build("thermal", 1.0)
-    path = tmp_path / "A.txt"
-    export_coo(sys, str(path))
-    rows, cols, vals = [], [], []
-    for line in path.read_text().splitlines():
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    back = sp.coo_matrix((vals, (rows, cols)), shape=sys.A.shape).tocsr()
-    assert np.allclose(back.toarray(), sys.A.toarray(), atol=0)

@@ -5,7 +5,7 @@ import scipy.linalg as sla
 from hdglab.assembly import assemble_trace_system
 from hdglab.bddc import (BddcPreconditioner, PreconditionerError,
                          _change_of_basis, _raw_rows, build_constraints,
-                         build_preconditioner, constraint_rows)
+                         build_preconditioner)
 from hdglab.dd import build_interface_operator, build_subdomains
 from hdglab.fespace import (EdgeBasis, build_trace_dof_map,
                             interface_quadrature, quadrature_rule)
@@ -13,7 +13,7 @@ from hdglab.hdg import ProblemSpec
 from hdglab.mesh import InvalidConfigError, build_structured_mesh
 
 from test_assembly import make_spec, zero
-from test_mesh import LAYOUT_GRIDS
+from test_mesh import LAYOUT_GRIDS, run_edges
 
 
 def setup(problem, eps, variant, nx=2, ny=2, ratio=2, k=0, spec=None):
@@ -30,17 +30,53 @@ def setup(problem, eps, variant, nx=2, ny=2, ratio=2, k=0, spec=None):
 
 
 def horizontal_ses(mesh):
-    return [i for i, se in enumerate(mesh.subdomain_edges)
-            if abs(se.tangent[1]) < 1e-12]
+    return np.flatnonzero(np.abs(mesh.interface_runs.tangent[:, 1]) < 1e-12)
+
+
+def vertical_ses(mesh):
+    return np.flatnonzero(np.abs(mesh.interface_runs.tangent[:, 1]) > 0.5)
+
+
+def edge_loop_rows(mesh, spec, k, r, sign=1.0):
+    """Reference: (c1, c2, c3) of SubdomainEdge r, mesh edge by mesh edge,
+    with its normal times ``sign``."""
+    runs = mesh.interface_runs
+    edges, tangent = run_edges(runs, r), runs.tangent[r]
+    normal, mid_t = sign * runs.normal[r], runs.midpoint_t[r]
+    nds = k + 1
+    rule = quadrature_rule("edge", 2 * k + 4)
+    P = EdgeBasis(k).eval(rule.points)
+    out = np.zeros((3, edges.size * nds))
+    for j, e in enumerate(edges):
+        va, vb = mesh.vertices[mesh.edges[e]]
+        X = va[None, :] + 0.5 * np.outer(rule.points + 1.0, vb - va)
+        bx, by = spec.beta_at(X[:, 0], X[:, 1])
+        bn = bx * normal[0] + by * normal[1]
+        s = X @ tangent - mid_t
+        we = rule.weights * (np.hypot(*(vb - va)) / 2.0)
+        out[:, j * nds:(j + 1) * nds] = [we @ P.T, (we * bn) @ P.T,
+                                         (we * bn * s) @ P.T]
+    return out
+
+
+def batched_rows(mesh, spec, k, sign=1.0):
+    """The raw rows of every SubdomainEdge as ``PrimalConstraintSet`` forms
+    them, (3, n_interface), with every normal times ``sign``."""
+    runs = mesh.interface_runs
+    q, bn = interface_quadrature(mesh, spec, k)
+    run = runs.run_of_edge
+    return _raw_rows(q, sign * bn, runs.tangent[run],
+                     runs.midpoint_t[run]).reshape(3, -1)
 
 
 def test_c1_row_unnormalized():
     mesh = build_structured_mesh(2, 2, 2)
     spec = make_spec("thermal", 1.0)
-    se = mesh.subdomain_edges[0]
-    c1, _, _ = constraint_rows(mesh, se, spec, 0)
     h = mesh.h
-    assert np.allclose(c1, [h, h], atol=1e-14)
+    assert np.allclose(edge_loop_rows(mesh, spec, 0, 0)[0], [h, h],
+                       atol=1e-14)
+    assert np.allclose(batched_rows(mesh, spec, 0)[0, :2], [h, h],
+                       atol=1e-14)
 
 
 def test_thermal_horizontal_edge_degenerates_to_bddc1():
@@ -50,11 +86,11 @@ def test_thermal_horizontal_edge_degenerates_to_bddc1():
     cons2 = build_constraints("bddc2", spec, mesh, dofs, 0)
     cons3 = build_constraints("bddc3", spec, mesh, dofs, 0)
     hor = horizontal_ses(mesh)
-    assert hor
+    assert hor.size
     for i in hor:
         assert cons2.kept[i] == ["c1"]     # beta.n = 0 kills c2
         assert cons3.kept[i] == ["c1"]
-    ver = [i for i in range(len(mesh.subdomain_edges)) if i not in hor]
+    ver = np.setdiff1d(np.arange(len(mesh.interface_runs)), hor)
     for i in ver:
         assert cons2.kept[i] == ["c1", "c2"]
         # m = 2 at k=0, ratio 2: c3 is rank-deficient and must be dropped
@@ -65,9 +101,8 @@ def test_thermal_horizontal_edge_degenerates_to_bddc1():
     cons4 = build_constraints("bddc3", spec, mesh4, dofs4, 0)
     for i in horizontal_ses(mesh4):
         assert cons4.kept[i] == ["c1"]
-    for i, se in enumerate(mesh4.subdomain_edges):
-        if abs(se.tangent[1]) > 0.5:
-            assert cons4.kept[i] == ["c1", "c2", "c3"]
+    for i in vertical_ses(mesh4):
+        assert cons4.kept[i] == ["c1", "c2", "c3"]
 
 
 def test_constant_flux_drops_c2_keeps_first_moment():
@@ -76,14 +111,13 @@ def test_constant_flux_drops_c2_keeps_first_moment():
     spec = ProblemSpec(1.0, lambda x, y: (np.ones_like(x), np.zeros_like(x)),
                        zero, zero, zero)
     cons = build_constraints("bddc3", spec, mesh, dofs, 0)
-    for i, se in enumerate(mesh.subdomain_edges):
-        if abs(se.tangent[1]) > 0.5:       # vertical run: beta.n = 1 constant
-            assert cons.kept[i] == ["c1", "c3"]
-            # the retained c3 row is the pure centered first moment
-            _, _, c3 = constraint_rows(mesh, se, spec, 0)
-            row = cons.rows[i][1]
-            assert np.allclose(row, c3 / np.linalg.norm(c3), atol=1e-12) or \
-                np.allclose(row, -c3 / np.linalg.norm(c3), atol=1e-12)
+    for i in vertical_ses(mesh):           # beta.n = 1 constant
+        assert cons.kept[i] == ["c1", "c3"]
+        # the retained c3 row is the pure centered first moment
+        c3 = edge_loop_rows(mesh, spec, 0, i)[2]
+        row = cons.rows[i][1]
+        assert np.allclose(row, c3 / np.linalg.norm(c3), atol=1e-12) or \
+            np.allclose(row, -c3 / np.linalg.norm(c3), atol=1e-12)
 
 
 def test_change_of_basis_two_edge_block():
@@ -103,9 +137,9 @@ def test_duals_annihilate_constraints_rotating_k2():
     dofs = build_trace_dof_map(mesh, 2)
     spec = make_spec("rotating", 1e-3)
     cons = build_constraints("bddc3", spec, mesh, dofs, 2)
-    for i, se in enumerate(mesh.subdomain_edges):
+    for i in range(len(mesh.interface_runs)):
         Q = _change_of_basis(cons.rows[i][None])[0]
-        raw = constraint_rows(mesh, se, spec, 2)
+        raw = edge_loop_rows(mesh, spec, 2, i)
         scale = np.linalg.norm(raw[0])
         nP = cons.rows[i].shape[0]
         for c in raw:
@@ -134,13 +168,15 @@ def test_normal_convention_sign_flip():
     # evaluating c2/c3 with the opposite normal flips the value's sign
     mesh = build_structured_mesh(2, 2, 2)
     spec = make_spec("rotating", 1.0)
-    for se in mesh.subdomain_edges:
-        _, c2, c3 = constraint_rows(mesh, se, spec, 0)
-        flipped = type(se)(se.pair, se.edges, se.tangent, -se.normal,
-                           se.t_range)
-        _, f2, f3 = constraint_rows(mesh, flipped, spec, 0)
+    for i in range(len(mesh.interface_runs)):
+        _, c2, c3 = edge_loop_rows(mesh, spec, 0, i)
+        _, f2, f3 = edge_loop_rows(mesh, spec, 0, i, sign=-1.0)
         assert np.allclose(f2, -c2, atol=1e-14)
         assert np.allclose(f3, -c3, atol=1e-14)
+    _, c2, c3 = batched_rows(mesh, spec, 0)
+    _, f2, f3 = batched_rows(mesh, spec, 0, sign=-1.0)
+    assert np.allclose(f2, -c2, atol=1e-14)
+    assert np.allclose(f3, -c3, atol=1e-14)
 
 
 def test_coarse_dimension_bddc1():
@@ -178,25 +214,28 @@ def test_apply_zero_and_all_primal_exact():
         assert np.linalg.norm(iface.apply(y) - r) < 1e-10 * np.linalg.norm(r)
 
 
+def _check_transposed_product(variant, eps):
+    # the fused apply equals Qg^T Rt_D^T St^-1 Rt_D Qg r with the dense
+    # partially assembled St.  The 3x2 grid at k=2 has corner subdomains
+    # with fewer interface DOFs and unequal interface blocks per subdomain
+    for nx, ny, k in ((2, 2, 0), (3, 2, 2)):
+        *_, iface, cons, pre = setup("rotating", eps, variant, nx=nx, ny=ny,
+                                     ratio=2, k=k)
+        St = pre.dense_partially_assembled()
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            r = rng.standard_normal(iface.n)
+            ref = pre.Qg.T @ (pre.RD.T @ np.linalg.solve(
+                St, pre.RD @ (pre.Qg @ r)))
+            assert np.linalg.norm(pre.apply(r) - ref) \
+                <= 1e-13 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("variant", ["bddc1", "bddc2", "bddc3"])
 @pytest.mark.parametrize("eps", [1.0, 1e-3])
 def test_apply_matches_dense_tilde_oracle(variant, eps):
-    # the 3x2 grid at k=2 has corner subdomains with fewer interface DOFs
-    # and unequal interface blocks per subdomain
-    for nx, ny, k in ((2, 2, 0), (3, 2, 2)):
-        mesh, dofs, spec, subs, iface, cons, pre = setup(
-            "rotating", eps, variant, nx=nx, ny=ny, ratio=2, k=k)
-        St = pre.dense_partially_assembled()
-        rng = np.random.default_rng(2)
-        for _ in range(5):
-            r = rng.standard_normal(iface.n)
-            c = pre.Qg @ r
-            rt = pre.RD @ c
-            xt = np.linalg.solve(St, rt)
-            ref = pre.Qg.T @ (pre.RD.T @ xt)
-            y = pre.apply(r)
-            assert np.linalg.norm(y - ref) \
-                < 1e-10 * max(np.linalg.norm(ref), 1.0)
+    # with the default dual weights 1/2
+    _check_transposed_product(variant, eps)
 
 
 def _full_dual_weights(self):
@@ -208,22 +247,11 @@ def _full_dual_weights(self):
 
 @pytest.mark.parametrize("variant", ["bddc1", "bddc2", "bddc3", "all-primal"])
 def test_apply_is_the_transposed_product(variant, monkeypatch):
-    # the fused apply equals Qg^T Rt_D^T St^-1 Rt_D Qg r with the dense
-    # partially assembled St, with the default dual weights 1/2 and with
-    # full blocks
-    for weights in (None, _full_dual_weights):
-        if weights is not None:
-            monkeypatch.setattr(BddcPreconditioner, "dual_weights", weights)
-        mesh, dofs, spec, subs, iface, cons, pre = setup(
-            "rotating", 1e-3, variant, nx=3, ny=2, ratio=2, k=2)
-        St = pre.dense_partially_assembled()
-        rng = np.random.default_rng(4)
-        for _ in range(3):
-            r = rng.standard_normal(iface.n)
-            ref = pre.Qg.T @ (pre.RD.T @ np.linalg.solve(
-                St, pre.RD @ (pre.Qg @ r)))
-            assert np.linalg.norm(pre.apply(r) - ref) \
-                <= 1e-13 * np.linalg.norm(ref)
+    # with a full dual weight block per subdomain (all-primal has no dual
+    # DOFs, so this is its only weighting)
+    monkeypatch.setattr(BddcPreconditioner, "dual_weights", _full_dual_weights)
+    for eps in (1.0, 1e-3):
+        _check_transposed_product(variant, eps)
 
 
 @pytest.mark.parametrize("variant", ["bddc1", "bddc2", "bddc3", "all-primal"])
@@ -271,7 +299,7 @@ def test_primal_reproduction():
     rng = np.random.default_rng(5)
     lam = rng.standard_normal(dofs.n_interface)
     t = pre.R @ (pre.Qg @ lam)
-    for i, se in enumerate(mesh.subdomain_edges):
+    for i in range(len(mesh.interface_runs)):
         sl = slice(dofs.se_blocks[i][0] - dofs.n_interior,
                    dofs.se_blocks[i][1] - dofs.n_interior)
         vals = cons.rows[i] @ lam[sl]
@@ -318,47 +346,20 @@ def test_variant_none_rejected():
 
 
 
-def edge_loop_rows(mesh, se, spec, k):
-    """Reference: (c1, c2, c3) of one SubdomainEdge, mesh edge by mesh edge."""
-    nds = k + 1
-    rule = quadrature_rule("edge", 2 * k + 4)
-    P = EdgeBasis(k).eval(rule.points)
-    out = np.zeros((3, se.edges.size * nds))
-    for j, e in enumerate(se.edges):
-        va, vb = mesh.vertices[mesh.edges[e]]
-        X = va[None, :] + 0.5 * np.outer(rule.points + 1.0, vb - va)
-        bx, by = spec.beta_at(X[:, 0], X[:, 1])
-        bn = bx * se.normal[0] + by * se.normal[1]
-        s = X @ se.tangent - se.midpoint_t
-        we = rule.weights * (np.hypot(*(vb - va)) / 2.0)
-        out[:, j * nds:(j + 1) * nds] = [we @ P.T, (we * bn) @ P.T,
-                                         (we * bn * s) @ P.T]
-    return out
-
-
 @pytest.mark.parametrize("nx,ny,ratio,diag", LAYOUT_GRIDS)
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_batched_constraint_rows_match_edge_loop(nx, ny, ratio, diag, k):
     mesh = build_structured_mesh(nx, ny, ratio, diag=diag)
     spec = make_spec("rotating", 1.0)
     runs = mesh.interface_runs
-    q, bn = interface_quadrature(mesh, spec, k)
-    run = runs.run_of_edge
-    batched = _raw_rows(q, bn, runs.tangent[run],
-                        runs.midpoint_t[run]).reshape(3, -1)
     nds = k + 1
-    for i, se in enumerate(mesh.subdomain_edges):
-        ref = edge_loop_rows(mesh, se, spec, k)
-        scale = np.abs(ref).max()
-        blk = slice(runs.offsets[i] * nds, runs.offsets[i + 1] * nds)
-        assert np.abs(batched[:, blk] - ref).max() <= 1e-14 * scale
-        assert np.abs(np.array(constraint_rows(mesh, se, spec, k)) - ref) \
-            .max() <= 1e-14 * scale
-        flipped = type(se)(se.pair, se.edges, se.tangent, -se.normal,
-                           se.t_range)
-        ref = edge_loop_rows(mesh, flipped, spec, k)
-        assert np.abs(np.array(constraint_rows(mesh, flipped, spec, k))
-                      - ref).max() <= 1e-14 * scale
+    for sign in (1.0, -1.0):
+        batched = batched_rows(mesh, spec, k, sign)
+        for i in range(len(runs)):
+            ref = edge_loop_rows(mesh, spec, k, i, sign)
+            blk = slice(runs.offsets[i] * nds, runs.offsets[i + 1] * nds)
+            assert np.abs(batched[:, blk] - ref).max() \
+                <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -152,15 +152,6 @@ def test_unpreconditioned_runs():
     assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(iface.b_gamma)
 
 
-def test_true_residual_stopping_flag():
-    *_, iface, pre = interface_problem("thermal", 1.0, "bddc1",
-                                       ns=2, ratio=2, k=0)
-    x, rep = gmres(iface.apply, pre.apply, iface.b_gamma, tol=1e-8,
-                   true_residual_stopping=True)
-    assert rep.converged
-    assert rep.true_residual <= 1e-8
-
-
 def test_thermal_layer_deg0_counts():
     # thermal boundary layer, eps=1, degree 0, H/h=6, 4x4 subdomains;
     # published counts are 11 / 10 / 9

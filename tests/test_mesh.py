@@ -55,60 +55,75 @@ def test_edge_incidence_and_classes(diag):
     assert sorted(np.unique(m.tri_sub)) == list(range(m.n_subdomains))
 
 
+def run_edges(runs, r):
+    """Mesh edges of SubdomainEdge r, in order along its tangent."""
+    return runs.edges[runs.offsets[r]:runs.offsets[r + 1]]
+
+
 def test_interface_extraction_2x2():
     m = build_structured_mesh(2, 2, 2)
-    ses = m.subdomain_edges
-    assert len(ses) == 4
-    assert all(len(se.edges) == 2 for se in ses)
-    pairs = sorted(se.pair for se in ses)
+    runs = m.interface_runs
+    assert len(runs) == 4
+    assert np.diff(runs.offsets).tolist() == [2, 2, 2, 2]
+    pairs = sorted(tuple(p) for p in runs.pair.tolist())
     assert pairs == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    # the old name is the same object (the benchmark counts through it)
+    assert m.subdomain_edges is runs
 
 
 def test_interface_extraction_trivial_cases():
-    assert build_structured_mesh(1, 1, 3).subdomain_edges == []
-    ses = build_structured_mesh(2, 1, 1).subdomain_edges
-    assert len(ses) == 1
-    assert len(ses[0].edges) == 1
-    assert ses[0].pair == (0, 1)
+    runs = build_structured_mesh(1, 1, 3).interface_runs
+    assert len(runs) == 0 and runs.edges.size == 0
+    assert runs.offsets.tolist() == [0]
+    runs = build_structured_mesh(2, 1, 1).interface_runs
+    assert len(runs) == 1
+    assert runs.offsets.tolist() == [0, 1]
+    assert runs.pair.tolist() == [[0, 1]]
 
 
 def test_interface_covers_all_interface_edges():
     m = build_structured_mesh(4, 3, 2)
-    covered = np.concatenate([se.edges for se in m.subdomain_edges])
+    runs = m.interface_runs
+    covered = np.concatenate([run_edges(runs, r) for r in range(len(runs))])
     iface = np.where(m.edge_class == INTERFACE)[0]
     assert sorted(covered.tolist()) == sorted(iface.tolist())
     assert len(covered) == len(set(covered.tolist()))
-    total = sum(se.length for se in m.subdomain_edges)
+    total = np.sum(runs.t_range[:, 1] - runs.t_range[:, 0])
     lengths = m.edge_lengths()
     assert abs(total - lengths[iface].sum()) < 1e-12
 
 
 def test_subdomain_edge_geometry():
     m = build_structured_mesh(2, 2, 4)
-    for se in m.subdomain_edges:
+    runs = m.interface_runs
+    for r in range(len(runs)):
+        edges, tangent, normal = run_edges(runs, r), runs.tangent[r], \
+            runs.normal[r]
         # contiguous, collinear, axis aligned, length H
-        assert abs(se.length - m.H) < 1e-12
-        tans = m.edge_tangents()[se.edges]
-        assert np.allclose(np.abs(tans @ se.tangent), 1.0, atol=1e-12)
-        assert abs(np.dot(se.tangent, se.normal)) < 1e-14
+        assert abs(runs.t_range[r, 1] - runs.t_range[r, 0] - m.H) < 1e-12
+        d = m.vertices[m.edges[edges, 1]] - m.vertices[m.edges[edges, 0]]
+        tans = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+        assert np.allclose(np.abs(tans @ tangent), 1.0, atol=1e-12)
+        assert abs(np.dot(tangent, normal)) < 1e-14
         # normal points out of the lower-indexed subdomain
-        lo = se.pair[0]
-        e0 = se.edges[0]
+        lo = runs.pair[r, 0]
+        e0 = edges[0]
         t0, t1 = m.edge_tris[e0]
         tri = t0 if m.tri_sub[t0] == lo else t1
         cent = m.vertices[m.triangles[tri]].mean(axis=0)
         mid = 0.5 * (m.vertices[m.edges[e0, 0]] + m.vertices[m.edges[e0, 1]])
-        assert np.dot(se.normal, mid - cent) > 0
+        assert np.dot(normal, mid - cent) > 0
 
 
 def test_cross_point_splitting():
-    # 3x3 subdomains: vertical line x=-1/3 hosts three SubdomainEdges
+    # 3x3 subdomains: each vertical line x=+-1/3 hosts three SubdomainEdges
     m = build_structured_mesh(3, 3, 2)
-    vertical = [se for se in m.subdomain_edges if abs(se.tangent[1]) > 0.5]
+    runs = m.interface_runs
     lines = {}
-    for se in vertical:
-        x = m.vertices[m.edges[se.edges[0], 0], 0]
-        lines.setdefault(round(x, 12), []).append(se)
+    for r in np.flatnonzero(np.abs(runs.tangent[:, 1]) > 0.5):
+        x = m.vertices[m.edges[run_edges(runs, r)[0], 0], 0]
+        lines.setdefault(round(x, 12), []).append(r)
+    assert len(lines) == 2
     assert all(len(v) == 3 for v in lines.values())
 
 
@@ -119,15 +134,6 @@ def test_invalid_config():
         build_structured_mesh(2, 2, -1)
     with pytest.raises(InvalidConfigError):
         build_structured_mesh(2, 2, 2, diag="sw")
-
-
-def test_dump_text(tmp_path):
-    m = build_structured_mesh(1, 1, 1)
-    p = tmp_path / "mesh.txt"
-    with open(p, "w") as fh:
-        m.dump_text(fh)
-    lines = p.read_text().strip().splitlines()
-    assert len(lines) == m.n_vertices + m.n_triangles + m.n_edges
 
 
 # (nx, ny, H/h, diag) of the layout tests here and in test_fespace/test_bddc
@@ -158,28 +164,28 @@ def test_edge_numbering_is_lexicographic(nx, ny, ratio, diag):
 @pytest.mark.parametrize("nx,ny,ratio,diag", LAYOUT_GRIDS)
 def test_subdomain_edge_layout(nx, ny, ratio, diag):
     m = build_structured_mesh(nx, ny, ratio, diag=diag)
-    ses = m.subdomain_edges
     runs = m.interface_runs
     cross = cross_points(m)
     # sorted by pair; the runs of one pair follow each other along the line
-    assert [se.pair for se in ses] == sorted(se.pair for se in ses)
-    for prev, se in zip(ses, ses[1:]):
-        if prev.pair == se.pair:
-            assert se.t_range[0] >= prev.t_range[1] - 1e-12
-    for r, se in enumerate(ses):
-        # the arrays and the SubdomainEdge views agree
-        assert runs.edges[runs.offsets[r]:runs.offsets[r + 1]].tolist() == \
-            se.edges.tolist()
-        assert tuple(runs.pair[r]) == se.pair
-        v = m.vertices[m.edges[se.edges]]              # (n, 2 ends, 2)
-        t = v @ se.tangent
+    pairs = [tuple(p) for p in runs.pair.tolist()]
+    assert pairs == sorted(pairs)
+    for r in range(1, len(runs)):
+        if pairs[r - 1] == pairs[r]:
+            assert runs.t_range[r, 0] >= runs.t_range[r - 1, 1] - 1e-12
+    assert runs.run_of_edge.tolist() == \
+        np.repeat(np.arange(len(runs)), np.diff(runs.offsets)).tolist()
+    for r in range(len(runs)):
+        edges = run_edges(runs, r)
+        assert edges.size > 0
+        v = m.vertices[m.edges[edges]]                 # (n, 2 ends, 2)
+        t = v @ runs.tangent[r]
         # ordered along the tangent, contiguous, spanning t_range
         assert np.all(np.diff(t.mean(axis=1)) > 0)
         assert np.allclose(t.min(axis=1)[1:], t.max(axis=1)[:-1], atol=1e-12)
-        assert t.min() == se.t_range[0] and t.max() == se.t_range[1]
+        assert t.min() == runs.t_range[r, 0] and t.max() == runs.t_range[r, 1]
         # no cross point inside a run; each end is a cross point or lies on
         # the domain boundary
-        ends = m.edges[se.edges]
+        ends = m.edges[edges]
         inner = set(ends[1:].ravel().tolist()) & set(ends[:-1].ravel().tolist())
         assert not inner & cross
         first = set(ends[0].tolist()) - inner

@@ -95,7 +95,7 @@ def test_robin_sum_equals_global_operator(problem, eps, grid, ratio, k):
         gids = np.concatenate([sub.interior_gids, sub.interface_gids])
         R = sp.csr_matrix((np.ones(gids.size), (np.arange(gids.size), gids)),
                           shape=(gids.size, dofs.n_dofs))
-        total = total + R.T @ sub.A_sparse @ R
+        total = total + R.T @ sp.csr_matrix(sub.A) @ R
     assert abs(total - sys_.A).max() <= 1e-12 * abs(sys_.A).max()
 
 
