@@ -60,10 +60,7 @@ def tau(rule):
 def _se_dual_blocks(pre):
     """Per SubdomainEdge: [(subdomain index, partially assembled indices of
     the subdomain's dual copies on that SubdomainEdge, their St_i block)]."""
-    dofs = pre.dofs
-    se_of = np.empty(dofs.n_interface, dtype=np.int64)
-    for i, (a, b) in enumerate(dofs.se_blocks):
-        se_of[a - dofs.n_interior:b - dofs.n_interior] = i
+    se_of = pre.constraints.se_of
     blocks = {}
     for sids, pos, idx, npr, _, St in pre._local_stacks():
         for s, p, ix, S in zip(sids.tolist(), pos, idx, St):

@@ -13,10 +13,10 @@ The arrays are the interface decomposition ``mesh.interface_runs`` (its
 ``edges``, ``offsets``, ``pair``, ``normal`` and ``t_range``), the element
 blocks ``S_hat``, the load ``b``, the local Schur stack ``subs.S`` and
 ``b_gamma`` of each cell, and per variant the primal count per
-SubdomainEdge ``n_primal_by_se``, the fused BDDC stacks ``LG`` and ``C``,
-the coarse matrix ``Fc`` (its data, indices and indptr), the solution
-``lam`` and the iteration count.  Equal lines on
-two checkouts mean bit-identical arrays.
+SubdomainEdge ``n_primal_by_se``, the change of basis ``Qg``, the fused
+BDDC stacks ``LG`` and ``C``, the coarse matrix ``Fc`` (``Qg`` and ``Fc``
+by their data, indices and indptr), the solution ``lam`` and the iteration
+count.  Equal lines on two checkouts mean bit-identical arrays.
 
 ``hdglab`` is imported from ``PYTHONPATH`` (this checkout's ``src`` when it
 holds none), so the same script fingerprints a parent checkout.  Which
@@ -74,11 +74,13 @@ def fingerprint(name, wl):
             pre = build_preconditioner(subs, iface, cons, dofs)
             lam_g, rep = gmres(iface.apply, pre.apply, b_gamma)
             lam = iface.back_substitute(lam_g)
-            for what, a in (("n_primal_by_se", cons.n_primal_by_se),
-                            ("LG", pre.LG), ("C", pre.C),
-                            ("Fc.data", pre.Fc.data),
-                            ("Fc.indices", pre.Fc.indices),
-                            ("Fc.indptr", pre.Fc.indptr), ("lam", lam)):
+            arrays = [("n_primal_by_se", cons.n_primal_by_se)]
+            arrays += [("Qg." + a, getattr(pre.Qg, a))
+                       for a in ("data", "indices", "indptr")]
+            arrays += [("LG", pre.LG), ("C", pre.C)]
+            arrays += [("Fc." + a, getattr(pre.Fc, a))
+                       for a in ("data", "indices", "indptr")]
+            for what, a in arrays + [("lam", lam)]:
                 line(v, what, digest(a))
             line(v, "iterations", rep.iterations)
     return lines

@@ -11,7 +11,8 @@ c2 and c3 vanish identically when beta.n = 0 on the whole run).
 The raw rows of all SubdomainEdges come from one edge-quadrature table
 (``fespace.interface_quadrature``) in one array operation.  They are
 orthonormalized and completed to an orthogonal change of basis Q_E per
-SubdomainEdge, batched over the SubdomainEdges of equal block shape.  In the
+SubdomainEdge, batched over the SubdomainEdges of equal block shape, and
+stored once in one padded table (``PrimalConstraintSet.Q``).  In the
 transformed variables the primal DOFs are assembled across the interface
 while dual DOFs stay subdomain-local; the preconditioner is
 M^-1 = Q^T Rt_D^T St^-1 Rt_D Q (Li & Widlund 2006), solved in two levels, a
@@ -96,12 +97,15 @@ def _orthonormalize(raw):
 
 
 class PrimalConstraintSet:
-    """Retained, orthonormalized constraint rows per SubdomainEdge.
+    """Retained constraints and the change of basis of every SubdomainEdge.
 
-    ``blocks`` holds the rows batched: one (se_idx, R) per distinct block
-    shape, R (len(se_idx), n_pi, m) being the rows of SubdomainEdges se_idx.
-    ``rows`` (per SubdomainEdge, (n_pi, m)) views them, and ``kept`` names
-    the retained functionals of each SubdomainEdge.
+    ``kept`` names the retained functionals of each SubdomainEdge and
+    ``n_primal_by_se`` counts them; ``primal_offsets`` numbers them in
+    SubdomainEdge order.  ``Q`` (n_interface, w) holds Q_E of every
+    SubdomainEdge, zero-padded to the widest block w: row j of Q_E at the
+    block's j-th interface position, its orthonormal primal rows first.
+    Interface position p lies in SubdomainEdge ``se_of[p]`` at offset
+    ``block_off[p]`` within its block, the column of Q_E that p is.
     """
 
     def __init__(self, variant, spec, mesh, dofs, k):
@@ -114,6 +118,9 @@ class PrimalConstraintSet:
         n_se = len(runs)
         start = runs.offsets[:-1] * nds
         size = runs.offsets[1:] * nds - start
+        self.se_of = np.repeat(np.arange(n_se), size)
+        self.block_off = np.arange(size.sum()) - start[self.se_of]
+        self.Q = np.zeros((size.sum(), size.max(initial=0)))
         nfun = _N_FUNCTIONALS.get(self.variant)
         if nfun:
             # every functional of every SubdomainEdge, in interface DOF order
@@ -121,32 +128,27 @@ class PrimalConstraintSet:
             run = runs.run_of_edge
             raw = _raw_rows(q, bn, runs.tangent[run],
                             runs.midpoint_t[run]).reshape(3, -1)
-        self.blocks = []
         self.kept = [None] * n_se
         self.n_primal_by_se = np.zeros(n_se, dtype=np.int64)
         for m in np.unique(size):
             idx = np.flatnonzero(size == m)
+            pos = start[idx, None] + np.arange(m)
             if nfun:
-                Q, kept = _orthonormalize(
-                    raw[:nfun, start[idx, None] + np.arange(m)].swapaxes(0, 1))
+                R, kept = _orthonormalize(raw[:nfun, pos].swapaxes(0, 1))
                 names = ("c1", "c2", "c3")
             else:
                 n = m if self.variant == "all-primal" else 0
-                Q = np.broadcast_to(np.eye(m)[:n], (idx.size, n, m))
+                R = np.broadcast_to(np.eye(m)[:n], (idx.size, n, m))
                 kept = np.ones((idx.size, n), dtype=bool)
                 names = ["e%d" % i for i in range(n)]
             n_pi = kept.sum(axis=1)
             self.n_primal_by_se[idx] = n_pi
             for n in np.unique(n_pi):
                 sel = n_pi == n
-                self.blocks.append((idx[sel], Q[sel][kept[sel]].reshape(
-                    np.count_nonzero(sel), n, m)))
+                rows = R[sel][kept[sel]].reshape(np.count_nonzero(sel), n, m)
+                self.Q[pos[sel], :m] = _change_of_basis(rows)
             for i, row in zip(idx.tolist(), kept.tolist()):
                 self.kept[i] = [nm for nm, keep in zip(names, row) if keep]
-        self.rows = [None] * n_se
-        for idx, R in self.blocks:
-            for i, r in zip(idx.tolist(), R):
-                self.rows[i] = r
         self.primal_offsets = np.concatenate(
             [[0], np.cumsum(self.n_primal_by_se)])
         self.n_primal = int(self.primal_offsets[-1])
@@ -185,8 +187,12 @@ class BddcPreconditioner:
 
     Partially assembled layout: [primal (n_primal); dual copies per subdomain
     in subdomain order].  Every interface DOF is shared by exactly two
-    subdomains.  The weighted restriction Rt_D keeps the primal DOFs with
-    weight 1 and weights the dual copies by ``dual_weights`` (1/2).
+    subdomains.  The change of basis and its layout are read from the
+    constraint set (``Q``, ``se_of``, ``block_off``): ``is_primal`` marks the
+    first ``n_primal_by_se`` positions of each SubdomainEdge block and
+    ``primal_index`` numbers them in SubdomainEdge order (-1 elsewhere).
+    The weighted restriction Rt_D keeps the primal DOFs with weight 1 and
+    weights the dual copies by ``dual_weights`` (1/2).
 
     The apply is fused per subdomain.  With P_i = D_i Q_i, where D_i is 1/2 on
     the primal DOFs (each one half from each of its two subdomains) and the
@@ -203,7 +209,8 @@ class BddcPreconditioner:
 
     The oracle of the apply is the dense partially assembled system
     ``dense_partially_assembled`` with the sparse operators built on first
-    use: ``Qg`` (change of basis), ``R`` and ``RD`` (restriction Rt and
+    use: ``Qg`` (the nonzeros of the constraint set's ``Q``, block-diagonal
+    over the SubdomainEdges), ``R`` and ``RD`` (restriction Rt and
     weighted restriction Rt_D, n_tilde x n_interface), so that
     M^-1 = Qg^T RD^T St^-1 RD Qg, and ``apply_average`` (E_D).
     """
@@ -213,29 +220,14 @@ class BddcPreconditioner:
         self.constraints = constraints
         self.dofs = dofs
         self.variant = constraints.variant
-        n_ifc = dofs.n_interface
-
-        # Q_rows[p]: the row of Q_E at interface position p, within its
-        # SubdomainEdge block (padded with zeros to the widest block)
-        start = dofs.se_blocks[:, 0] - dofs.n_interior
-        self.se_size = dofs.se_blocks[:, 1] - dofs.se_blocks[:, 0]
-        self.se_of = np.repeat(np.arange(self.se_size.size), self.se_size)
-        self.block_off = np.arange(n_ifc) - start[self.se_of]
-        self.Q_rows = np.zeros((n_ifc, self.se_size.max(initial=0)))
-        for idx, R in constraints.blocks:
-            rows = start[idx, None] + np.arange(R.shape[2])
-            self.Q_rows[rows, :rows.shape[1]] = _change_of_basis(R)
 
         # the first n_primal_by_se components of each transformed
         # SubdomainEdge block are primal, numbered in SubdomainEdge order
         self.n_primal = constraints.n_primal
-        nP = constraints.n_primal_by_se
-        primal_pos = np.repeat(start - constraints.primal_offsets[:-1], nP) \
-            + np.arange(self.n_primal)
-        self.is_primal = np.zeros(n_ifc, dtype=bool)
-        self.is_primal[primal_pos] = True
-        self.primal_index = np.full(n_ifc, -1, dtype=np.int64)
-        self.primal_index[primal_pos] = np.arange(self.n_primal)
+        se_of, off = constraints.se_of, constraints.block_off
+        self.is_primal = off < constraints.n_primal_by_se[se_of]
+        self.primal_index = np.where(
+            self.is_primal, constraints.primal_offsets[se_of] + off, -1)
 
         # dual copies of subdomain s: [dual_start[s], + n_dual_by_sub[s])
         dual = ~np.append(self.is_primal, True)[subs.pos]
@@ -325,7 +317,8 @@ class BddcPreconditioner:
         components, primal first, each part in local order; the columns of
         Q_i are the subdomain's interface positions ``subs.pos`` in order.
         Dual copies are numbered in subdomain order."""
-        subs = self.subs
+        subs, cons = self.subs, self.constraints
+        se_of, off = cons.se_of, cons.block_off
         _, group = np.unique(np.column_stack([subs.nG, self.n_dual_by_sub]),
                              axis=0, return_inverse=True)
         runs = []
@@ -339,10 +332,8 @@ class BddcPreconditioner:
             p = np.argsort(~self.is_primal[pos], axis=1, kind="stable")
             rows = pos[np.arange(sids.size)[:, None], p]
             # Q_i, block-diagonal over the SubdomainEdges, rows primal first
-            Qi = np.where(self.se_of[rows][:, :, None]
-                          == self.se_of[pos][:, None, :],
-                          self.Q_rows[rows[:, :, None],
-                                      self.block_off[pos][:, None, :]], 0.0)
+            Qi = np.where(se_of[rows][:, :, None] == se_of[pos][:, None, :],
+                          cons.Q[rows[:, :, None], off[pos][:, None, :]], 0.0)
             St = Qi @ subs.S[sids, :n, :n] @ Qi.swapaxes(1, 2)
             idx = self.primal_index[rows]
             idx[:, n - nd:] = self.dual_start[sids, None] + np.arange(nd)
@@ -370,15 +361,10 @@ class BddcPreconditioner:
     @cached_property
     def Qg(self):
         """The change of basis, block-diagonal over the SubdomainEdges."""
-        n_ifc, width = self.Q_rows.shape
-        c = np.arange(width)
-        keep = c < self.se_size[self.se_of][:, None]
-        rows = np.broadcast_to(np.arange(n_ifc)[:, None], keep.shape)
-        cols = (np.arange(n_ifc) - self.block_off)[:, None] + c
-        Qg = sp.csr_matrix((self.Q_rows[keep], (rows[keep], cols[keep])),
-                           shape=(n_ifc, n_ifc))
-        Qg.eliminate_zeros()
-        return Qg
+        Q, off = self.constraints.Q, self.constraints.block_off
+        rows, c = np.nonzero(Q)
+        return sp.csr_matrix((Q[rows, c], (rows, rows - off[rows] + c)),
+                             shape=(Q.shape[0], Q.shape[0]))
 
     @cached_property
     def R(self):

@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -36,8 +35,8 @@ CSV_FIELDS = ("problem", "epsilon", "degree", "nsub_x", "nsub_y", "ratio",
 DIAG_FIELDS = ("norm_h", "jump", "norm_b", "gamma", "fov_min", "fov_max")
 
 CONFIG_KEYS = frozenset(("problem", "epsilons", "degrees", "grids", "ratios",
-                         "variants", "tol", "maxit", "fmt", "threads",
-                         "advect", "diagnostics"))
+                         "variants", "tol", "maxit", "fmt", "advect",
+                         "diagnostics"))
 
 
 def _zeros(x, y):
@@ -126,8 +125,8 @@ class BenchmarkConfig:
 
     def __init__(self, problem="thermal", epsilons=(1.0,), degrees=(0,),
                  grids=((4, 4),), ratios=(6,), variants=("bddc1",),
-                 tol=1e-10, maxit=1000, fmt="table", threads=1,
-                 advect=False, diagnostics=False):
+                 tol=1e-10, maxit=1000, fmt="table", advect=False,
+                 diagnostics=False):
         self.problem = problem
         self.epsilons = list(epsilons)
         self.degrees = list(degrees)
@@ -137,7 +136,6 @@ class BenchmarkConfig:
         self.tol = float(tol)
         self.maxit = int(maxit)
         self.fmt = fmt
-        self.threads = int(threads)
         self.advect = bool(advect)
         self.diagnostics = bool(diagnostics)
         self.validate()
@@ -249,34 +247,24 @@ def run_sweep(config):
     """All CaseResults of the config's Cartesian product, in stable order.
 
     The assembled system of each (epsilon, degree, grid, ratio) coordinate
-    is shared across its preconditioner variants.  With ``threads > 1``
-    coordinates run concurrently; counts are unaffected (each case's
-    reduction order is fixed), only wall times change.
+    is shared across its preconditioner variants.
     """
-    coords = list(product(config.epsilons, config.degrees, config.grids,
-                          config.ratios))
-
-    def one_coord(coord):
-        eps, degree, grid, ratio = coord
+    results = []
+    for eps, degree, grid, ratio in product(config.epsilons, config.degrees,
+                                            config.grids, config.ratios):
         try:
             built = build_case(config.problem, eps, degree, grid, ratio,
                                advect=config.advect)
         except Exception as exc:
-            return [CaseResult(config.problem, eps, degree, grid, ratio, v,
-                               error="%s: %s" % (type(exc).__name__, exc))
+            error = "%s: %s" % (type(exc).__name__, exc)
+            results += [CaseResult(config.problem, eps, degree, grid, ratio,
+                                   v, error=error) for v in config.variants]
+            continue
+        results += [run_case(config.problem, eps, degree, grid, ratio, v,
+                             tol=config.tol, maxit=config.maxit,
+                             diagnostics=config.diagnostics, built=built)
                     for v in config.variants]
-        return [run_case(config.problem, eps, degree, grid, ratio, v,
-                         tol=config.tol, maxit=config.maxit,
-                         diagnostics=config.diagnostics, built=built)
-                for v in config.variants]
-
-    threads = max(1, config.threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(one_coord, coords))
-    else:
-        groups = [one_coord(c) for c in coords]
-    return [case for group in groups for case in group]
+    return results
 
 
 def monotonicity_flags(results):
@@ -315,20 +303,6 @@ def emit_csv(results, stream, diagnostics=False):
     w.writerow(fields)
     for r in results:
         w.writerow(r.row(with_diag=with_diag))
-
-
-def read_csv(stream):
-    """Parse emit_csv output back into typed dicts."""
-    rows = []
-    for rec in csv.DictReader(stream):
-        rec["epsilon"] = float(rec["epsilon"])
-        for key in ("degree", "nsub_x", "nsub_y", "ratio", "iterations"):
-            rec[key] = int(rec[key])
-        rec["converged"] = rec["converged"] == "True"
-        rec["true_residual"] = float(rec["true_residual"])
-        rec["seconds"] = float(rec["seconds"])
-        rows.append(rec)
-    return rows
 
 
 def emit_table(results, stream):
@@ -448,7 +422,6 @@ def build_arg_parser():
     p.add_argument("--maxit", type=int)
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "table"), dest="fmt")
-    p.add_argument("--threads", type=int)
     p.add_argument("--advect", action="store_true", default=None,
                    help="manufactured problem: use the thermal beta")
     p.add_argument("--diagnostics", action="store_true", default=None,
@@ -479,8 +452,8 @@ def config_from_args(args):
         ratios=None if args.ratio is None else
             [int(r) for r in _split(args.ratio)],
         variants=None if args.variant is None else _split(args.variant),
-        tol=args.tol, maxit=args.maxit, fmt=args.fmt, threads=args.threads,
-        advect=args.advect, diagnostics=args.diagnostics)
+        tol=args.tol, maxit=args.maxit, fmt=args.fmt, advect=args.advect,
+        diagnostics=args.diagnostics)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return BenchmarkConfig(**values)
 

@@ -245,8 +245,8 @@ class Subdomain:
         self.layer, self.sidx = layer, sidx
         self.nI, self.nG = int(layer.nI[sidx]), int(layer.nG[sidx])
         self.interior_gids = layer.dofs.interior_by_sub[sidx]
-        self.interface_gids = layer.dofs.sub_interface_gids[sidx]
         self.interface_pos = layer.dofs.sub_interface_pos[sidx]
+        self.interface_gids = self.interface_pos + layer.dofs.n_interior
 
     def dense_schur(self):
         """S^(i) = A_GG - A_GI A_II^-1 A_IG, a view into the layer's stack."""

@@ -135,12 +135,11 @@ class TraceDofMap:
     k : trace degree
     n_dofs, n_interior, n_interface : sizes
     edge_dofs : (n_edges, k+1) global DOF ids, -1 on boundary edges
-    owner : (n_dofs,) owning subdomain for interior DOFs, -1 for interface
     interior_by_sub : list of int arrays, per-subdomain interior DOF ids
     se_blocks : (n_runs, 2) global DOF ranges [start, stop) per SubdomainEdge
-    sub_interface_gids : per-subdomain global ids of its interface DOFs
-        (its SubdomainEdge blocks, concatenated in ascending run order)
-    sub_interface_pos : same, as positions within Lambda_Gamma (0-based)
+    sub_interface_pos : per-subdomain positions within Lambda_Gamma (0-based;
+        global id = position + n_interior) of its interface DOFs: its
+        SubdomainEdge blocks, concatenated in ascending run order
     """
 
     def __init__(self, mesh, k):
@@ -164,8 +163,6 @@ class TraceDofMap:
         self.edge_dofs[inter] = np.arange(self.n_interior).reshape(-1, nds)
         self.edge_dofs[runs.edges] = np.arange(
             self.n_interior, self.n_dofs).reshape(-1, nds)
-        self.owner = np.concatenate([np.repeat(own, nds),
-                                     np.full(self.n_interface, -1)])
         subs = np.arange(1, nsub)
         self.interior_by_sub = np.split(
             np.arange(self.n_interior), np.searchsorted(own, subs) * nds)
@@ -184,7 +181,6 @@ class TraceDofMap:
             np.arange(size.sum())
         cuts = np.searchsorted(np.repeat(sub_of, size), subs)
         self.sub_interface_pos = np.split(pos, cuts)
-        self.sub_interface_gids = np.split(pos + self.n_interior, cuts)
 
 
 def build_trace_dof_map(mesh, k):

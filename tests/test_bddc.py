@@ -59,6 +59,13 @@ def edge_loop_rows(mesh, spec, k, r, sign=1.0):
     return out
 
 
+def primal_rows(cons, i):
+    """The orthonormal primal rows (n_pi, m) of SubdomainEdge i: the first
+    ``n_primal_by_se[i]`` rows of its block of ``cons.Q``."""
+    block = np.flatnonzero(cons.se_of == i)
+    return cons.Q[block[:cons.n_primal_by_se[i]], :block.size]
+
+
 def batched_rows(mesh, spec, k, sign=1.0):
     """The raw rows of every SubdomainEdge as ``PrimalConstraintSet`` forms
     them, (3, n_interface), with every normal times ``sign``."""
@@ -115,7 +122,7 @@ def test_constant_flux_drops_c2_keeps_first_moment():
         assert cons.kept[i] == ["c1", "c3"]
         # the retained c3 row is the pure centered first moment
         c3 = edge_loop_rows(mesh, spec, 0, i)[2]
-        row = cons.rows[i][1]
+        row = primal_rows(cons, i)[1]
         assert np.allclose(row, c3 / np.linalg.norm(c3), atol=1e-12) or \
             np.allclose(row, -c3 / np.linalg.norm(c3), atol=1e-12)
 
@@ -125,7 +132,7 @@ def test_change_of_basis_two_edge_block():
     dofs = build_trace_dof_map(mesh, 0)
     spec = make_spec("poisson", 1.0)
     cons = build_constraints("bddc1", spec, mesh, dofs, 0)
-    Q = _change_of_basis(cons.rows[0][None])[0]
+    Q = _change_of_basis(primal_rows(cons, 0)[None])[0]
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(Q[0], [s, s], atol=1e-14)
     assert np.allclose(Q[1], [s, -s], atol=1e-14)
@@ -138,10 +145,10 @@ def test_duals_annihilate_constraints_rotating_k2():
     spec = make_spec("rotating", 1e-3)
     cons = build_constraints("bddc3", spec, mesh, dofs, 2)
     for i in range(len(mesh.interface_runs)):
-        Q = _change_of_basis(cons.rows[i][None])[0]
+        Q = _change_of_basis(primal_rows(cons, i)[None])[0]
         raw = edge_loop_rows(mesh, spec, 2, i)
         scale = np.linalg.norm(raw[0])
-        nP = cons.rows[i].shape[0]
+        nP = cons.n_primal_by_se[i]
         for c in raw:
             assert np.abs(Q[nP:] @ c).max() < 1e-12 * max(scale, 1.0)
         assert np.allclose(Q @ Q.T, np.eye(Q.shape[0]), atol=1e-12)
@@ -155,12 +162,13 @@ def test_change_of_basis_matches_null_space(variant):
     *_, cons, pre = setup("rotating", 1e-3, variant, nx=3, ny=2, ratio=3, k=2)
     dofs = pre.dofs
     for i, (a, b) in enumerate(dofs.se_blocks - dofs.n_interior):
-        dual = sla.null_space(cons.rows[i]).T
+        rows = primal_rows(cons, i)
+        dual = sla.null_space(rows).T
         for v in dual:
             big = np.flatnonzero(np.abs(v) > 1e-12)
             if big.size and v[big[0]] < 0:
                 v *= -1.0
-        ref = np.vstack([cons.rows[i], dual])
+        ref = np.vstack([rows, dual])
         assert np.abs(pre.Qg[a:b, a:b].toarray() - ref).max() <= 1e-15
 
 
@@ -302,7 +310,7 @@ def test_primal_reproduction():
     for i in range(len(mesh.interface_runs)):
         sl = slice(dofs.se_blocks[i][0] - dofs.n_interior,
                    dofs.se_blocks[i][1] - dofs.n_interior)
-        vals = cons.rows[i] @ lam[sl]
+        vals = primal_rows(cons, i) @ lam[sl]
         off = cons.primal_offsets[i]
         assert np.allclose(t[off:off + vals.size], vals, atol=1e-12)
 
@@ -362,6 +370,35 @@ def test_batched_constraint_rows_match_edge_loop(nx, ny, ratio, diag, k):
                 <= 1e-14 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("nx,ny,ratio,diag", LAYOUT_GRIDS)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_primal_layout_matches_edge_loop(nx, ny, ratio, diag, k):
+    # the first n_primal_by_se[i] positions of SubdomainEdge i's block are
+    # primal, numbered 0..n_primal-1 in SubdomainEdge order
+    mesh = build_structured_mesh(nx, ny, ratio, diag=diag)
+    dofs = build_trace_dof_map(mesh, k)
+    spec = make_spec("rotating", 1e-3)
+    subs = build_subdomains(mesh, dofs, spec, k,
+                            sys=assemble_trace_system(mesh, dofs, spec, k))
+    for variant in ("bddc1", "bddc2", "bddc3", "all-primal"):
+        cons = build_constraints(variant, spec, mesh, dofs, k)
+        pre = BddcPreconditioner(subs, cons, dofs)
+        is_primal = np.zeros(dofs.n_interface, dtype=bool)
+        index = np.full(dofs.n_interface, -1)
+        n = 0
+        for i, (a, b) in enumerate(dofs.se_blocks - dofs.n_interior):
+            nP = cons.n_primal_by_se[i]
+            assert len(cons.kept[i]) == nP
+            assert np.all(cons.se_of[a:b] == i)
+            assert cons.block_off[a:b].tolist() == list(range(b - a))
+            is_primal[a:a + nP] = True
+            index[a:a + nP] = np.arange(n, n + nP)
+            n += nP
+        assert pre.n_primal == n
+        assert np.array_equal(pre.is_primal, is_primal)
+        assert np.array_equal(pre.primal_index, index)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("problem,eps", [("rotating", 1e-3),
                                          ("thermal", 1.0)])
@@ -382,6 +419,6 @@ def test_batched_change_of_basis_is_the_edge_transform(variant):
     mesh, dofs, spec, subs, iface, cons, pre = setup(
         "rotating", 1e-3, variant, nx=3, ny=2, ratio=3, k=1)
     for i, (a, b) in enumerate(dofs.se_blocks - dofs.n_interior):
-        Q = _change_of_basis(cons.rows[i][None])[0]
+        Q = _change_of_basis(primal_rows(cons, i)[None])[0]
         assert np.array_equal(pre.Qg[a:b, a:b].toarray(), Q)
         assert pre.Qg[a:b].nnz == np.count_nonzero(Q)

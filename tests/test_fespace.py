@@ -190,8 +190,9 @@ def test_edge_dofs_layout(nx, ny, ratio, diag, k):
     for s in range(m.n_subdomains):
         assert dofs.interior_by_sub[s].tolist() == \
             dofs.edge_dofs[inter[own == s]].ravel().tolist()
-    assert dofs.owner[:dofs.n_interior].tolist() == \
-        np.repeat(np.sort(own), nds).tolist()
+    # every interior DOF has one owning subdomain, none an interface DOF
+    assert np.concatenate(dofs.interior_by_sub).tolist() == \
+        list(range(dofs.n_interior))
     # the interface: one contiguous block per SubdomainEdge, in run order
     nxt = dofs.n_interior
     sub_se = [[] for _ in range(m.n_subdomains)]
@@ -205,10 +206,8 @@ def test_edge_dofs_layout(nx, ny, ratio, diag, k):
         sub_se[runs.pair[i, 0]].append(i)
         sub_se[runs.pair[i, 1]].append(i)
     assert nxt == dofs.n_dofs
-    assert np.all(dofs.owner[dofs.n_interior:] == -1)
     for s in range(m.n_subdomains):
         gids = [g for i in sub_se[s] for g in range(*dofs.se_blocks[i])]
-        assert dofs.sub_interface_gids[s].tolist() == gids
         assert dofs.sub_interface_pos[s].tolist() == \
             [g - dofs.n_interior for g in gids]
 

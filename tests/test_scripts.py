@@ -133,8 +133,8 @@ def test_fingerprint_repeats(capsys):
     for _ in range(2):
         assert script.main(["many-subdomains"]) == 0
         runs.append(capsys.readouterr().out.splitlines())
-    # nine arrays of the cell, then seven arrays and the count per variant
-    assert len(runs[0]) == 9 + 2 * 8 and runs[0] == runs[1]
+    # nine arrays of the cell, then ten arrays and the count per variant
+    assert len(runs[0]) == 9 + 2 * 11 and runs[0] == runs[1]
     assert runs[0][0].startswith(
         "many-subdomains 16x16/8 - interface_runs.edges ")
     assert runs[0][5].startswith("many-subdomains 16x16/8 - blocks.S_hat ")
