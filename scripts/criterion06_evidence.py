@@ -87,7 +87,8 @@ def _upwind_blocks(pre, blocks, w_up):
         n = runs.normal[i]                   # outward of runs.pair[i, 0]
         bn = bx * n[0] + by * n[1]
         w0 = np.where(bn > 1e-14, w_up, np.where(bn < -1e-14, 1 - w_up, 0.5))
-        a, b = np.array(pre.dofs.se_blocks[i]) - pre.dofs.n_interior
+        dofs = pre.subs.dofs
+        a, b = np.array(dofs.se_blocks[i]) - dofs.n_interior
         Q = pre.Qg[a:b, a:b].toarray()
         nP = pre.constraints.n_primal_by_se[i]
         W0 = (Q @ np.diag(np.repeat(w0, nds)) @ Q.T)[nP:, nP:]

@@ -10,7 +10,8 @@ default) and solves every variant on it, as ``pipeline.run_untraced`` does,
 with one BLAS thread.  Prints one line per (workload, cell, variant, array):
 a short SHA-256 of the array's dtype, shape and bytes, or a count in clear.
 The arrays are the interface decomposition ``mesh.interface_runs`` (its
-``edges``, ``offsets``, ``pair``, ``normal`` and ``t_range``), the element
+``edges``, ``offsets``, ``pair``, ``tangent``, ``normal``, ``t_range`` and
+``run_of_edge``), the element
 blocks ``S_hat``, the load ``b``, the local Schur stack ``subs.S`` and
 ``b_gamma`` of each cell, and per variant the primal count per
 SubdomainEdge ``n_primal_by_se``, the change of basis ``Qg``, the fused
@@ -19,7 +20,9 @@ by their data, indices and indptr), the solution ``lam`` and the iteration
 count.  Equal lines on two checkouts mean bit-identical arrays.
 
 ``hdglab`` is imported from ``PYTHONPATH`` (this checkout's ``src`` when it
-holds none), so the same script fingerprints a parent checkout.  Which
+holds none), so the same script fingerprints a parent checkout: it reaches
+the interface operator as the last entry of ``build_case`` and builds the
+preconditioner with ``build_preconditioner``, as ``perfbench`` does.  Which
 package was imported goes to standard error.
 """
 
@@ -64,7 +67,8 @@ def fingerprint(name, wl):
             wl.problem, wl.eps, wl.degree, grid, ratio)
         b_gamma = iface.b_gamma
         runs = mesh.interface_runs
-        for what in ("edges", "offsets", "pair", "normal", "t_range"):
+        for what in ("edges", "offsets", "pair", "tangent", "normal",
+                     "t_range", "run_of_edge"):
             line("-", "interface_runs." + what, digest(getattr(runs, what)))
         for what, a in (("blocks.S_hat", sys_.blocks.S_hat), ("sys.b", sys_.b),
                         ("subs.S", subs.S), ("b_gamma", b_gamma)):

@@ -84,7 +84,7 @@ def stages(pipeline):
             (pipeline, "build_constraints", "constraints"),
             (pipeline, "build_preconditioner", "BDDC"),
             (pipeline, "gmres", "GMRES"),
-            (dd.InterfaceOperator, "back_substitute", "back-substitution"),
+            (dd.Subdomains, "back_substitute", "back-substitution"),
             (assembly, "assemble_matrix", "sys.A (checks)")]
 
 

@@ -11,7 +11,7 @@ from .hdg import (ElementBlocks, ElementLocal, ProblemSpec,
                   StabilizationError, eval_tau, recover)
 from .assembly import (TraceSystem, assemble_trace_system, direct_solve,
                        eval_forms, full_saddle_solve, l2_error_u, recover_all)
-from .dd import (InterfaceOperator, Subdomain, SubdomainError, Subdomains,
+from .dd import (Subdomain, SubdomainError, Subdomains,
                  build_interface_operator, build_subdomains)
 from .bddc import (VARIANTS, BddcPreconditioner, PreconditionerError,
                    PrimalConstraintSet, build_constraints,

@@ -32,7 +32,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dd import scatter_blocks
 from .fespace import interface_quadrature
 from .mesh import InvalidConfigError
 
@@ -108,7 +107,7 @@ class PrimalConstraintSet:
     ``block_off[p]`` within its block, the column of Q_E that p is.
     """
 
-    def __init__(self, variant, spec, mesh, dofs, k):
+    def __init__(self, variant, spec, mesh, k):
         self.variant = _variant_name(variant)
         self.spec = spec
         self.mesh = mesh
@@ -155,8 +154,9 @@ class PrimalConstraintSet:
 
 
 def build_constraints(variant, spec, mesh, dofs, k):
-    """PrimalConstraintSet for all SubdomainEdges of the mesh."""
-    return PrimalConstraintSet(variant, spec, mesh, dofs, k)
+    """``PrimalConstraintSet(variant, spec, mesh, k)``; ``dofs`` is not read.
+    Kept with this signature only for ``perfbench/pipeline.py``."""
+    return PrimalConstraintSet(variant, spec, mesh, k)
 
 
 def _change_of_basis(rows):
@@ -182,8 +182,23 @@ def _change_of_basis(rows):
     return Q
 
 
+def scatter_blocks(blocks, shape):
+    """Sparse sum of stacked dense blocks: ``blocks`` yields (B, rows, cols),
+    B (b, r, c) placed at rows[j] x cols[j] for each j; entries in a negative
+    row or column are left out.  COO with int32 indices, duplicates unsummed."""
+    parts = [(np.zeros(0), np.zeros(0, np.int32), np.zeros(0, np.int32))]
+    for B, rows, cols in blocks:
+        R, C = np.broadcast_arrays(rows.astype(np.int32)[..., :, None],
+                                   cols.astype(np.int32)[..., None, :])
+        keep = (R >= 0) & (C >= 0)
+        parts.append((B[keep], R[keep], C[keep]))
+    v, r, c = map(np.concatenate, zip(*parts))
+    return sp.coo_matrix((v, (r, c)), shape=shape)
+
+
 class BddcPreconditioner:
-    """Two-level BDDC in the transformed interface variables.
+    """Two-level BDDC in the transformed interface variables (an exact
+    coarse solve for all-primal; variant ``none`` has no BDDC object).
 
     Partially assembled layout: [primal (n_primal); dual copies per subdomain
     in subdomain order].  Every interface DOF is shared by exactly two
@@ -215,10 +230,12 @@ class BddcPreconditioner:
     M^-1 = Qg^T RD^T St^-1 RD Qg, and ``apply_average`` (E_D).
     """
 
-    def __init__(self, subs, constraints, dofs):
+    def __init__(self, subs, constraints):
+        if constraints.variant == "none":
+            raise InvalidConfigError("variant 'none' means unpreconditioned "
+                                     "GMRES; no BDDC object")
         self.subs = subs
         self.constraints = constraints
-        self.dofs = dofs
         self.variant = constraints.variant
 
         # the first n_primal_by_se components of each transformed
@@ -343,7 +360,7 @@ class BddcPreconditioner:
         """M^-1 r from the fused stacks: gather, one batched product with
         [L_i; G_i], the coarse solve, one batched product with C_i, scatter."""
         r = np.asarray(r, dtype=float)
-        n = self.dofs.n_interface
+        n = self.subs.n
         if r.shape != (n,):
             raise InvalidConfigError("interface residual has wrong length")
         pos = self.subs.pos
@@ -371,7 +388,7 @@ class BddcPreconditioner:
         """Rt: row t picks the interface position of tilde component t."""
         t = np.arange(self.n_tilde)
         return sp.csr_matrix((np.ones(t.size), (t, self._cols)),
-                             shape=(self.n_tilde, self.dofs.n_interface))
+                             shape=(self.n_tilde, self.subs.n))
 
     @cached_property
     def RD(self):
@@ -401,12 +418,6 @@ class BddcPreconditioner:
 
 
 def build_preconditioner(subs, iface, constraints, dofs):
-    """Two-level BDDC preconditioner (or exact coarse for all-primal).
-
-    ``iface`` is not read: the interface operator enters through the local
-    Schur complements of ``subs``.
-    """
-    if constraints.variant == "none":
-        raise InvalidConfigError(
-            "variant 'none' means unpreconditioned GMRES; no BDDC object")
-    return BddcPreconditioner(subs, constraints, dofs)
+    """``BddcPreconditioner(subs, constraints)``; ``iface`` and ``dofs`` are
+    not read.  Kept with this signature only for ``perfbench/pipeline.py``."""
+    return BddcPreconditioner(subs, constraints)

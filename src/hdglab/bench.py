@@ -19,9 +19,9 @@ import numpy as np
 
 from .assembly import assemble_trace_system, direct_solve, l2_error_u, \
     recover_all
-from .bddc import VARIANTS, build_constraints, build_preconditioner
-from .dd import build_interface_operator, build_subdomains
-from .diagnostics import envelope_holds, norm_report
+from .bddc import VARIANTS, BddcPreconditioner, PrimalConstraintSet
+from .dd import build_subdomains
+from .diagnostics import norm_report
 from .fespace import build_trace_dof_map
 from .hdg import ProblemSpec
 from .krylov import gmres
@@ -199,15 +199,16 @@ class CaseResult:
 
 
 def build_case(problem, epsilon, degree, grid, ratio, advect=False):
-    """Mesh, spaces, trace system, subdomains, interface operator."""
+    """Mesh, spaces, trace system and subdomains, which are also the
+    interface operator: the last two entries are the same object (the
+    six-entry tuple is kept for ``perfbench/pipeline.py``)."""
     nx, ny = grid
     mesh = build_structured_mesh(nx, ny, ratio)
     dofs = build_trace_dof_map(mesh, degree)
     spec = make_problem(problem, epsilon, h=mesh.h, advect=advect)
     sys_ = assemble_trace_system(mesh, dofs, spec, degree)
     subs = build_subdomains(mesh, dofs, spec, degree, sys=sys_)
-    iface = build_interface_operator(subs, dofs)
-    return mesh, dofs, spec, sys_, subs, iface
+    return mesh, dofs, spec, sys_, subs, subs
 
 
 def run_case(problem, epsilon, degree, grid, ratio, variant, tol=1e-10,
@@ -218,18 +219,18 @@ def run_case(problem, epsilon, degree, grid, ratio, variant, tol=1e-10,
         if built is None:
             built = build_case(problem, epsilon, degree, grid, ratio,
                                advect=advect)
-        mesh, dofs, spec, sys_, subs, iface = built
+        mesh, _, spec, sys_, subs, _ = built
         if variant == "none":
             pre = None
         else:
-            cons = build_constraints(variant, spec, mesh, dofs, degree)
-            pre = build_preconditioner(subs, iface, cons, dofs)
-        lamG, rep = gmres(iface.apply, None if pre is None else pre.apply,
-                          iface.b_gamma, tol=tol, maxit=maxit)
+            pre = BddcPreconditioner(
+                subs, PrimalConstraintSet(variant, spec, mesh, degree))
+        lamG, rep = gmres(subs.apply, None if pre is None else pre.apply,
+                          subs.b_gamma, tol=tol, maxit=maxit)
         diag = None
         if diagnostics:
-            lam = iface.back_substitute(lamG)
-            diag = norm_report(sys_, subs, iface, lam, lamG, pre=pre)
+            lam = subs.back_substitute(lamG)
+            diag = norm_report(sys_, subs, lam, lamG, pre=pre)
         return CaseResult(problem, epsilon, degree, grid, ratio, variant,
                           iterations=rep.iterations, converged=rep.converged,
                           true_residual=rep.true_residual,

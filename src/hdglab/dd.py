@@ -28,13 +28,12 @@ S_i (to which the Robin terms are then added) and the condensed interface
 load.  The stored X of every merge give the back-substitution (``extend``).
 Subdomains are condensed in runs whose stacks stay within ``CHUNK_ENTRIES``.
 
-S_Gamma = sum_i R_i^T S_i R_i is never assembled: ``InterfaceOperator``
+S_Gamma = sum_i R_i^T S_i R_i is never assembled: ``Subdomains.apply``
 applies it from the stack with one gather, one batched product and one
 scatter-add.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fespace import interface_quadrature
 from .mesh import InvalidConfigError
@@ -59,20 +58,6 @@ def _robin_edge_matrices(mesh, spec, k):
     q, bn = interface_quadrature(mesh, spec, k)
     return np.einsum("q,eq,mq,lq,e->eml", q.rule.weights, bn, q.P, q.P,
                      q.half_len)
-
-
-def scatter_blocks(blocks, shape):
-    """Sparse sum of stacked dense blocks: ``blocks`` yields (B, rows, cols),
-    B (b, r, c) placed at rows[j] x cols[j] for each j; entries in a negative
-    row or column are left out.  COO with int32 indices, duplicates unsummed."""
-    parts = [(np.zeros(0), np.zeros(0, np.int32), np.zeros(0, np.int32))]
-    for B, rows, cols in blocks:
-        R, C = np.broadcast_arrays(rows.astype(np.int32)[..., :, None],
-                                   cols.astype(np.int32)[..., None, :])
-        keep = (R >= 0) & (C >= 0)
-        parts.append((B[keep], R[keep], C[keep]))
-    v, r, c = map(np.concatenate, zip(*parts))
-    return sp.coo_matrix((v, (r, c)), shape=shape)
 
 
 # -- the elimination plan ----------------------------------------------------
@@ -272,7 +257,9 @@ class Subdomain:
 
 
 class Subdomains:
-    """The torn interface layer; iterating yields one ``Subdomain`` each.
+    """The torn interface layer and the interface operator
+    S_Gamma = sum_i R_i^T S^(i) R_i of its ``n`` interface DOFs; iterating
+    yields one ``Subdomain`` each.
 
     ``pos`` (n_sub, w) holds every subdomain's interface positions, padded
     with n_interface to w = max nG: a gather from a vector with one zero
@@ -290,7 +277,7 @@ class Subdomains:
 
     def __init__(self, sys, robin):
         dofs, mesh, nds = sys.dofs, sys.mesh, sys.k + 1
-        self.sys, self.dofs = sys, dofs
+        self.sys, self.dofs, self.n = sys, dofs, dofs.n_interface
         n_sub, n0, n_ifc = mesh.n_subdomains, dofs.n_interior, dofs.n_interface
         n = dofs.n_dofs
         self.nI = np.array([g.size for g in dofs.interior_by_sub])
@@ -434,6 +421,29 @@ class Subdomains:
             x[sid] = -np.matmul(X, x[bid][..., None])[..., 0]
         return x[:n]
 
+    def apply(self, lamG):
+        """S_Gamma lamG: a gather of every subdomain's interface values, one
+        batched product with ``S`` and one scatter-add."""
+        lamG = np.asarray(lamG, dtype=float)
+        if lamG.shape != (self.n,):
+            raise InvalidConfigError("interface vector has wrong length")
+        x = np.append(lamG, 0.0)[self.pos]
+        y = np.matmul(self.S, x[..., None])[..., 0]
+        return np.bincount(self.pos.ravel(), y.ravel(),
+                           minlength=self.n + 1)[:self.n]
+
+    def as_dense(self):
+        """Dense S_Gamma (the dense-Schur oracle of the tests), summed
+        straight from the stack."""
+        n1, P = self.n + 1, self.pos
+        flat = (P[:, :, None] * n1 + P[:, None, :]).ravel()
+        return np.bincount(flat, self.S.ravel(), minlength=n1 * n1) \
+            .reshape(n1, n1)[:self.n, :self.n]
+
+    def back_substitute(self, lamG):
+        """Full free-DOF vector, interiors recovered from lamG and the load."""
+        return self.extend(lamG, loaded=True)
+
 
 def build_subdomains(mesh, dofs, spec, k, sys):
     """The torn interface layer of the assembled ``sys``, with its local
@@ -441,41 +451,7 @@ def build_subdomains(mesh, dofs, spec, k, sys):
     return Subdomains(sys, _robin_edge_matrices(mesh, spec, k))
 
 
-class InterfaceOperator:
-    """S_Gamma = sum_i R_i^T S^(i) R_i, applied from the stacked local Schur
-    complements: a gather of every subdomain's interface values, one batched
-    product with ``subs.S`` and one scatter-add.  Padded slots of ``subs.pos``
-    (n_interface) gather a zero and scatter into a dummy entry past the end."""
-
-    def __init__(self, subs, dofs):
-        self.subs, self.dofs, self.n = subs, dofs, dofs.n_interface
-
-    def apply(self, lamG):
-        lamG = np.asarray(lamG, dtype=float)
-        if lamG.shape != (self.n,):
-            raise InvalidConfigError("interface vector has wrong length")
-        x = np.append(lamG, 0.0)[self.subs.pos]
-        y = np.matmul(self.subs.S, x[..., None])[..., 0]
-        return np.bincount(self.subs.pos.ravel(), y.ravel(),
-                           minlength=self.n + 1)[:self.n]
-
-    @property
-    def b_gamma(self):
-        """b_G - A_GI A_II^-1 b_I, the sum of the local interface RHS."""
-        return self.subs.b_gamma
-
-    def as_dense(self):
-        """Dense interface matrix (the dense-Schur oracle of the tests),
-        summed straight from the stack."""
-        n1, P = self.n + 1, self.subs.pos
-        flat = (P[:, :, None] * n1 + P[:, None, :]).ravel()
-        return np.bincount(flat, self.subs.S.ravel(), minlength=n1 * n1) \
-            .reshape(n1, n1)[:self.n, :self.n]
-
-    def back_substitute(self, lamG):
-        """Full free-DOF vector, interiors recovered from lamG and the load."""
-        return self.subs.extend(lamG, loaded=True)
-
-
 def build_interface_operator(subs, dofs):
-    return InterfaceOperator(subs, dofs)
+    """``subs``, which applies S_Gamma itself; ``dofs`` is not read.  Kept
+    only for ``perfbench/pipeline.py``, as ``Mesh2d.subdomain_edges`` is."""
+    return subs

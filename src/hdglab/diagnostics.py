@@ -140,7 +140,7 @@ def envelope_holds(resvec, c_est, C_est):
     return bool(np.all(np.asarray(resvec) <= env + 1e-12))
 
 
-def norm_report(sys, subs, iface, lam, lamG, pre=None, n_samples=8, seed=0):
+def norm_report(sys, subs, lam, lamG, pre=None, n_samples=8, seed=0):
     """Assemble a NormReport for one solved case.
 
     ``lam`` is the full free-DOF trace vector, ``lamG`` its interface part.
@@ -148,12 +148,12 @@ def norm_report(sys, subs, iface, lam, lamG, pre=None, n_samples=8, seed=0):
     coef = edge_coefficients(sys, lam)
     inner = lambda v, w: b_gamma_inner(v, w, subs, sys)[0]
     if pre is None:
-        apply_T = iface.apply
+        apply_T = subs.apply
     else:
-        apply_T = lambda v: pre.apply(iface.apply(v))
+        apply_T = lambda v: pre.apply(subs.apply(v))
     rng = np.random.default_rng(seed)
     samples = [v / np.linalg.norm(v)
-               for v in rng.standard_normal((n_samples, iface.n))]
+               for v in rng.standard_normal((n_samples, subs.n))]
     samples.append(lamG / max(np.linalg.norm(lamG), 1e-300))
     c_est, C_est = field_of_values(apply_T, inner, samples)
     return NormReport(

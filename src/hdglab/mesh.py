@@ -5,8 +5,9 @@ cells, each split into two triangles along a configurable diagonal.  Cells are
 grouped into an nx x ny grid of rectangular subdomains.  Edges get a global
 orientation (lexicographically smaller vertex index first) so that the two
 elements sharing an edge agree on its tangent and arclength parameter.  The
-interface between subdomains is decomposed into SubdomainEdges, held as
-arrays in ``InterfaceRuns``.
+interface between subdomains is decomposed into SubdomainEdges, one per side
+shared by two subdomains, read off the subdomain grid and held as arrays in
+``InterfaceRuns``.
 """
 
 import numpy as np
@@ -177,80 +178,37 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
 
 
 def extract_interface(mesh):
-    """Decompose the interface into SubdomainEdges (InterfaceRuns).
+    """The SubdomainEdges (InterfaceRuns), read off the subdomain grid.
 
-    One SubdomainEdge per maximal straight contiguous run of interface mesh
-    edges shared by one subdomain pair; runs are split at cross points
-    (vertices where three or more subdomains meet).  Runs are sorted by
-    pair, and by position along the tangent within a pair.
+    Subdomain s = b * nx + a is the block of ratio x ratio cells at (a, b),
+    so each SubdomainEdge is one whole side of ``ratio`` mesh edges: the
+    vertical side s | s + 1 or the horizontal side s / s + nx.  Runs are
+    sorted by pair, edges along the tangent.
     """
-    iface = np.flatnonzero(mesh.edge_class == INTERFACE)
-    if iface.size == 0:
-        none = np.zeros((0, 2))
-        return InterfaceRuns(iface, np.zeros(1, dtype=np.int64),
-                             none.astype(np.int64), none, none, none)
-    V, E, nsub = mesh.vertices, mesh.edges, mesh.n_subdomains
-
-    # vertices where >= 3 subdomains meet, from unique (vertex, subdomain)
-    vs = np.unique(mesh.triangles.ravel() * nsub + np.repeat(mesh.tri_sub, 3))
-    cross = np.bincount(vs // nsub, minlength=mesh.n_vertices) >= 3
-
-    d = V[E[iface, 1]] - V[E[iface, 0]]
-    lengths = np.hypot(d[:, 0], d[:, 1])
-    tangents = d / lengths[:, None]
-    subs = np.sort(mesh.tri_sub[mesh.edge_tris[iface]], axis=1)
-
-    # group by pair (stable: ascending edge index within a pair); the
-    # tangent of a pair is that of its lowest-indexed edge
-    key = subs[:, 0] * nsub + subs[:, 1]
-    order = np.argsort(key, kind="stable")
-    new = np.r_[True, key[order][1:] != key[order][:-1]]
-    group = np.empty(iface.size, dtype=np.int64)
-    group[order] = np.cumsum(new) - 1
-    tau = tangents[order[new]][group]
-    collinear = np.isclose(np.abs(np.sum(tangents * tau, axis=1)), 1.0,
-                           atol=1e-12)
-    if not collinear.all():
-        bad = np.flatnonzero(~collinear)[0]
-        raise InvalidConfigError("interface run for pair %s is not collinear"
-                                 % (tuple(int(s) for s in subs[bad]),))
-
-    # order along the tangent within each pair, then split at gaps and at
-    # cross points shared by consecutive edges
-    mids = 0.5 * (V[E[iface, 0]] + V[E[iface, 1]])
-    tpos = np.sum(mids * tau, axis=1)
-    order = np.lexsort((tpos, group))
-    es, group, tpos, lengths = iface[order], group[order], tpos[order], \
-        lengths[order]
-    tangents, tau, subs = tangents[order], tau[order], subs[order]
-    a, b = E[es[1:]], E[es[:-1]]
-    shared_cross = np.zeros(es.size - 1, dtype=bool)
-    for i in (0, 1):
-        for j in (0, 1):
-            shared_cross |= (a[:, i] == b[:, j]) & cross[a[:, i]]
-    gap = tpos[1:] - tpos[:-1] > 0.5 * (lengths[1:] + lengths[:-1]) + 1e-12
-    split = (group[1:] != group[:-1]) | gap | shared_cross
-    starts = np.r_[0, np.flatnonzero(split) + 1]
-
-    # normal of each run: that of its first edge, pointing out of the
-    # lower-indexed subdomain's triangle on that edge
-    e0, pair = es[starts], subs[starts]
-    t0 = tangents[starts]
-    normal = np.column_stack([t0[:, 1], -t0[:, 0]])
-    tris = mesh.edge_tris[e0]
-    tri = np.where(mesh.tri_sub[tris[:, 0]] == pair[:, 0], tris[:, 0],
-                   tris[:, 1])
-    cent = V[mesh.triangles[tri]].mean(axis=1)
-    mid = 0.5 * (V[E[e0, 0]] + V[E[e0, 1]])
-    inward = np.sum(normal * (mid - cent), axis=1) < 0.0
-    normal = np.where(inward[:, None], -normal, normal)
-
-    ts = np.stack([np.sum(V[E[es, 0]] * tau, axis=1),
-                   np.sum(V[E[es, 1]] * tau, axis=1)], axis=1)
-    t_range = np.column_stack([np.minimum.reduceat(ts.min(axis=1), starts),
-                               np.maximum.reduceat(ts.max(axis=1), starts)])
-    return InterfaceRuns(es, np.r_[starts, es.size], pair, tau[starts],
-                         normal, t_range)
+    nx, ny, r, nv = mesh.nx, mesh.ny, mesh.ratio, mesh.n_vertices
+    row = nx * r + 1                        # vertices per grid line
+    s = np.arange(nx * ny)
+    b, a = np.divmod(s, nx)
+    corner = b * r * row + a * r            # lower-left vertex of s
+    # per subdomain: its vertical run with s + 1, then its horizontal one
+    # with s + nx
+    has = np.column_stack([a < nx - 1, b < ny - 1]).ravel()
+    vertical = np.tile([True, False], s.size)[has]
+    pair = np.stack([s, s + 1, s, s + nx], axis=1).reshape(-1, 2)[has]
+    start = np.column_stack([corner + r, corner + r * row]).ravel()[has]
+    step = np.where(vertical, row, 1)[:, None]
+    lo = start[:, None] + step * np.arange(r)
+    keys = mesh.edges[:, 0] * nv + mesh.edges[:, 1]
+    edges = np.searchsorted(keys, (lo * nv + lo + step).ravel())
+    ends = np.column_stack([start, start + r * step[:, 0]])
+    # the tangent in the global edge orientation and the normal out of the
+    # lower subdomain, +-(t_y, -t_x) with its signed zero
+    v = vertical[:, None]
+    return InterfaceRuns(
+        edges, np.arange(len(pair) + 1) * r, pair,
+        np.where(v, [0.0, 1.0], [1.0, 0.0]),
+        np.where(v, [1.0, -0.0], [-0.0, 1.0]),
+        np.where(v, mesh.vertices[ends, 1], mesh.vertices[ends, 0]))
 
 
 class InterfaceRuns:

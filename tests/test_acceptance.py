@@ -16,9 +16,9 @@ import numpy as np
 
 from hdglab.assembly import (assemble_trace_system, direct_solve, eval_forms,
                              full_saddle_solve)
-from hdglab.bddc import build_constraints, build_preconditioner
+from hdglab.bddc import BddcPreconditioner, PrimalConstraintSet
 from hdglab.bench import build_case, convergence_study, make_problem, run_case
-from hdglab.dd import build_interface_operator, build_subdomains
+from hdglab.dd import build_subdomains
 from hdglab.diagnostics import b_gamma_inner
 from hdglab.fespace import build_trace_dof_map
 from hdglab.krylov import gmres
@@ -48,8 +48,7 @@ def setup(problem, eps, nx, ny, ratio, k):
     spec = make_problem(problem, eps)
     sys_ = assemble_trace_system(mesh, dofs, spec, k)
     subs = build_subdomains(mesh, dofs, spec, k, sys=sys_)
-    iface = build_interface_operator(subs, dofs)
-    return mesh, dofs, spec, sys_, subs, iface
+    return mesh, dofs, spec, sys_, subs
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +115,7 @@ def test_criterion_03_algebraic_identities():
     rng = np.random.default_rng(0)
     worst = {"zh": 0.0, "zg": 0.0, "robin": 0.0, "pu": 0.0, "ed": 0.0}
     for problem, eps, nx, ny, ratio, k in configs:
-        mesh, dofs, spec, sys_, subs, iface = \
-            setup(problem, eps, nx, ny, ratio, k)
+        mesh, dofs, spec, sys_, subs = setup(problem, eps, nx, ny, ratio, k)
         anrm = abs(sys_.A).max()
         for _ in range(10):
             # skew form vanishes on the diagonal, full and interface space
@@ -137,8 +135,8 @@ def test_criterion_03_algebraic_identities():
             worst["robin"] = max(worst["robin"],
                                  np.linalg.norm(y - sys_.A @ x)
                                  / (anrm * np.linalg.norm(x)))
-        cons = build_constraints("bddc2", spec, mesh, dofs, k)
-        pre = build_preconditioner(subs, iface, cons, dofs)
+        pre = BddcPreconditioner(
+            subs, PrimalConstraintSet("bddc2", spec, mesh, k))
         for _ in range(10):
             c = rng.standard_normal(dofs.n_interface)
             for ra, rb in ((pre.RD, pre.R), (pre.R, pre.RD)):
@@ -163,22 +161,21 @@ def test_criterion_04_preconditioner_exactness():
     # the all-primal variant is an exact solver: one iteration, always
     iters = []
     for problem, eps in (("thermal", 1e-2), ("rotating", 1.0)):
-        mesh, dofs, spec, sys_, subs, iface = \
-            setup(problem, eps, 2, 2, 2, 0)
-        cons = build_constraints("all-primal", spec, mesh, dofs, 0)
-        pre = build_preconditioner(subs, iface, cons, dofs)
-        _, rep = gmres(iface.apply, pre.apply, iface.b_gamma)
+        mesh, dofs, spec, sys_, subs = setup(problem, eps, 2, 2, 2, 0)
+        pre = BddcPreconditioner(
+            subs, PrimalConstraintSet("all-primal", spec, mesh, 0))
+        _, rep = gmres(subs.apply, pre.apply, subs.b_gamma)
         iters.append(rep.iterations)
     # each BDDC variant matches its dense partially-assembled oracle
-    mesh, dofs, spec, sys_, subs, iface = setup("rotating", 1e-3, 2, 2, 2, 0)
+    mesh, dofs, spec, sys_, subs = setup("rotating", 1e-3, 2, 2, 2, 0)
     rng = np.random.default_rng(1)
     worst = 0.0
     for variant in VARS:
-        cons = build_constraints(variant, spec, mesh, dofs, 0)
-        pre = build_preconditioner(subs, iface, cons, dofs)
+        pre = BddcPreconditioner(
+            subs, PrimalConstraintSet(variant, spec, mesh, 0))
         St = pre.dense_partially_assembled()
         for _ in range(3):
-            r = rng.standard_normal(iface.n)
+            r = rng.standard_normal(subs.n)
             rt = pre.RD @ (pre.Qg @ r)
             ref = pre.Qg.T @ (pre.RD.T @ np.linalg.solve(St, rt))
             err = np.linalg.norm(pre.apply(r) - ref) \

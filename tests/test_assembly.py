@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdglab.assembly import (TraceSystem, assemble_trace_system,
-                             direct_solve, eval_forms, full_saddle_solve,
-                             l2_error_u, recover_all)
+from hdglab.assembly import (assemble_trace_system, direct_solve,
+                             eval_forms, full_saddle_solve, l2_error_u,
+                             recover_all)
 from hdglab.bench import build_case
 from hdglab.fespace import build_trace_dof_map
-from hdglab.hdg import ElementBlocks, ProblemSpec, recover
+from hdglab.hdg import ProblemSpec, recover
 from hdglab.mesh import build_structured_mesh
 
 

@@ -4,9 +4,9 @@ import scipy.linalg as sla
 
 from hdglab.assembly import assemble_trace_system
 from hdglab.bddc import (BddcPreconditioner, PreconditionerError,
-                         _change_of_basis, _raw_rows, build_constraints,
-                         build_preconditioner)
-from hdglab.dd import build_interface_operator, build_subdomains
+                         PrimalConstraintSet, _change_of_basis, _raw_rows,
+                         build_constraints, build_preconditioner)
+from hdglab.dd import build_subdomains
 from hdglab.fespace import (EdgeBasis, build_trace_dof_map,
                             interface_quadrature, quadrature_rule)
 from hdglab.hdg import ProblemSpec
@@ -23,10 +23,8 @@ def setup(problem, eps, variant, nx=2, ny=2, ratio=2, k=0, spec=None):
         spec = make_spec(problem, eps)
     sys = assemble_trace_system(mesh, dofs, spec, k)
     subs = build_subdomains(mesh, dofs, spec, k, sys=sys)
-    iface = build_interface_operator(subs, dofs)
-    cons = build_constraints(variant, spec, mesh, dofs, k)
-    pre = build_preconditioner(subs, iface, cons, dofs)
-    return mesh, dofs, spec, subs, iface, cons, pre
+    cons = PrimalConstraintSet(variant, spec, mesh, k)
+    return mesh, dofs, spec, subs, cons, BddcPreconditioner(subs, cons)
 
 
 def horizontal_ses(mesh):
@@ -88,10 +86,9 @@ def test_c1_row_unnormalized():
 
 def test_thermal_horizontal_edge_degenerates_to_bddc1():
     mesh = build_structured_mesh(2, 2, 2)
-    dofs = build_trace_dof_map(mesh, 0)
     spec = make_spec("thermal", 1.0)
-    cons2 = build_constraints("bddc2", spec, mesh, dofs, 0)
-    cons3 = build_constraints("bddc3", spec, mesh, dofs, 0)
+    cons2 = PrimalConstraintSet("bddc2", spec, mesh, 0)
+    cons3 = PrimalConstraintSet("bddc3", spec, mesh, 0)
     hor = horizontal_ses(mesh)
     assert hor.size
     for i in hor:
@@ -104,8 +101,7 @@ def test_thermal_horizontal_edge_degenerates_to_bddc1():
         assert cons3.kept[i] == ["c1", "c2"]
     # with 4 edges per run all three functionals are independent
     mesh4 = build_structured_mesh(2, 2, 4)
-    dofs4 = build_trace_dof_map(mesh4, 0)
-    cons4 = build_constraints("bddc3", spec, mesh4, dofs4, 0)
+    cons4 = PrimalConstraintSet("bddc3", spec, mesh4, 0)
     for i in horizontal_ses(mesh4):
         assert cons4.kept[i] == ["c1"]
     for i in vertical_ses(mesh4):
@@ -114,10 +110,9 @@ def test_thermal_horizontal_edge_degenerates_to_bddc1():
 
 def test_constant_flux_drops_c2_keeps_first_moment():
     mesh = build_structured_mesh(2, 2, 2)
-    dofs = build_trace_dof_map(mesh, 0)
     spec = ProblemSpec(1.0, lambda x, y: (np.ones_like(x), np.zeros_like(x)),
                        zero, zero, zero)
-    cons = build_constraints("bddc3", spec, mesh, dofs, 0)
+    cons = PrimalConstraintSet("bddc3", spec, mesh, 0)
     for i in vertical_ses(mesh):           # beta.n = 1 constant
         assert cons.kept[i] == ["c1", "c3"]
         # the retained c3 row is the pure centered first moment
@@ -129,9 +124,8 @@ def test_constant_flux_drops_c2_keeps_first_moment():
 
 def test_change_of_basis_two_edge_block():
     mesh = build_structured_mesh(2, 2, 2)
-    dofs = build_trace_dof_map(mesh, 0)
     spec = make_spec("poisson", 1.0)
-    cons = build_constraints("bddc1", spec, mesh, dofs, 0)
+    cons = PrimalConstraintSet("bddc1", spec, mesh, 0)
     Q = _change_of_basis(primal_rows(cons, 0)[None])[0]
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(Q[0], [s, s], atol=1e-14)
@@ -141,9 +135,8 @@ def test_change_of_basis_two_edge_block():
 
 def test_duals_annihilate_constraints_rotating_k2():
     mesh = build_structured_mesh(2, 2, 6)
-    dofs = build_trace_dof_map(mesh, 2)
     spec = make_spec("rotating", 1e-3)
-    cons = build_constraints("bddc3", spec, mesh, dofs, 2)
+    cons = PrimalConstraintSet("bddc3", spec, mesh, 2)
     for i in range(len(mesh.interface_runs)):
         Q = _change_of_basis(primal_rows(cons, i)[None])[0]
         raw = edge_loop_rows(mesh, spec, 2, i)
@@ -160,7 +153,7 @@ def test_change_of_basis_matches_null_space(variant):
     # each completion vector signed so that its first entry above 1e-12 in
     # magnitude is positive
     *_, cons, pre = setup("rotating", 1e-3, variant, nx=3, ny=2, ratio=3, k=2)
-    dofs = pre.dofs
+    dofs = pre.subs.dofs
     for i, (a, b) in enumerate(dofs.se_blocks - dofs.n_interior):
         rows = primal_rows(cons, i)
         dual = sla.null_space(rows).T
@@ -199,7 +192,7 @@ def test_partition_of_unity():
     for variant in ("bddc1", "bddc3", "all-primal"):
         *_, pre = setup("rotating", 1e-3, variant, ratio=3, k=1)
         rng = np.random.default_rng(0)
-        c = rng.standard_normal(pre.dofs.n_interface)
+        c = rng.standard_normal(pre.subs.dofs.n_interface)
         # Rt^T Rt_D = I and Rt_D^T Rt = I on assembled vectors
         a = pre.R.T @ (pre.RD @ c)
         b = pre.RD.T @ (pre.R @ c)
@@ -208,18 +201,18 @@ def test_partition_of_unity():
 
 
 def test_apply_zero_and_all_primal_exact():
-    mesh, dofs, spec, subs, iface, cons, pre = setup(
+    mesh, dofs, spec, subs, cons, pre = setup(
         "thermal", 1e-2, "all-primal", ratio=2, k=0)
-    assert np.allclose(pre.apply(np.zeros(iface.n)), 0.0)
+    assert np.allclose(pre.apply(np.zeros(subs.n)), 0.0)
     rng = np.random.default_rng(1)
-    S = iface.as_dense()
+    S = subs.as_dense()
     for _ in range(3):
-        r = rng.standard_normal(iface.n)
+        r = rng.standard_normal(subs.n)
         y = pre.apply(r)
         ref = np.linalg.solve(S, r)
         assert np.linalg.norm(y - ref) < 1e-10 * np.linalg.norm(ref)
         # S_Gamma residual of the all-primal apply
-        assert np.linalg.norm(iface.apply(y) - r) < 1e-10 * np.linalg.norm(r)
+        assert np.linalg.norm(subs.apply(y) - r) < 1e-10 * np.linalg.norm(r)
 
 
 def _check_transposed_product(variant, eps):
@@ -227,12 +220,12 @@ def _check_transposed_product(variant, eps):
     # partially assembled St.  The 3x2 grid at k=2 has corner subdomains
     # with fewer interface DOFs and unequal interface blocks per subdomain
     for nx, ny, k in ((2, 2, 0), (3, 2, 2)):
-        *_, iface, cons, pre = setup("rotating", eps, variant, nx=nx, ny=ny,
-                                     ratio=2, k=k)
+        *_, subs, cons, pre = setup("rotating", eps, variant, nx=nx, ny=ny,
+                                    ratio=2, k=k)
         St = pre.dense_partially_assembled()
         rng = np.random.default_rng(4)
         for _ in range(5):
-            r = rng.standard_normal(iface.n)
+            r = rng.standard_normal(subs.n)
             ref = pre.Qg.T @ (pre.RD.T @ np.linalg.solve(
                 St, pre.RD @ (pre.Qg @ r)))
             assert np.linalg.norm(pre.apply(r) - ref) \
@@ -266,11 +259,11 @@ def test_apply_is_the_transposed_product(variant, monkeypatch):
 def test_partially_assembled_is_the_transformed_schur(variant):
     # the two dense oracles agree: assembling St gives Qg S_Gamma Qg^T
     for nx, ny, k, eps in ((2, 2, 0, 1.0), (3, 2, 2, 1e-3)):
-        *_, iface, cons, pre = setup("rotating", eps, variant, nx=nx, ny=ny,
-                                     ratio=2, k=k)
+        *_, subs, cons, pre = setup("rotating", eps, variant, nx=nx, ny=ny,
+                                    ratio=2, k=k)
         St = pre.dense_partially_assembled()
         R = pre.R.toarray()
-        ref = pre.Qg @ iface.as_dense() @ pre.Qg.T
+        ref = pre.Qg @ subs.as_dense() @ pre.Qg.T
         assert np.abs(R.T @ St @ R - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -278,7 +271,7 @@ def test_apply_average():
     *_, pre = setup("rotating", 1e-2, "bddc2", ratio=3, k=1)
     rng = np.random.default_rng(4)
     # continuous input: image of Rt
-    c = rng.standard_normal(pre.dofs.n_interface)
+    c = rng.standard_normal(pre.subs.dofs.n_interface)
     t = pre.R @ c
     assert np.allclose(pre.apply_average(t), t, atol=1e-13)
     # equal and opposite dual parts average to zero
@@ -302,7 +295,7 @@ def test_apply_average():
 
 
 def test_primal_reproduction():
-    mesh, dofs, spec, subs, iface, cons, pre = setup(
+    mesh, dofs, spec, subs, cons, pre = setup(
         "rotating", 1e-3, "bddc3", ratio=3, k=1)
     rng = np.random.default_rng(5)
     lam = rng.standard_normal(dofs.n_interface)
@@ -328,13 +321,13 @@ def test_tilde_skew_annihilation():
 @pytest.mark.parametrize("variant", ["bddc1", "bddc3"])
 def test_singular_dual_block_raises(variant):
     # a zero local Schur complement makes the subdomain's dual block singular
-    mesh, dofs, spec, subs, iface, cons, _ = setup("rotating", 1e-3, variant,
-                                                   nx=3, ny=3, ratio=4)
+    mesh, dofs, spec, subs, cons, _ = setup("rotating", 1e-3, variant,
+                                            nx=3, ny=3, ratio=4)
     subs.S[4] = 0.0
     with pytest.raises(PreconditionerError,
                        match=r"singular dual block in subdomain 4 "
                              r"\(variant %s, eps 0\.001\)" % variant):
-        build_preconditioner(subs, iface, cons, dofs)
+        BddcPreconditioner(subs, cons)
 
 
 def test_variant_none_rejected():
@@ -343,14 +336,19 @@ def test_variant_none_rejected():
     spec = make_spec("thermal", 1.0)
     sys = assemble_trace_system(mesh, dofs, spec, 0)
     subs = build_subdomains(mesh, dofs, spec, 0, sys=sys)
-    iface = build_interface_operator(subs, dofs)
-    cons = build_constraints("none", spec, mesh, dofs, 0)
+    cons = PrimalConstraintSet("none", spec, mesh, 0)
     with pytest.raises(InvalidConfigError):
-        build_preconditioner(subs, iface, cons, dofs)
+        BddcPreconditioner(subs, cons)
     with pytest.raises(InvalidConfigError):
-        build_constraints("bddc7", spec, mesh, dofs, 0)
+        PrimalConstraintSet("bddc7", spec, mesh, 0)
     with pytest.raises(InvalidConfigError):
-        build_constraints(1, spec, mesh, dofs, 0)
+        PrimalConstraintSet(1, spec, mesh, 0)
+    # the builders with the signatures of the benchmark pipeline
+    with pytest.raises(InvalidConfigError):
+        build_preconditioner(subs, subs, cons, dofs)
+    cons = build_constraints("bddc1", spec, mesh, dofs, 0)
+    pre = build_preconditioner(subs, subs, cons, dofs)
+    assert isinstance(pre, BddcPreconditioner) and pre.n_primal == 4
 
 
 
@@ -381,8 +379,8 @@ def test_primal_layout_matches_edge_loop(nx, ny, ratio, diag, k):
     subs = build_subdomains(mesh, dofs, spec, k,
                             sys=assemble_trace_system(mesh, dofs, spec, k))
     for variant in ("bddc1", "bddc2", "bddc3", "all-primal"):
-        cons = build_constraints(variant, spec, mesh, dofs, k)
-        pre = BddcPreconditioner(subs, cons, dofs)
+        cons = PrimalConstraintSet(variant, spec, mesh, k)
+        pre = BddcPreconditioner(subs, cons)
         is_primal = np.zeros(dofs.n_interface, dtype=bool)
         index = np.full(dofs.n_interface, -1)
         n = 0
@@ -405,9 +403,8 @@ def test_primal_layout_matches_edge_loop(nx, ny, ratio, diag, k):
 def test_kept_labels_are_nested_prefixes(problem, eps, k):
     for nx, ny, ratio, diag in LAYOUT_GRIDS:
         mesh = build_structured_mesh(nx, ny, ratio, diag=diag)
-        dofs = build_trace_dof_map(mesh, k)
         spec = make_spec(problem, eps)
-        kept = [build_constraints(v, spec, mesh, dofs, k).kept
+        kept = [PrimalConstraintSet(v, spec, mesh, k).kept
                 for v in ("bddc1", "bddc2", "bddc3")]
         for k1, k2, k3 in zip(*kept):
             assert k1 == ["c1"]
@@ -416,7 +413,7 @@ def test_kept_labels_are_nested_prefixes(problem, eps, k):
 
 @pytest.mark.parametrize("variant", ["bddc1", "bddc3", "all-primal"])
 def test_batched_change_of_basis_is_the_edge_transform(variant):
-    mesh, dofs, spec, subs, iface, cons, pre = setup(
+    mesh, dofs, spec, subs, cons, pre = setup(
         "rotating", 1e-3, variant, nx=3, ny=2, ratio=3, k=1)
     for i, (a, b) in enumerate(dofs.se_blocks - dofs.n_interior):
         Q = _change_of_basis(primal_rows(cons, i)[None])[0]

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from hdglab.assembly import assemble_trace_system, direct_solve
-from hdglab.dd import (InterfaceOperator, SubdomainError,
-                       build_interface_operator, build_subdomains)
+from hdglab.dd import (SubdomainError, build_interface_operator,
+                       build_subdomains)
 from hdglab.fespace import build_trace_dof_map
-from hdglab.hdg import ProblemSpec
 from hdglab.mesh import build_structured_mesh
 
-from test_assembly import g_rotating, g_thermal, make_spec, zero
+from test_assembly import make_spec, zero
 
 
 def setup(problem, eps, nx=2, ny=2, ratio=2, k=0, **kw):
@@ -17,19 +16,18 @@ def setup(problem, eps, nx=2, ny=2, ratio=2, k=0, **kw):
     spec = make_spec(problem, eps, **kw)
     sys = assemble_trace_system(mesh, dofs, spec, k)
     subs = build_subdomains(mesh, dofs, spec, k, sys=sys)
-    iface = build_interface_operator(subs, dofs)
-    return mesh, dofs, spec, sys, subs, iface
+    return mesh, dofs, spec, sys, subs
 
 
 def test_beta_zero_symmetric_no_robin():
-    _, _, _, _, subs, _ = setup("poisson", 1.0)
+    *_, subs = setup("poisson", 1.0)
     for sub in subs:
         assert np.allclose(sub.A, sub.A.T, atol=1e-13)
 
 
 def test_subdomain_sum_equals_global():
     # sum_i R^T A^(i) R = A: Robin terms cancel pairwise
-    _, dofs, _, sys, subs, _ = setup("rotating", 1e-3, ratio=3, k=1)
+    _, dofs, _, sys, subs = setup("rotating", 1e-3, ratio=3, k=1)
     rng = np.random.default_rng(0)
     nrm = abs(sys.A).max()
     for _ in range(5):
@@ -43,7 +41,7 @@ def test_subdomain_sum_equals_global():
 
 
 def test_symmetric_part_positive():
-    mesh, dofs, _, _, subs, _ = setup("rotating", 1e-6, nx=4, ny=4, ratio=4)
+    mesh, dofs, _, _, subs = setup("rotating", 1e-6, nx=4, ny=4, ratio=4)
     touches_boundary = np.zeros(mesh.n_subdomains, dtype=bool)
     for e in np.where(mesh.edge_class == 0)[0]:
         touches_boundary[mesh.tri_sub[mesh.edge_tris[e, 0]]] = True
@@ -60,7 +58,7 @@ def test_symmetric_part_positive():
 
 def test_extend_interior():
     # A_II^(i) lam_I + A_IG^(i) lam_G = 0 in every local Robin system
-    _, dofs, _, _, subs, _ = setup("thermal", 1e-2, k=1)
+    _, dofs, _, _, subs = setup("thermal", 1e-2, k=1)
     assert np.allclose(subs.extend(np.zeros(dofs.n_interface)), 0.0)
     rng = np.random.default_rng(1)
     lamG = rng.standard_normal(dofs.n_interface)
@@ -73,7 +71,7 @@ def test_extend_interior():
 
 def test_extend_constant_floating_pure_diffusion():
     # constants lie in the kernel of the condensed pure-diffusion operator
-    _, dofs, _, _, subs, _ = setup("poisson", 1.0, nx=3, ny=3, ratio=2)
+    _, dofs, _, _, subs = setup("poisson", 1.0, nx=3, ny=3, ratio=2)
     sub = subs[4]  # interior subdomain of the 3x3 grid
     c = 2.25
     full = subs.extend(np.full(dofs.n_interface, c))
@@ -83,7 +81,7 @@ def test_extend_constant_floating_pure_diffusion():
 
 def test_dense_schur_matches_elimination():
     # S^(i) = A_GG - A_GI A_II^-1 A_IG, eliminated densely from A^(i)
-    _, _, _, _, subs, _ = setup("rotating", 1e-2, k=2)
+    *_, subs = setup("rotating", 1e-2, k=2)
     rng = np.random.default_rng(2)
     for sub in subs:
         A, nI = sub.A, sub.nI
@@ -98,7 +96,7 @@ def test_dense_schur_matches_elimination():
 
 def test_schur_quadratic_form_identity():
     # lam^T S^(i) lam = lam_A^T A^(i) lam_A with lam_A the discrete extension
-    _, dofs, _, _, subs, _ = setup("thermal", 1e-3, k=0, ratio=4)
+    _, dofs, _, _, subs = setup("thermal", 1e-3, k=0, ratio=4)
     rng = np.random.default_rng(3)
     for sub in (subs[0], subs[1]):
         for _ in range(5):
@@ -114,51 +112,51 @@ def test_interface_equals_global_schur():
     # the 3x2 grid at k=2 has corner subdomains with fewer interface DOFs
     # and unequal interface blocks per subdomain
     for nx, ny, k in ((2, 2, 1), (3, 2, 2)):
-        _, dofs, _, sys, _, iface = setup("rotating", 1e-3, nx=nx, ny=ny,
-                                          k=k)
+        _, dofs, _, sys, subs = setup("rotating", 1e-3, nx=nx, ny=ny, k=k)
         nI = dofs.n_interior
         Ad = sys.A.toarray()
         S_ref = Ad[nI:, nI:] - Ad[nI:, :nI] @ np.linalg.solve(Ad[:nI, :nI],
                                                               Ad[:nI, nI:])
-        S = iface.as_dense()
+        S = subs.as_dense()
         assert np.allclose(S, S_ref, atol=1e-11 * np.abs(S_ref).max())
         rng = np.random.default_rng(4)
         for _ in range(5):
-            x = rng.standard_normal(iface.n)
-            assert np.linalg.norm(iface.apply(x) - S_ref @ x) \
+            x = rng.standard_normal(subs.n)
+            assert np.linalg.norm(subs.apply(x) - S_ref @ x) \
                 < 1e-11 * np.linalg.norm(S_ref @ x)
 
 
 def test_stacked_apply_equals_dense_schur():
     # the batched apply and the dense matrix scattered from the same stack
     for nx, ny, k in ((2, 2, 0), (3, 2, 2)):
-        *_, iface = setup("rotating", 1e-3, nx=nx, ny=ny, k=k)
-        S = iface.as_dense()
+        *_, subs = setup("rotating", 1e-3, nx=nx, ny=ny, k=k)
+        S = subs.as_dense()
         rng = np.random.default_rng(5)
         for _ in range(3):
-            x = rng.standard_normal(iface.n)
-            assert np.linalg.norm(iface.apply(x) - S @ x) \
+            x = rng.standard_normal(subs.n)
+            assert np.linalg.norm(subs.apply(x) - S @ x) \
                 <= 1e-13 * np.linalg.norm(S @ x)
 
 
 def test_interface_rhs_zero_data():
-    _, _, _, _, _, iface = setup("thermal", 1.0, g=zero)
-    assert np.allclose(iface.b_gamma, 0.0)
+    *_, subs = setup("thermal", 1.0, g=zero)
+    assert np.allclose(subs.b_gamma, 0.0)
 
 
 def test_two_subdomain_ratio1_scalar_interface():
-    mesh, dofs, _, sys, subs, iface = setup("thermal", 1.0, nx=2, ny=1,
-                                            ratio=1)
-    assert iface.n == 1
+    mesh, dofs, _, sys, subs = setup("thermal", 1.0, nx=2, ny=1, ratio=1)
+    assert subs.n == 1
+    # the layer is its own interface operator, also on the benchmark's path
+    assert build_interface_operator(subs, dofs) is subs
     nI = dofs.n_interior
     Ad = sys.A.toarray()
     S_ref = Ad[nI:, nI:] - Ad[nI:, :nI] @ np.linalg.solve(Ad[:nI, :nI],
                                                           Ad[:nI, nI:])
-    assert np.allclose(iface.as_dense(), S_ref, atol=1e-12)
+    assert np.allclose(subs.as_dense(), S_ref, atol=1e-12)
     # and the interface RHS matches the eliminated global RHS
     b_ref = sys.b[nI:] - Ad[nI:, :nI] @ np.linalg.solve(Ad[:nI, :nI],
                                                         sys.b[:nI])
-    assert np.allclose(iface.b_gamma, b_ref, atol=1e-12)
+    assert np.allclose(subs.b_gamma, b_ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("problem,eps,k,ratio", [
@@ -168,24 +166,24 @@ def test_two_subdomain_ratio1_scalar_interface():
     ("rotating", 1e-6, 0, 4),
 ])
 def test_interface_solve_and_back_substitute(problem, eps, k, ratio):
-    _, dofs, _, sys, _, iface = setup(problem, eps, nx=2, ny=2, ratio=ratio,
-                                      k=k)
+    _, dofs, _, sys, subs = setup(problem, eps, nx=2, ny=2, ratio=ratio,
+                                  k=k)
     lam_ref = direct_solve(sys)
-    lamG = np.linalg.solve(iface.as_dense(), iface.b_gamma)
-    lam = iface.back_substitute(lamG)
+    lamG = np.linalg.solve(subs.as_dense(), subs.b_gamma)
+    lam = subs.back_substitute(lamG)
     assert np.linalg.norm(lam - lam_ref) \
         < 1e-9 * max(np.linalg.norm(lam_ref), 1.0)
 
 
 def test_pure_diffusion_interface_spd():
-    _, _, _, _, _, iface = setup("poisson", 1.0, nx=3, ny=3, ratio=2)
-    S = iface.as_dense()
+    *_, subs = setup("poisson", 1.0, nx=3, ny=3, ratio=2)
+    S = subs.as_dense()
     assert np.allclose(S, S.T, atol=1e-12)
     assert np.linalg.eigvalsh(S)[0] > 0
 
 
 def test_full_solve_robin():
-    _, _, _, _, subs, _ = setup("rotating", 1e-3, k=0, ratio=3)
+    *_, subs = setup("rotating", 1e-3, k=0, ratio=3)
     sub = subs[1]
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal(sub.nI + sub.nG)
@@ -212,7 +210,7 @@ def test_singular_interior_block_raises(pivot):
         build_subdomains(mesh, dofs, spec, 0, sys=sys)
 
 
-def assert_equals_dense_elimination(sys, dofs, subs, iface):
+def assert_equals_dense_elimination(sys, dofs, subs):
     """The Schur stack, b_gamma and the back-substitution of ``subs`` against
     the dense local Robin matrices, eliminated subdomain by subdomain, to
     1e-10 relative."""
@@ -230,8 +228,8 @@ def assert_equals_dense_elimination(sys, dofs, subs, iface):
         b_ref[sub.interface_pos] -= AGI @ np.linalg.solve(AII, bI)
         lam_ref[sub.interior_gids] = np.linalg.solve(
             AII, bI - AIG @ lamG[sub.interface_pos])
-    assert rel(iface.b_gamma, b_ref) < 1e-10
-    assert rel(iface.back_substitute(lamG), lam_ref) < 1e-10
+    assert rel(subs.b_gamma, b_ref) < 1e-10
+    assert rel(subs.back_substitute(lamG), lam_ref) < 1e-10
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -245,8 +243,7 @@ def test_elimination_plans_equal_dense_elimination(ratio, diag, k):
     spec = make_spec("rotating", 1e-4)
     sys = assemble_trace_system(mesh, dofs, spec, k)
     subs = build_subdomains(mesh, dofs, spec, k, sys=sys)
-    assert_equals_dense_elimination(sys, dofs, subs,
-                                    InterfaceOperator(subs, dofs))
+    assert_equals_dense_elimination(sys, dofs, subs)
 
 
 def test_single_subdomain_has_no_interface():
@@ -256,8 +253,7 @@ def test_single_subdomain_has_no_interface():
     spec = make_spec("rotating", 1e-3)
     sys = assemble_trace_system(mesh, dofs, spec, 1)
     subs = build_subdomains(mesh, dofs, spec, 1, sys=sys)
-    iface = build_interface_operator(subs, dofs)
-    assert iface.n == 0 and iface.b_gamma.shape == (0,)
+    assert subs.n == 0 and subs.b_gamma.shape == (0,)
     lam_ref = direct_solve(sys)
-    assert np.linalg.norm(iface.back_substitute(np.zeros(0)) - lam_ref) \
+    assert np.linalg.norm(subs.back_substitute(np.zeros(0)) - lam_ref) \
         < 1e-12 * np.linalg.norm(lam_ref)

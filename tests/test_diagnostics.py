@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from hdglab.diagnostics import (NormReport, b_gamma_inner, edge_coefficients,
+from hdglab.diagnostics import (b_gamma_inner, edge_coefficients,
                                 envelope_holds, field_of_values,
                                 gamma_from_taus, gamma_stat, jump_seminorm,
                                 norm_h, norm_report, residual_envelope)
@@ -75,24 +74,24 @@ def test_norm_triangle_inequalities():
 
 
 def test_b_gamma_inner():
-    mesh, dofs, spec, sys, subs, iface, pre = interface_problem(
+    mesh, dofs, spec, sys, subs, pre = interface_problem(
         "rotating", 1e-6, "bddc1", ns=2, ratio=3, k=0)
     rng = np.random.default_rng(3)
     for _ in range(100):
-        lamG = rng.standard_normal(iface.n)
+        lamG = rng.standard_normal(subs.n)
         bval, zval = b_gamma_inner(lamG, lamG, subs, sys)
         assert bval > 0.0
         assert abs(zval) < 1e-12 * bval
         # Schur quadratic form equals the B_Gamma form (assembled identity)
-        squad = lamG @ iface.apply(lamG)
+        squad = lamG @ subs.apply(lamG)
         assert np.isclose(squad, bval, rtol=1e-11, atol=1e-13 * abs(bval))
 
 
 def test_extension_is_discrete_harmonic():
-    mesh, dofs, spec, sys, subs, iface, pre = interface_problem(
+    mesh, dofs, spec, sys, subs, pre = interface_problem(
         "thermal", 1e-2, "bddc1", ns=2, ratio=2, k=1)
     rng = np.random.default_rng(4)
-    lamG = rng.standard_normal(iface.n)
+    lamG = rng.standard_normal(subs.n)
     lamA = subs.extend(lamG)
     resid = sys.A @ lamA
     assert np.abs(resid[:dofs.n_interior]).max() < \
@@ -120,24 +119,24 @@ def test_gamma_matches_recomputation():
 
 
 def test_field_of_values_all_primal():
-    mesh, dofs, spec, sys, subs, iface, pre = interface_problem(
+    mesh, dofs, spec, sys, subs, pre = interface_problem(
         "thermal", 1.0, "all-primal", ns=2, ratio=2, k=0)
-    T = lambda v: pre.apply(iface.apply(v))
+    T = lambda v: pre.apply(subs.apply(v))
     inner = lambda v, w: b_gamma_inner(v, w, subs, sys)[0]
     rng = np.random.default_rng(5)
-    samples = list(rng.standard_normal((10, iface.n)))
+    samples = list(rng.standard_normal((10, subs.n)))
     c_est, C_est = field_of_values(T, inner, samples)
     assert abs(c_est - 1.0) < 1e-9
     assert abs(C_est - 1.0) < 1e-9
 
 
 def test_field_of_values_positive_thermal():
-    mesh, dofs, spec, sys, subs, iface, pre = interface_problem(
+    mesh, dofs, spec, sys, subs, pre = interface_problem(
         "thermal", 1.0, "bddc3", ns=2, ratio=4, k=0)
-    T = lambda v: pre.apply(iface.apply(v))
+    T = lambda v: pre.apply(subs.apply(v))
     inner = lambda v, w: b_gamma_inner(v, w, subs, sys)[0]
     rng = np.random.default_rng(6)
-    samples = list(rng.standard_normal((30, iface.n)))
+    samples = list(rng.standard_normal((30, subs.n)))
     c_est, C_est = field_of_values(T, inner, samples)
     assert c_est > 0.0
     assert C_est >= c_est ** 2 / C_est            # sanity: envelope base < 1
@@ -155,11 +154,11 @@ def test_residual_envelope():
 
 
 def test_norm_report_integration():
-    mesh, dofs, spec, sys, subs, iface, pre = interface_problem(
+    mesh, dofs, spec, sys, subs, pre = interface_problem(
         "thermal", 1e-2, "bddc2", ns=2, ratio=3, k=0)
-    lamG, rep = gmres(iface.apply, pre.apply, iface.b_gamma)
-    lam = iface.back_substitute(lamG)
-    nr = norm_report(sys, subs, iface, lam, lamG, pre=pre, n_samples=6)
+    lamG, rep = gmres(subs.apply, pre.apply, subs.b_gamma)
+    lam = subs.back_substitute(lamG)
+    nr = norm_report(sys, subs, lam, lamG, pre=pre, n_samples=6)
     assert nr.norm_h > 0 and nr.jump >= 0 and nr.norm_b > 0
     assert nr.gamma >= 1.0
     assert nr.fov_max > 0

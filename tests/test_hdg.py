@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hdglab import hdg
-from hdglab.fespace import EdgeBasis, build_trace_dof_map, quadrature_rule
 from hdglab.hdg import (ElementBlocks, ProblemSpec, StabilizationError,
                         eval_tau, recover)
 from hdglab.mesh import build_structured_mesh

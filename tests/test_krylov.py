@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hdglab.assembly import assemble_trace_system, direct_solve
-from hdglab.bddc import build_constraints, build_preconditioner
-from hdglab.dd import build_interface_operator, build_subdomains
+from hdglab.bddc import BddcPreconditioner, PrimalConstraintSet
+from hdglab.dd import build_subdomains
 from hdglab.fespace import build_trace_dof_map
 from hdglab.krylov import gmres
 from hdglab.mesh import InvalidConfigError, build_structured_mesh
@@ -19,12 +19,11 @@ def interface_problem(problem, eps, variant, ns=2, ratio=2, k=0):
     spec = make_spec(problem, eps)
     sys = assemble_trace_system(mesh, dofs, spec, k)
     subs = build_subdomains(mesh, dofs, spec, k, sys=sys)
-    iface = build_interface_operator(subs, dofs)
     pre = None
     if variant != "none":
-        cons = build_constraints(variant, spec, mesh, dofs, k)
-        pre = build_preconditioner(subs, iface, cons, dofs)
-    return mesh, dofs, spec, sys, subs, iface, pre
+        pre = BddcPreconditioner(
+            subs, PrimalConstraintSet(variant, spec, mesh, k))
+    return mesh, dofs, spec, sys, subs, pre
 
 
 def test_identity_one_iteration():
@@ -100,9 +99,9 @@ def test_storage_grows_past_initial_capacity():
 
 
 def test_residual_history():
-    *_, iface, pre = interface_problem("rotating", 1e-2, "bddc2",
-                                       ns=2, ratio=4, k=1)
-    x, rep = gmres(iface.apply, pre.apply, iface.b_gamma)
+    *_, subs, pre = interface_problem("rotating", 1e-2, "bddc2",
+                                      ns=2, ratio=4, k=1)
+    x, rep = gmres(subs.apply, pre.apply, subs.b_gamma)
     assert rep.converged
     assert len(rep.resvec) == rep.iterations + 1
     assert rep.resvec[0] == 1.0
@@ -112,44 +111,44 @@ def test_residual_history():
 
 
 def test_all_primal_is_identity():
-    *_, iface, pre = interface_problem("thermal", 1e-3, "all-primal",
-                                       ns=2, ratio=3, k=0)
-    T = lambda v: pre.apply(iface.apply(v))
+    *_, subs, pre = interface_problem("thermal", 1e-3, "all-primal",
+                                      ns=2, ratio=3, k=0)
+    T = lambda v: pre.apply(subs.apply(v))
     rng = np.random.default_rng(2)
     for _ in range(3):
-        v = rng.standard_normal(iface.n)
+        v = rng.standard_normal(subs.n)
         assert np.linalg.norm(T(v) - v) < 1e-10 * np.linalg.norm(v)
-    x, rep = gmres(iface.apply, pre.apply, iface.b_gamma)
+    x, rep = gmres(subs.apply, pre.apply, subs.b_gamma)
     assert rep.iterations == 1 and rep.converged
 
 
 def test_fixed_point_of_exact_solution():
-    *_, iface, pre = interface_problem("rotating", 1.0, "bddc1",
-                                       ns=2, ratio=3, k=0)
-    T = lambda v: pre.apply(iface.apply(v))
-    lam_star = np.linalg.solve(iface.as_dense(), iface.b_gamma)
-    rhs = pre.apply(iface.b_gamma)
+    *_, subs, pre = interface_problem("rotating", 1.0, "bddc1",
+                                      ns=2, ratio=3, k=0)
+    T = lambda v: pre.apply(subs.apply(v))
+    lam_star = np.linalg.solve(subs.as_dense(), subs.b_gamma)
+    rhs = pre.apply(subs.b_gamma)
     assert np.linalg.norm(T(lam_star) - rhs) < 1e-9 * np.linalg.norm(rhs)
 
 
 def test_gmres_matches_direct_solve():
-    mesh, dofs, spec, sys, subs, iface, pre = interface_problem(
+    mesh, dofs, spec, sys, subs, pre = interface_problem(
         "thermal", 1e-2, "bddc3", ns=4, ratio=3, k=1)
-    lamG, rep = gmres(iface.apply, pre.apply, iface.b_gamma, tol=1e-12)
+    lamG, rep = gmres(subs.apply, pre.apply, subs.b_gamma, tol=1e-12)
     assert rep.converged
-    lam = iface.back_substitute(lamG)
+    lam = subs.back_substitute(lamG)
     ref = direct_solve(sys)
     assert np.linalg.norm(lam - ref) < 1e-8 * np.linalg.norm(ref)
 
 
 def test_unpreconditioned_runs():
-    *_, iface, pre = interface_problem("thermal", 1.0, "none",
-                                       ns=2, ratio=2, k=0)
+    *_, subs, pre = interface_problem("thermal", 1.0, "none",
+                                      ns=2, ratio=2, k=0)
     assert pre is None
-    x, rep = gmres(iface.apply, None, iface.b_gamma)
+    x, rep = gmres(subs.apply, None, subs.b_gamma)
     assert rep.converged
-    r = iface.apply(x) - iface.b_gamma
-    assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(iface.b_gamma)
+    r = subs.apply(x) - subs.b_gamma
+    assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(subs.b_gamma)
 
 
 def test_thermal_layer_deg0_counts():
@@ -157,9 +156,9 @@ def test_thermal_layer_deg0_counts():
     # published counts are 11 / 10 / 9
     counts = {}
     for variant in ("bddc1", "bddc2", "bddc3"):
-        *_, iface, pre = interface_problem("thermal", 1.0, variant,
-                                           ns=4, ratio=6, k=0)
-        x, rep = gmres(iface.apply, pre.apply, iface.b_gamma)
+        *_, subs, pre = interface_problem("thermal", 1.0, variant,
+                                          ns=4, ratio=6, k=0)
+        x, rep = gmres(subs.apply, pre.apply, subs.b_gamma)
         assert rep.converged
         counts[variant] = rep.iterations
     assert counts["bddc1"] == 11
@@ -171,9 +170,9 @@ def test_thermal_layer_deg0_counts():
 
 
 def test_cost_split_reported():
-    *_, iface, pre = interface_problem("rotating", 1e-2, "bddc2",
-                                       ns=2, ratio=4, k=1)
-    _, rep = gmres(iface.apply, pre.apply, iface.b_gamma)
+    *_, subs, pre = interface_problem("rotating", 1e-2, "bddc2",
+                                      ns=2, ratio=4, k=1)
+    _, rep = gmres(subs.apply, pre.apply, subs.b_gamma)
     parts = (rep.op_s, rep.precond_s, rep.orth_s)
     assert all(p >= 0.0 for p in parts)
     assert sum(parts) <= rep.wall_time

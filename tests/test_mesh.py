@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdglab.mesh import (BOUNDARY, INTERFACE, INTERIOR, InvalidConfigError,
+from hdglab.mesh import (BOUNDARY, INTERFACE, InvalidConfigError,
                          build_structured_mesh)
 
 
@@ -60,6 +60,15 @@ def run_edges(runs, r):
     return runs.edges[runs.offsets[r]:runs.offsets[r + 1]]
 
 
+# (nx, ny, H/h, diag) of the layout tests here and in test_fespace/test_bddc
+LAYOUT_GRIDS = [(3, 2, 3, "ne"), (3, 2, 3, "nw"), (5, 4, 2, "ne"),
+                (5, 4, 2, "nw"), (1, 1, 3, "ne")]
+# the interface property tests add strips, whose SubdomainEdges all have one
+# orientation, and an odd grid at odd H/h
+INTERFACE_GRIDS = LAYOUT_GRIDS + [(1, 3, 2, "ne"), (3, 1, 3, "nw"),
+                                  (7, 3, 5, "ne")]
+
+
 def test_interface_extraction_2x2():
     m = build_structured_mesh(2, 2, 2)
     runs = m.interface_runs
@@ -81,50 +90,65 @@ def test_interface_extraction_trivial_cases():
     assert runs.pair.tolist() == [[0, 1]]
 
 
+def interface_meshes(*grids):
+    """Meshes of the (nx, ny, H/h, diag) ``grids`` and of INTERFACE_GRIDS."""
+    return [build_structured_mesh(nx, ny, r, diag=d)
+            for nx, ny, r, d in list(grids) + INTERFACE_GRIDS]
+
+
 def test_interface_covers_all_interface_edges():
-    m = build_structured_mesh(4, 3, 2)
-    runs = m.interface_runs
-    covered = np.concatenate([run_edges(runs, r) for r in range(len(runs))])
-    iface = np.where(m.edge_class == INTERFACE)[0]
-    assert sorted(covered.tolist()) == sorted(iface.tolist())
-    assert len(covered) == len(set(covered.tolist()))
-    total = np.sum(runs.t_range[:, 1] - runs.t_range[:, 0])
-    lengths = m.edge_lengths()
-    assert abs(total - lengths[iface].sum()) < 1e-12
+    for m in interface_meshes((4, 3, 2, "ne")):
+        runs = m.interface_runs
+        covered = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+            run_edges(runs, r) for r in range(len(runs))])
+        iface = np.where(m.edge_class == INTERFACE)[0]
+        assert sorted(covered.tolist()) == sorted(iface.tolist())
+        assert len(covered) == len(set(covered.tolist()))
+        total = np.sum(runs.t_range[:, 1] - runs.t_range[:, 0])
+        lengths = m.edge_lengths()
+        assert abs(total - lengths[iface].sum()) < 1e-12
 
 
 def test_subdomain_edge_geometry():
-    m = build_structured_mesh(2, 2, 4)
-    runs = m.interface_runs
-    for r in range(len(runs)):
-        edges, tangent, normal = run_edges(runs, r), runs.tangent[r], \
-            runs.normal[r]
-        # contiguous, collinear, axis aligned, length H
-        assert abs(runs.t_range[r, 1] - runs.t_range[r, 0] - m.H) < 1e-12
-        d = m.vertices[m.edges[edges, 1]] - m.vertices[m.edges[edges, 0]]
-        tans = d / np.hypot(d[:, 0], d[:, 1])[:, None]
-        assert np.allclose(np.abs(tans @ tangent), 1.0, atol=1e-12)
-        assert abs(np.dot(tangent, normal)) < 1e-14
-        # normal points out of the lower-indexed subdomain
-        lo = runs.pair[r, 0]
-        e0 = edges[0]
-        t0, t1 = m.edge_tris[e0]
-        tri = t0 if m.tri_sub[t0] == lo else t1
-        cent = m.vertices[m.triangles[tri]].mean(axis=0)
-        mid = 0.5 * (m.vertices[m.edges[e0, 0]] + m.vertices[m.edges[e0, 1]])
-        assert np.dot(normal, mid - cent) > 0
+    for m in interface_meshes((2, 2, 4, "ne")):
+        runs = m.interface_runs
+        for r in range(len(runs)):
+            edges, tangent, normal = run_edges(runs, r), runs.tangent[r], \
+                runs.normal[r]
+            # axis aligned, as long as the subdomain side, and the tangent
+            # of every mesh edge in its global orientation
+            side = 2.0 / (m.nx if abs(tangent[0]) > 0.5 else m.ny)
+            assert abs(runs.t_range[r, 1] - runs.t_range[r, 0] - side) < 1e-12
+            assert sorted(np.abs(tangent).tolist()) == [0.0, 1.0]
+            d = m.vertices[m.edges[edges, 1]] - m.vertices[m.edges[edges, 0]]
+            tans = d / np.hypot(d[:, 0], d[:, 1])[:, None]
+            assert np.allclose(tans @ tangent, 1.0, atol=1e-12)
+            assert abs(np.dot(tangent, normal)) < 1e-14
+            # normal points out of the lower-indexed subdomain
+            lo = runs.pair[r, 0]
+            e0 = edges[0]
+            t0, t1 = m.edge_tris[e0]
+            tri = t0 if m.tri_sub[t0] == lo else t1
+            cent = m.vertices[m.triangles[tri]].mean(axis=0)
+            mid = m.vertices[m.edges[e0]].mean(axis=0)
+            assert np.dot(normal, mid - cent) > 0
 
 
 def test_cross_point_splitting():
-    # 3x3 subdomains: each vertical line x=+-1/3 hosts three SubdomainEdges
-    m = build_structured_mesh(3, 3, 2)
-    runs = m.interface_runs
-    lines = {}
-    for r in np.flatnonzero(np.abs(runs.tangent[:, 1]) > 0.5):
-        x = m.vertices[m.edges[run_edges(runs, r)[0], 0], 0]
-        lines.setdefault(round(x, 12), []).append(r)
-    assert len(lines) == 2
-    assert all(len(v) == 3 for v in lines.values())
+    # the cross points split each of the nx - 1 vertical interface lines
+    # into ny SubdomainEdges, and each of the ny - 1 horizontal ones into nx
+    for m in interface_meshes((3, 3, 2, "ne")):
+        runs = m.interface_runs
+        lines = {}
+        for r in range(len(runs)):
+            vertical = bool(abs(runs.tangent[r, 1]) > 0.5)
+            v0 = m.vertices[m.edges[run_edges(runs, r)[0], 0]]
+            lines.setdefault((vertical, round(v0[0 if vertical else 1], 12)),
+                             []).append(r)
+        for vertical, n_lines, per_line in ((True, m.nx - 1, m.ny),
+                                            (False, m.ny - 1, m.nx)):
+            counts = [len(v) for (o, _), v in lines.items() if o == vertical]
+            assert counts == [per_line] * n_lines
 
 
 def test_invalid_config():
@@ -134,11 +158,6 @@ def test_invalid_config():
         build_structured_mesh(2, 2, -1)
     with pytest.raises(InvalidConfigError):
         build_structured_mesh(2, 2, 2, diag="sw")
-
-
-# (nx, ny, H/h, diag) of the layout tests here and in test_fespace/test_bddc
-LAYOUT_GRIDS = [(3, 2, 3, "ne"), (3, 2, 3, "nw"), (5, 4, 2, "ne"),
-                (5, 4, 2, "nw"), (1, 1, 3, "ne")]
 
 
 def cross_points(m):
@@ -161,7 +180,7 @@ def test_edge_numbering_is_lexicographic(nx, ny, ratio, diag):
             assert pairs[e] == tuple(sorted((tri[a], tri[b])))
 
 
-@pytest.mark.parametrize("nx,ny,ratio,diag", LAYOUT_GRIDS)
+@pytest.mark.parametrize("nx,ny,ratio,diag", INTERFACE_GRIDS)
 def test_subdomain_edge_layout(nx, ny, ratio, diag):
     m = build_structured_mesh(nx, ny, ratio, diag=diag)
     runs = m.interface_runs

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from hdglab.assembly import (assemble_trace_system, direct_solve,
                              full_saddle_solve, recover_all)
-from hdglab.bddc import build_constraints, build_preconditioner
+from hdglab.bddc import BddcPreconditioner, PrimalConstraintSet
 from hdglab.bench import make_problem
-from hdglab.dd import build_interface_operator, build_subdomains
+from hdglab.dd import build_subdomains
 from hdglab.fespace import build_trace_dof_map
 from hdglab.hdg import ElementBlocks, ProblemSpec, StabilizationError
 from hdglab.krylov import gmres
@@ -64,8 +64,8 @@ def _build(problem, eps, grid, ratio, k, keep_local=False):
 
 def _build_dd(problem, eps, grid, ratio, k):
     mesh, dofs, spec, sys_ = _build(problem, eps, grid, ratio, k)
-    subs = build_subdomains(mesh, dofs, spec, k, sys=sys_)
-    return mesh, dofs, spec, sys_, subs, build_interface_operator(subs, dofs)
+    return mesh, dofs, spec, sys_, build_subdomains(mesh, dofs, spec, k,
+                                                    sys=sys_)
 
 
 def _rel(a, b):
@@ -89,7 +89,7 @@ def test_condensed_equals_saddle(problem, eps, case):
 @PROPERTY
 @given(flows, epsilons, grids(min_subdomains=2), st.integers(1, 4), degrees)
 def test_robin_sum_equals_global_operator(problem, eps, grid, ratio, k):
-    _, dofs, _, sys_, subs, _ = _build_dd(problem, eps, grid, ratio, k)
+    _, dofs, _, sys_, subs = _build_dd(problem, eps, grid, ratio, k)
     total = sp.csr_matrix(sys_.A.shape)
     for sub in subs:
         gids = np.concatenate([sub.interior_gids, sub.interface_gids])
@@ -103,8 +103,8 @@ def test_robin_sum_equals_global_operator(problem, eps, grid, ratio, k):
 @given(flows, epsilons, grids(min_subdomains=2), st.integers(1, 4), degrees)
 def test_torn_layer_equals_dense_elimination(problem, eps, grid, ratio, k):
     # per subdomain, eliminate the interiors of the dense local Robin matrix
-    _, dofs, _, sys_, subs, iface = _build_dd(problem, eps, grid, ratio, k)
-    assert_equals_dense_elimination(sys_, dofs, subs, iface)
+    _, dofs, _, sys_, subs = _build_dd(problem, eps, grid, ratio, k)
+    assert_equals_dense_elimination(sys_, dofs, subs)
 
 
 @PROPERTY
@@ -112,9 +112,8 @@ def test_torn_layer_equals_dense_elimination(problem, eps, grid, ratio, k):
        st.sampled_from(("bddc1", "bddc2", "bddc3")))
 def test_average_operator_is_a_projection(problem, eps, grid, ratio, k,
                                           variant):
-    mesh, dofs, spec, _, subs, iface = _build_dd(problem, eps, grid, ratio, k)
-    cons = build_constraints(variant, spec, mesh, dofs, k)
-    pre = build_preconditioner(subs, iface, cons, dofs)
+    mesh, _, spec, _, subs = _build_dd(problem, eps, grid, ratio, k)
+    pre = BddcPreconditioner(subs, PrimalConstraintSet(variant, spec, mesh, k))
     t = np.random.default_rng(0).standard_normal(pre.n_tilde)
     e1 = pre.apply_average(t)
     assert np.abs(pre.apply_average(e1) - e1).max() \
@@ -124,10 +123,10 @@ def test_average_operator_is_a_projection(problem, eps, grid, ratio, k,
 @PROPERTY
 @given(flows, epsilons, grids(min_subdomains=2), st.integers(1, 4), degrees)
 def test_all_primal_converges_in_one_step(problem, eps, grid, ratio, k):
-    mesh, dofs, spec, _, subs, iface = _build_dd(problem, eps, grid, ratio, k)
-    cons = build_constraints("all-primal", spec, mesh, dofs, k)
-    pre = build_preconditioner(subs, iface, cons, dofs)
-    _, rep = gmres(iface.apply, pre.apply, iface.b_gamma)
+    mesh, _, spec, _, subs = _build_dd(problem, eps, grid, ratio, k)
+    pre = BddcPreconditioner(
+        subs, PrimalConstraintSet("all-primal", spec, mesh, k))
+    _, rep = gmres(subs.apply, pre.apply, subs.b_gamma)
     assert rep.converged and rep.iterations == 1
 
 

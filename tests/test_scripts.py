@@ -133,11 +133,15 @@ def test_fingerprint_repeats(capsys):
     for _ in range(2):
         assert script.main(["many-subdomains"]) == 0
         runs.append(capsys.readouterr().out.splitlines())
-    # nine arrays of the cell, then ten arrays and the count per variant
-    assert len(runs[0]) == 9 + 2 * 11 and runs[0] == runs[1]
+    # eleven arrays of the cell, then ten arrays and the count per variant
+    assert len(runs[0]) == 11 + 2 * 11 and runs[0] == runs[1]
     assert runs[0][0].startswith(
         "many-subdomains 16x16/8 - interface_runs.edges ")
-    assert runs[0][5].startswith("many-subdomains 16x16/8 - blocks.S_hat ")
+    assert runs[0][3].startswith(
+        "many-subdomains 16x16/8 - interface_runs.tangent ")
+    assert runs[0][6].startswith(
+        "many-subdomains 16x16/8 - interface_runs.run_of_edge ")
+    assert runs[0][7].startswith("many-subdomains 16x16/8 - blocks.S_hat ")
     assert runs[0][-1] == "many-subdomains 16x16/8 bddc3 iterations 10"
     assert script.main(["no-such-workload"]) == 2
     assert "unknown workload" in capsys.readouterr().err
