@@ -7,8 +7,7 @@ from .mesh import (BOUNDARY, INTERFACE, INTERIOR, InterfaceRuns,
                    extract_interface)
 from .fespace import (EdgeBasis, QuadRule, TraceDofMap, TriBasis,
                       build_trace_dof_map, quadrature_rule)
-from .hdg import (ElementBlocks, ElementLocal, ProblemSpec,
-                  StabilizationError, eval_tau, recover)
+from .hdg import ElementBlocks, ProblemSpec, StabilizationError, eval_tau
 from .assembly import (TraceSystem, assemble_trace_system, direct_solve,
                        eval_forms, full_saddle_solve, l2_error_u, recover_all)
 from .dd import (Subdomain, SubdomainError, Subdomains,
@@ -18,6 +17,5 @@ from .bddc import (VARIANTS, BddcPreconditioner, PreconditionerError,
                    build_preconditioner)
 from .krylov import SolveReport, gmres
 from .diagnostics import (NormReport, b_gamma_inner, edge_coefficients,
-                          envelope_holds, field_of_values, gamma_stat,
-                          jump_seminorm, norm_h, norm_report,
-                          residual_envelope)
+                          field_of_values, gamma_stat, jump_seminorm, norm_h,
+                          norm_report, residual_envelope)

@@ -17,7 +17,6 @@ import scipy.sparse.linalg as spla
 
 from .fespace import project_boundary
 from .hdg import ElementBlocks
-from .mesh import InvalidConfigError
 
 
 class TraceSystem:
@@ -147,26 +146,7 @@ def direct_solve(sys):
 
 def recover_all(sys, lam):
     """Batched interior recovery: (q, u) coefficients for every element."""
-    blocks = sys.blocks
-    if not blocks.keep_local:
-        raise InvalidConfigError("recovery needs ElementBlocks(keep_local=True)")
-    mesh, d = sys.mesh, blocks.d
-    lamK = sys.local_traces(lam)
-    F = blocks.load_vectors()
-    q = np.empty((mesh.n_triangles, 2 * d))
-    u = np.empty((mesh.n_triangles, d))
-    for t, els in enumerate(blocks._type_groups()):
-        if els.size == 0:
-            continue
-        C = blocks.type_geo[t]["C"]
-        rhs = np.concatenate([
-            -np.einsum("im,nm->ni", C.T, lamK[els]),
-            F[els] - np.einsum("nim,nm->ni", blocks.S1[els], lamK[els]),
-        ], axis=1)
-        z = np.einsum("nij,nj->ni", blocks.Kinv[els], rhs)
-        q[els] = z[:, :2 * d]
-        u[els] = z[:, 2 * d:]
-    return q, u
+    return sys.blocks.recover(sys.local_traces(lam), sys.blocks.load_vectors())
 
 
 def l2_error_u(sys, u, uexact):
@@ -206,14 +186,16 @@ def full_saddle_solve(mesh, dofs, spec, k):
     elem_dofs = dofs.edge_dofs[mesh.tri_edges].reshape(nel, m)
     gloc = project_boundary(mesh, spec.g, k)[mesh.tri_edges].reshape(nel, m)
     F = blocks.load_vectors()
+    K = blocks.K_loc()
 
     for kidx in range(nel):
-        el = blocks.element(kidx)
+        C = blocks.type_geo[mesh.tri_type[kidx]]["C"]
+        T = blocks.T[kidx]
         o = kidx * nloc
-        M[o:o + nloc, o:o + nloc] = el.K_loc
+        M[o:o + nloc, o:o + nloc] = K[kidx]
         rhs[o + 2 * d:o + nloc] = F[kidx]
-        CS2 = np.concatenate([el.C, el.S2], axis=1)          # (m, 3d)
-        MCS = np.concatenate([el.Ct, el.S1], axis=0)         # (3d, m)
+        CS2 = np.concatenate([C, blocks.S2[kidx]], axis=1)   # (m, 3d)
+        MCS = np.concatenate([C.T, blocks.S1[kidx]], axis=0)  # (3d, m)
         gdof = elem_dofs[kidx]
         for j in range(m):
             gj = gdof[j]
@@ -231,9 +213,9 @@ def full_saddle_solve(mesh, dofs, spec, k):
             for j in range(m):
                 gj = gdof[j]
                 if gj >= 0:
-                    M[row, nel * nloc + gj] += el.T[i, j]
+                    M[row, nel * nloc + gj] += T[i, j]
                 else:
-                    rhs[row] -= el.T[i, j] * gloc[kidx, j]
+                    rhs[row] -= T[i, j] * gloc[kidx, j]
     z = np.linalg.solve(M, rhs)
     q = z[:nel * nloc].reshape(nel, nloc)[:, :2 * d].copy()
     u = z[:nel * nloc].reshape(nel, nloc)[:, 2 * d:].copy()

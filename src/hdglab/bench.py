@@ -158,6 +158,9 @@ class BenchmarkConfig:
                 raise InvalidConfigError("unknown variant %r" % (v,))
         if self.fmt not in ("csv", "table"):
             raise InvalidConfigError("format must be csv or table")
+        if self.problem == "manufactured" and len(self.epsilons) > 1:
+            raise InvalidConfigError("the manufactured study takes one "
+                                     "--epsilon, got %d" % len(self.epsilons))
 
 
 class CaseResult:

@@ -8,8 +8,6 @@ operator T feed the GMRES residual envelope (1 - c^2/C^2)^(m/2).
 
 import numpy as np
 
-from .hdg import ElementBlocks
-
 
 class NormReport:
     """Norm and field-of-values summary of one solved interface problem.
@@ -91,16 +89,9 @@ def b_gamma_inner(lamG, muG, subs, sys):
     return float(muA @ (sys.B @ lamA)), float(muA @ (sys.Z @ lamA))
 
 
-def gamma_from_taus(taus, hK):
-    """max over elements and edges of 1 + tau * h_K."""
-    return float(np.max(1.0 + np.asarray(taus) * np.asarray(hK)[:, None]))
-
-
-def gamma_stat(mesh, spec, k=0, blocks=None):
-    """gamma = max{1 + tau_K h_K} for the given stabilization."""
-    if blocks is None:
-        blocks = ElementBlocks(mesh, spec, k)
-    return gamma_from_taus(blocks.taus, blocks.hK)
+def gamma_stat(blocks):
+    """gamma = max{1 + tau_K h_K} over the elements and edges of ``blocks``."""
+    return float(np.max(1.0 + blocks.taus * blocks.hK[:, None]))
 
 
 def field_of_values(apply_T, b_inner, samples):
@@ -131,15 +122,6 @@ def residual_envelope(c_est, C_est, m):
     return base ** (0.5 * np.arange(m + 1))
 
 
-def envelope_holds(resvec, c_est, C_est):
-    """Whether the residual history obeys the sampled envelope (None if
-    the lower estimate is nonpositive and the bound is vacuous)."""
-    if c_est <= 0.0:
-        return None
-    env = residual_envelope(c_est, C_est, len(resvec) - 1)
-    return bool(np.all(np.asarray(resvec) <= env + 1e-12))
-
-
 def norm_report(sys, subs, lam, lamG, pre=None, n_samples=8, seed=0):
     """Assemble a NormReport for one solved case.
 
@@ -160,5 +142,5 @@ def norm_report(sys, subs, lam, lamG, pre=None, n_samples=8, seed=0):
         norm_h=norm_h(coef, sys.mesh),
         jump=jump_seminorm(coef, sys.mesh),
         norm_b=float(np.sqrt(max(b_gamma_inner(lamG, lamG, subs, sys)[0], 0.0))),
-        gamma=gamma_stat(sys.mesh, sys.spec, sys.k, blocks=sys.blocks),
+        gamma=gamma_stat(sys.blocks),
         fov_min=c_est, fov_max=C_est)

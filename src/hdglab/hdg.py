@@ -18,9 +18,9 @@ above is the negative of the trace bilinear form; both are negated so that the
 assembled operator has positive-definite symmetric part).
 
 ``ElementBlocks`` builds these blocks once, batched over all elements of a
-mesh; ``ElementLocal`` is the single-element view that slices its arrays, and
-``recover`` is the one single-element solve (the lift (Q mu, U mu) is
-``recover`` with zero load).
+mesh, and answers every per-element question as an array over the elements:
+``recover`` solves the local systems of all elements at once (with no load it
+gives the lift (Q mu, U mu)), and ``K_loc`` stacks their saddle blocks.
 
 On an affine element A = a*I with a = detJ/eps, and Bt and C are fixed per
 element type (the two triangle orientations of the structured mesh).  The
@@ -117,7 +117,7 @@ class ElementBlocks:
     condensed element loads ``b_hat`` = N F (nel,m), the stabilizers ``taus``
     (nel,3) and ``hK``.  With ``keep_local=True`` also stores the load
     condensation maps ``N`` (nel,m,d), R, S1, S2, T and the inverse of the
-    local saddle block (needed for lifts and interior recovery).
+    local saddle block ``Kinv``, which ``recover`` and ``K_loc`` read.
     ``type_geo[t]`` holds the affine data of element type t, its blocks
     ``Bt`` and ``C``, which do not vary within a type, and its quadrature
     tables.
@@ -364,55 +364,58 @@ class ElementBlocks:
 
     # -- loads and recovery ----------------------------------------------
 
-    def load_vectors(self, f=None):
+    def load_vectors(self):
         """Local load vectors F with entries -(f, phi_i)_K, shape (nel, d):
         the recovery and oracle path (``b_hat`` holds N F of ``spec.f``)."""
-        f = self.spec.f if f is None else f
         out = np.zeros((self.mesh.n_triangles, self.d))
         for t, els in enumerate(self._type_groups()):
             geo = self.type_geo[t]
             for ch in self._chunks(els):
                 Xv = self._volume_points(geo, ch)
-                fv = np.broadcast_to(f(Xv[..., 0], Xv[..., 1]),
+                fv = np.broadcast_to(self.spec.f(Xv[..., 0], Xv[..., 1]),
                                      Xv.shape[:2]).astype(float)
                 out[ch] = _rows(fv, geo["Tload"])
         return out
 
-    def element(self, idx):
-        return ElementLocal(self, int(idx))
+    def _need_local(self):
+        if not self.keep_local:
+            raise InvalidConfigError("the local blocks need "
+                                     "ElementBlocks(keep_local=True)")
 
+    def recover(self, lamK, F=None):
+        """Interior solution (q, u), shapes (nel, 2d) and (nel, d), of every
+        element from its trace coefficients ``lamK`` (nel, m) and local loads
+        ``F`` (nel, d): K_loc (q, u) = (-Ct lam, F - S1 lam).  With no load
+        this is the local lift (Q lam, U lam)."""
+        self._need_local()
+        d, nel = self.d, self.mesh.n_triangles
+        if F is None:
+            F = np.zeros((nel, d))
+        q = np.empty((nel, 2 * d))
+        u = np.empty((nel, d))
+        for t, els in enumerate(self._type_groups()):
+            C = self.type_geo[t]["C"]
+            rhs = np.concatenate([
+                -np.einsum("im,nm->ni", C.T, lamK[els]),
+                F[els] - np.einsum("nim,nm->ni", self.S1[els], lamK[els]),
+            ], axis=1)
+            z = np.einsum("nij,nj->ni", self.Kinv[els], rhs)
+            q[els] = z[:, :2 * d]
+            u[els] = z[:, 2 * d:]
+        return q, u
 
-class ElementLocal:
-    """Single-element view into ElementBlocks: the dense HDG blocks of one K,
-    sliced from the batched arrays and the per-type ``Bt`` and ``C``."""
-
-    def __init__(self, blocks, idx):
-        if not blocks.keep_local:
-            raise InvalidConfigError("ElementBlocks built without keep_local=True")
-        geo = blocks.type_geo[blocks.mesh.tri_type[idx]]
-        self.d = blocks.d
-        self.m = blocks.m
-        self.taus = blocks.taus[idx]
-        self.A = (geo["detJ"] / blocks.spec.eps) * np.eye(2 * blocks.d)
-        self.Bt = geo["Bt"]
-        self.C = geo["C"]
-        self.Ct = self.C.T
-        self.R = blocks.R[idx]
-        self.S1 = blocks.S1[idx]
-        self.S2 = blocks.S2[idx]
-        self.T = blocks.T[idx]
-        self.Kinv = blocks.Kinv[idx]
-        self.S_hat = blocks.S_hat[idx]
-        self.N = blocks.N[idx]
-
-    @property
     def K_loc(self):
+        """Local saddle blocks [[a I, Bt], [Bt', R]] of every element,
+        (nel, 3d, 3d), from the per-type ``Bt`` and the per-element R."""
+        self._need_local()
         d = self.d
-        K = np.zeros((3 * d, 3 * d))
-        K[:2 * d, :2 * d] = self.A
-        K[:2 * d, 2 * d:] = self.Bt
-        K[2 * d:, :2 * d] = self.Bt.T
-        K[2 * d:, 2 * d:] = self.R
+        K = np.zeros((self.mesh.n_triangles, 3 * d, 3 * d))
+        for t, els in enumerate(self._type_groups()):
+            geo = self.type_geo[t]
+            K[els, :2 * d, :2 * d] = (geo["detJ"] / self.spec.eps) * np.eye(2 * d)
+            K[els, :2 * d, 2 * d:] = geo["Bt"]
+            K[els, 2 * d:, :2 * d] = geo["Bt"].T
+        K[:, 2 * d:, 2 * d:] = self.R
         return K
 
 
@@ -439,18 +442,4 @@ def eval_tau(mesh, kidx, ledge, spec, k=0):
         hK = min(float(np.hypot(*(verts[(i + 1) % 3] - verts[i]))) for i in range(3))
         tau += spec.sigma * spec.eps / hK
     return tau
-
-
-def recover(elem, lam, F=None):
-    """Interior solution (q_h, u_h) from the element trace and local load F.
-
-    With no load this is the local lift (Q lam, U lam), the solution of
-    K_loc (q, u) = (-Ct lam, -S1 lam).
-    """
-    if F is None:
-        F = np.zeros(elem.d)
-    rhs = np.concatenate([np.zeros(2 * elem.d), F])
-    rhs -= np.concatenate([elem.Ct @ lam, elem.S1 @ lam])
-    z = elem.Kinv @ rhs
-    return z[:2 * elem.d], z[2 * elem.d:]
 

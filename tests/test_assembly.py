@@ -7,8 +7,8 @@ from hdglab.assembly import (assemble_trace_system, direct_solve,
                              recover_all)
 from hdglab.bench import build_case
 from hdglab.fespace import build_trace_dof_map
-from hdglab.hdg import ProblemSpec, recover
-from hdglab.mesh import build_structured_mesh
+from hdglab.hdg import ProblemSpec
+from hdglab.mesh import InvalidConfigError, build_structured_mesh
 
 
 def zero(x, y):
@@ -172,13 +172,14 @@ def test_a_form_equals_elementwise_flux_sum():
     mu = rng.standard_normal(sys.n)
     lamK = sys.local_traces(lam)
     muK = sys.local_traces(mu)
+    q, u = blocks.recover(lamK)
     total = 0.0
     for kidx in range(mesh.n_triangles):
-        el = blocks.element(kidx)
-        q, u = recover(el, lamK[kidx])
+        C = blocks.type_geo[mesh.tri_type[kidx]]["C"]
         # mu^T S_K lam = -<Q.n + tau(U-lam) + bn lam, mu>_dK (flux form);
         # S_K lam computed from the lift instead of the stored S_hat
-        flux = -(el.C @ q) - el.S2 @ u - el.T @ lamK[kidx]
+        flux = -(C @ q[kidx]) - blocks.S2[kidx] @ u[kidx] \
+            - blocks.T[kidx] @ lamK[kidx]
         total += muK[kidx] @ flux
     a, _, _ = eval_forms(sys, lam, mu)
     assert abs(a - total) < 1e-10 * max(abs(a), 1.0)
@@ -211,6 +212,12 @@ def test_condensed_equals_full_saddle(problem, eps, k):
     q, u = recover_all(sys, lam)
     assert np.linalg.norm(q - q_full) < 1e-9 * max(np.linalg.norm(q_full), 1.0)
     assert np.linalg.norm(u - u_full) < 1e-9 * max(np.linalg.norm(u_full), 1.0)
+
+
+def test_recover_all_needs_keep_local():
+    _, _, _, sys = build("thermal", 1.0)
+    with pytest.raises(InvalidConfigError, match="keep_local"):
+        recover_all(sys, np.zeros(sys.n))
 
 
 def test_condensed_equals_full_saddle_8x8():

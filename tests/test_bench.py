@@ -319,6 +319,9 @@ def test_cli_rejects_bad_config(capsys):
     assert main(["--problem", "thermal", "--epsilon", "2.0x"]) == 2
     assert main(["--config", "/nonexistent/conf.json"]) == 2
     assert "error:" in capsys.readouterr().err
+    # the manufactured study runs one eps; a list is refused, not truncated
+    assert main(["--problem", "manufactured", "--epsilon", "1,1e-2"]) == 2
+    assert "--epsilon" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

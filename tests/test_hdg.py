@@ -5,8 +5,8 @@ import pytest
 
 from hdglab import hdg
 from hdglab.hdg import (ElementBlocks, ProblemSpec, StabilizationError,
-                        eval_tau, recover)
-from hdglab.mesh import build_structured_mesh
+                        eval_tau)
+from hdglab.mesh import InvalidConfigError, build_structured_mesh
 
 SQ2 = np.sqrt(2.0)
 
@@ -53,22 +53,26 @@ def hand_oracle_blocks():
 def test_condense_matches_hand_oracle():
     mesh = build_structured_mesh(1, 1, 1)
     spec = spec_beta0(strategy="upwind_plus_diffusive", sigma=2.0)
-    elem = ElementBlocks(mesh, spec, 0, keep_local=True).element(0)
+    blocks = ElementBlocks(mesh, spec, 0, keep_local=True)
+    K = blocks.K_loc()[0]
     Ct, S1, S2, T, R, S_hat, N = hand_oracle_blocks()
-    assert np.allclose(elem.taus, 1.0, atol=1e-14)
-    assert np.allclose(elem.A, 4.0 * np.eye(2), atol=1e-13)
-    assert np.allclose(elem.Bt, 0.0, atol=1e-13)
-    assert np.allclose(elem.R, [[R]], atol=1e-12)
+    assert np.allclose(blocks.taus[0], 1.0, atol=1e-14)
+    assert np.allclose(K[:2, :2], 4.0 * np.eye(2), atol=1e-13)
+    assert np.allclose(K[:2, 2:], 0.0, atol=1e-13)
+    assert np.allclose(K[2:, :2], 0.0, atol=1e-13)
+    assert np.allclose(blocks.R[0], [[R]], atol=1e-12)
+    assert np.array_equal(K[2:, 2:], blocks.R[0])
     # edge DOF sign convention: global orientation may flip odd Legendre modes,
     # but at k=0 all entries are orientation-free
-    assert np.allclose(elem.Ct, Ct, atol=1e-12)
-    assert np.allclose(elem.S1, S1, atol=1e-12)
-    assert np.allclose(elem.S2, S2, atol=1e-12)
-    assert np.allclose(elem.T, T, atol=1e-12)
-    got_S = elem.S_hat
+    assert np.allclose(blocks.type_geo[mesh.tri_type[0]]["C"].T, Ct,
+                       atol=1e-12)
+    assert np.allclose(blocks.S1[0], S1, atol=1e-12)
+    assert np.allclose(blocks.S2[0], S2, atol=1e-12)
+    assert np.allclose(blocks.T[0], T, atol=1e-12)
+    got_S = blocks.S_hat[0]
     assert np.allclose(got_S, S_hat, atol=1e-12)
     F = np.array([-2 * SQ2 * 3.0])  # load vector of f = const 3
-    assert np.allclose(elem.N @ F, (N @ F), atol=1e-12)
+    assert np.allclose(blocks.N[0] @ F, (N @ F), atol=1e-12)
     # the local block is PSD with the constant trace as its kernel (beta = 0)
     w = np.linalg.eigvalsh(0.5 * (got_S + got_S.T))
     assert np.allclose(got_S @ np.ones(3), 0.0, atol=1e-12)
@@ -159,10 +163,10 @@ def test_condensation_memory_does_not_grow_with_the_mesh():
 def test_beta0_symmetric_system():
     mesh = build_structured_mesh(2, 2, 2)
     blocks = ElementBlocks(mesh, spec_beta0(), 0, keep_local=True)
-    el = blocks.element(3)
-    assert np.allclose(el.R, el.R.T, atol=1e-14)
-    assert np.allclose(el.S1, el.S2.T, atol=1e-14)
-    assert np.allclose(el.S_hat, el.S_hat.T, atol=1e-13)
+    tr = lambda X: X.swapaxes(1, 2)
+    assert np.allclose(blocks.R, tr(blocks.R), atol=1e-14)
+    assert np.allclose(blocks.S1, tr(blocks.S2), atol=1e-14)
+    assert np.allclose(blocks.S_hat, tr(blocks.S_hat), atol=1e-13)
 
 
 def test_rotating_divergence_block_vanishes():
@@ -170,9 +174,8 @@ def test_rotating_divergence_block_vanishes():
     mesh = build_structured_mesh(2, 2, 2)
     blocks = ElementBlocks(mesh, spec_rotating(), 1, keep_local=True)
     for kidx in (0, 5):
-        el = blocks.element(kidx)
         geo = blocks.type_geo[mesh.tri_type[kidx]]
-        bnd = np.zeros_like(el.R)
+        bnd = np.zeros_like(blocks.R[kidx])
         for e, ed in enumerate(geo["edata"]):
             lo, hi = ed["lo"], ed["hi"]
             tri = mesh.triangles[kidx]
@@ -181,24 +184,24 @@ def test_rotating_divergence_block_vanishes():
             bx, by = blocks.spec.beta_at(X[:, 0], X[:, 1])
             bn = bx * ed["n"][0] + by * ed["n"][1]
             W3 = np.einsum("q,q,iq,jq->ij", ed["we"], bn, ed["phie"], ed["phie"])
-            bnd += -el.taus[e] * ed["F"] + 0.5 * W3
-        assert np.allclose(0.5 * (el.R + el.R.T), bnd, atol=1e-13)
+            bnd += -blocks.taus[kidx, e] * ed["F"] + 0.5 * W3
+        R = blocks.R[kidx]
+        assert np.allclose(0.5 * (R + R.T), bnd, atol=1e-13)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_local_lift_constant(k):
     mesh = build_structured_mesh(2, 2, 2)
     blocks = ElementBlocks(mesh, spec_thermal(eps=0.5), k, keep_local=True)
-    el = blocks.element(2)
     c = 1.7
-    mu = np.zeros(3 * (k + 1))
-    mu[::k + 1] = c
-    q, u = recover(el, mu)
+    mu = np.zeros((mesh.n_triangles, blocks.m))
+    mu[:, ::k + 1] = c
+    q, u = blocks.recover(mu)
     assert np.allclose(q, 0.0, atol=1e-11)
-    geo = blocks.type_geo[mesh.tri_type[2]]
-    uvals = u @ geo["phiv"]
-    assert np.allclose(uvals, c, atol=1e-11)
-    q0, u0 = recover(el, np.zeros_like(mu))
+    for t, geo in enumerate(blocks.type_geo):
+        uvals = u[mesh.tri_type == t] @ geo["phiv"]
+        assert np.allclose(uvals, c, atol=1e-11)
+    q0, u0 = blocks.recover(np.zeros_like(mu))
     assert np.allclose(q0, 0.0) and np.allclose(u0, 0.0)
 
 
@@ -206,13 +209,22 @@ def test_local_lift_residual():
     mesh = build_structured_mesh(2, 2, 2)
     blocks = ElementBlocks(mesh, spec_thermal(eps=1e-2), 1, keep_local=True)
     rng = np.random.default_rng(3)
-    for kidx in (0, 7, 20):
-        el = blocks.element(kidx)
-        mu = rng.standard_normal(el.m)
-        z = np.concatenate(recover(el, mu))
-        rhs = np.concatenate([-el.Ct @ mu, -el.S1 @ mu])
-        res = el.K_loc @ z - rhs
-        assert np.linalg.norm(res) < 1e-11 * max(np.linalg.norm(rhs), 1.0)
+    mu = rng.standard_normal((mesh.n_triangles, blocks.m))
+    z = np.concatenate(blocks.recover(mu), axis=1)
+    C = np.stack([blocks.type_geo[t]["C"] for t in mesh.tri_type])
+    rhs = np.concatenate([-np.einsum("nmi,nm->ni", C, mu),
+                          -np.einsum("nim,nm->ni", blocks.S1, mu)], axis=1)
+    res = np.einsum("nij,nj->ni", blocks.K_loc(), z) - rhs
+    assert np.all(np.linalg.norm(res, axis=1)
+                  < 1e-11 * np.maximum(np.linalg.norm(rhs, axis=1), 1.0))
+
+
+def test_local_blocks_need_keep_local():
+    blocks = ElementBlocks(build_structured_mesh(1, 1, 2), spec_thermal(), 0)
+    with pytest.raises(InvalidConfigError, match="keep_local"):
+        blocks.recover(np.zeros((blocks.mesh.n_triangles, blocks.m)))
+    with pytest.raises(InvalidConfigError, match="keep_local"):
+        blocks.K_loc()
 
 
 def _eval_on_edges(blocks, kidx, qc, uc, mu):
@@ -242,18 +254,18 @@ def test_condense_equals_flux_form(k, eps):
     mesh = build_structured_mesh(2, 2, 2)
     blocks = ElementBlocks(mesh, spec_thermal(eps=eps), k, keep_local=True)
     rng = np.random.default_rng(11)
-    for kidx in (1, 12):
-        el = blocks.element(kidx)
-        for _ in range(10):
-            mu = rng.standard_normal(el.m)
-            eta = rng.standard_normal(el.m)
-            q, u = recover(el, mu)
-            lhs = eta @ (el.S_hat @ mu)
+    nds = k + 1
+    for _ in range(10):
+        mu = rng.standard_normal((mesh.n_triangles, blocks.m))
+        eta = rng.standard_normal((mesh.n_triangles, blocks.m))
+        q, u = blocks.recover(mu)
+        for kidx in (1, 12):
+            lhs = eta[kidx] @ (blocks.S_hat[kidx] @ mu[kidx])
             rhs = 0.0
-            nds = k + 1
             geo = blocks.type_geo[mesh.tri_type[kidx]]
-            for e, edd in enumerate(_eval_on_edges(blocks, kidx, q, u, mu)):
-                etav = eta[e * nds:(e + 1) * nds] @ geo["edata"][e]["P"]
+            for e, edd in enumerate(_eval_on_edges(blocks, kidx, q[kidx],
+                                                   u[kidx], mu[kidx])):
+                etav = eta[kidx, e * nds:(e + 1) * nds] @ geo["edata"][e]["P"]
                 flux = edd["qn"] + edd["tau"] * (edd["u"] - edd["mu"]) + edd["bn"] * edd["mu"]
                 rhs -= np.sum(edd["we"] * flux * etav)
             assert abs(lhs - rhs) < 1e-11 * max(abs(lhs), 1.0)
@@ -266,42 +278,41 @@ def test_condensed_quadratic_form_invariant(k):
     spec = spec_rotating(eps=1e-3)
     blocks = ElementBlocks(mesh, spec, k, keep_local=True)
     rng = np.random.default_rng(5)
-    for kidx in (0, 9, 30):
-        el = blocks.element(kidx)
-        geo = blocks.type_geo[mesh.tri_type[kidx]]
-        for _ in range(5):
-            mu = rng.standard_normal(el.m)
-            q, u = recover(el, mu)
-            qx = q[:el.d] @ geo["phiv"]
-            qy = q[el.d:] @ geo["phiv"]
+    d = blocks.d
+    for _ in range(5):
+        mu = rng.standard_normal((mesh.n_triangles, blocks.m))
+        q, u = blocks.recover(mu)
+        for kidx in (0, 9, 30):
+            geo = blocks.type_geo[mesh.tri_type[kidx]]
+            qx = q[kidx, :d] @ geo["phiv"]
+            qy = q[kidx, d:] @ geo["phiv"]
             val = geo["detJ"] * np.sum(blocks.vrule.weights * (qx ** 2 + qy ** 2)) / spec.eps
-            for edd in _eval_on_edges(blocks, kidx, q, u, mu):
+            for edd in _eval_on_edges(blocks, kidx, q[kidx], u[kidx], mu[kidx]):
                 jump = edd["u"] - edd["mu"]
                 val += np.sum(edd["we"] * (edd["tau"] - 0.5 * edd["bn"]) * jump ** 2)
                 val -= 0.5 * np.sum(edd["we"] * edd["bn"] * edd["mu"] ** 2)
-            lhs = mu @ (el.S_hat @ mu)
+            lhs = mu[kidx] @ (blocks.S_hat[kidx] @ mu[kidx])
             assert abs(lhs - val) < 1e-11 * max(abs(lhs), 1.0)
 
 
 def test_constant_trace_kernel():
     mesh = build_structured_mesh(2, 2, 2)
     blocks = ElementBlocks(mesh, spec_rotating(eps=1.0), 1, keep_local=True)
-    el = blocks.element(4)
-    mu = np.zeros(el.m)
+    mu = np.zeros(blocks.m)
     mu[::2] = 3.0
-    assert abs(mu @ (el.S_hat @ mu)) < 1e-11
+    assert np.all(np.abs(blocks.S_hat @ mu @ mu) < 1e-11)
 
 
 def test_recover_constant_and_zero_load():
     mesh = build_structured_mesh(2, 2, 2)
     blocks = ElementBlocks(mesh, spec_thermal(eps=0.3), 2, keep_local=True)
-    el = blocks.element(6)
-    lam = np.zeros(el.m)
-    lam[::3] = -2.5
-    q, u = recover(el, lam)
-    geo = blocks.type_geo[mesh.tri_type[6]]
+    lam = np.zeros((mesh.n_triangles, blocks.m))
+    lam[:, ::3] = -2.5
+    q, u = blocks.recover(lam, np.zeros((mesh.n_triangles, blocks.d)))
     assert np.allclose(q, 0.0, atol=1e-10)
-    assert np.allclose(u @ geo["phiv"], -2.5, atol=1e-10)
+    for t, geo in enumerate(blocks.type_geo):
+        assert np.allclose(u[mesh.tri_type == t] @ geo["phiv"], -2.5,
+                           atol=1e-10)
 
 
 def test_load_vectors():
@@ -315,5 +326,5 @@ def test_load_vectors():
     # int_K phi = detJ * int_ref phihat = detJ*sqrt(2)/2
     detJ = blocks.type_geo[0]["detJ"]
     assert np.allclose(F, -3.0 * detJ * SQ2 / 2.0, atol=1e-13)
-    Z = blocks.load_vectors(f=zero)
+    Z = ElementBlocks(mesh, spec_beta0(), 0).load_vectors()
     assert np.allclose(Z, 0.0)

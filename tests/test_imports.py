@@ -1,4 +1,5 @@
-"""No module of the package or of ``scripts`` imports a name it never uses.
+"""No module of the package, of ``scripts`` or of ``tests`` imports a name
+it never uses.
 
 No linter ships with the project, so this reads each file's syntax tree:
 an imported name counts as used when it appears anywhere in the file as a
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for d in ("src/hdglab", "scripts")
+FILES = sorted(p for d in ("src/hdglab", "scripts", "tests")
                for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
 
 

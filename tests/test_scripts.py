@@ -1,5 +1,4 @@
-"""Smoke tests of scripts/criterion06_evidence.py, of the snapshot
-comparison in scripts/bench_snapshot.py, of the paired summary in
+"""Smoke tests of scripts/criterion06_evidence.py, of the paired summary in
 scripts/ab_pairs.py, of the memory readings in scripts/rss_rounds.py and of
 the array fingerprints in scripts/fingerprint.py.
 
@@ -39,23 +38,6 @@ def test_criterion06_evidence_rows(capsys):
         counts = re.findall(r"\['(\d+)'\]", line)
         got[label] = tuple(int(c) for c in counts)
     assert got == EXPECTED
-
-
-def test_bench_snapshot_compare():
-    spec = importlib.util.spec_from_file_location(
-        "bench_snapshot", SCRIPTS / "bench_snapshot.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    run = lambda **m: {"metrics": {k: {"value": v, "unit": "s"}
-                                   for k, v in m.items()}}
-    old = {"a": run(x=1.0, y=0.5)}
-    new = {"a": run(x=0.25, y=0.5), "b": run(y=2.0)}
-    assert script.compare(old, new).splitlines() == [
-        "| metric | a | b |",
-        "|---|---|---|",
-        "| `x` (s) | 1 → 0.25 | - → - |",
-        "| `y` (s) | 0.5 → 0.5 | - → 2 |",
-    ]
 
 
 def test_ab_pairs_summary():
