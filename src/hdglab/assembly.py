@@ -112,10 +112,10 @@ def assemble_matrix(S_hat, elem_dofs, n, nds):
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def assemble_trace_system(mesh, dofs, spec, k, blocks=None, keep_local=False):
+def assemble_trace_system(mesh, dofs, spec, k, blocks=None):
     """The trace system: b with Dirichlet lifting, A on first access."""
     if blocks is None:
-        blocks = ElementBlocks(mesh, spec, k, keep_local=keep_local)
+        blocks = ElementBlocks(mesh, spec, k)
     nel, m, n = mesh.n_triangles, 3 * (k + 1), dofs.n_dofs
     elem_dofs = dofs.edge_dofs[mesh.tri_edges].reshape(nel, m)
     gcoef = project_boundary(mesh, spec.g, k)
@@ -155,8 +155,6 @@ def l2_error_u(sys, u, uexact):
     wv = blocks.vrule.weights
     err2 = 0.0
     for t, els in enumerate(blocks._type_groups()):
-        if els.size == 0:
-            continue
         geo = blocks.type_geo[t]
         Xv = blocks._volume_points(geo, els)
         ue = np.broadcast_to(uexact(Xv[..., 0], Xv[..., 1]),
@@ -172,7 +170,7 @@ def full_saddle_solve(mesh, dofs, spec, k):
     Unknowns: per element [q (2d), u (d)] then the free trace coefficients.
     Returns (lam, q, u) with the same layouts as the condensed path.
     """
-    blocks = ElementBlocks(mesh, spec, k, keep_local=True)
+    blocks = ElementBlocks(mesh, spec, k)
     d = blocks.d
     nds = k + 1
     m = 3 * nds
@@ -190,12 +188,12 @@ def full_saddle_solve(mesh, dofs, spec, k):
 
     for kidx in range(nel):
         C = blocks.type_geo[mesh.tri_type[kidx]]["C"]
-        T = blocks.T[kidx]
+        T = blocks.local.T[kidx]
         o = kidx * nloc
         M[o:o + nloc, o:o + nloc] = K[kidx]
         rhs[o + 2 * d:o + nloc] = F[kidx]
-        CS2 = np.concatenate([C, blocks.S2[kidx]], axis=1)   # (m, 3d)
-        MCS = np.concatenate([C.T, blocks.S1[kidx]], axis=0)  # (3d, m)
+        CS2 = np.concatenate([C, blocks.local.S2[kidx]], axis=1)   # (m, 3d)
+        MCS = np.concatenate([C.T, blocks.local.S1[kidx]], axis=0)  # (3d, m)
         gdof = elem_dofs[kidx]
         for j in range(m):
             gj = gdof[j]

@@ -10,6 +10,7 @@ whose rows are epsilon values and whose column groups are variants.
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 import time
@@ -33,10 +34,6 @@ CSV_FIELDS = ("problem", "epsilon", "degree", "nsub_x", "nsub_y", "ratio",
               "variant", "iterations", "converged", "true_residual",
               "seconds")
 DIAG_FIELDS = ("norm_h", "jump", "norm_b", "gamma", "fov_min", "fov_max")
-
-CONFIG_KEYS = frozenset(("problem", "epsilons", "degrees", "grids", "ratios",
-                         "variants", "tol", "maxit", "fmt", "advect",
-                         "diagnostics"))
 
 
 def _zeros(x, y):
@@ -158,9 +155,23 @@ class BenchmarkConfig:
                 raise InvalidConfigError("unknown variant %r" % (v,))
         if self.fmt not in ("csv", "table"):
             raise InvalidConfigError("format must be csv or table")
-        if self.problem == "manufactured" and len(self.epsilons) > 1:
-            raise InvalidConfigError("the manufactured study takes one "
-                                     "--epsilon, got %d" % len(self.epsilons))
+        if self.problem != "manufactured":
+            if self.advect:
+                raise InvalidConfigError("--advect applies only to the "
+                                         "manufactured problem")
+            return
+        for ok, wants, got in (
+                (len(self.epsilons) == 1, "one --epsilon", self.epsilons),
+                (len(self.grids) == 1 and len(set(self.grids[0])) == 1,
+                 "one square --subdomains grid NxN", self.grids),
+                (len(self.ratios) > 1, "at least two --ratio levels",
+                 self.ratios)):
+            if not ok:
+                raise InvalidConfigError("the manufactured study takes %s, "
+                                         "got %s" % (wants, got))
+
+
+CONFIG_KEYS = frozenset(inspect.signature(BenchmarkConfig).parameters)
 
 
 class CaseResult:
@@ -363,8 +374,7 @@ def convergence_study(eps=1.0, advect=False, degrees=(0, 1, 2),
             mesh = build_structured_mesh(nsub, nsub, r)
             dofs = build_trace_dof_map(mesh, k)
             spec = problem_manufactured(eps, advect=advect, h=mesh.h)
-            sys_ = assemble_trace_system(mesh, dofs, spec, k,
-                                         keep_local=True)
+            sys_ = assemble_trace_system(mesh, dofs, spec, k)
             lam = direct_solve(sys_)
             q, u = recover_all(sys_, lam)
             err = l2_error_u(sys_, u, manufactured_exact)
@@ -474,9 +484,8 @@ def main(argv=None):
         if config.problem == "manufactured":
             rows, slopes = convergence_study(
                 eps=config.epsilons[0], advect=config.advect,
-                degrees=config.degrees,
-                levels=tuple(config.ratios) if len(config.ratios) > 1
-                else (4, 8, 16, 32))
+                degrees=config.degrees, levels=tuple(config.ratios),
+                nsub=config.grids[0][0])
             emit_convergence(rows, slopes, out, fmt=config.fmt)
             return 0
         results = run_sweep(config)

@@ -38,12 +38,15 @@ is inverted per element, and
                [ -Sigma^-1 Bt' / a              Sigma^-1        ],
 
 with 1/a computed as eps/detJ.  K_loc^-1 is formed for the condition check
-rcond = 1/(|K_loc|_1 |K_loc^-1|_1) and kept only when asked for.  The
-condensed load b_K = N F is formed in the same pass, from f at the volume
-points that already give beta, so N itself is kept only when asked for.
+rcond = 1/(|K_loc|_1 |K_loc^-1|_1), and b_K = N F in the same pass, from f at
+the volume points that already give beta.  N, R, S1, S2, T and K_loc^-1 are
+kept on first access (``ElementBlocks.local``) from a second run of the pass.
 Elements are processed in chunks sized by ``CHUNK_ENTRIES``, so only the
 outputs are mesh-sized.
 """
+
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,27 +116,35 @@ class ProblemSpec:
 class ElementBlocks:
     """Batched HDG blocks for all elements of a mesh.
 
-    Always stores the condensed trace blocks ``S_hat`` (nel,m,m), the
-    condensed element loads ``b_hat`` = N F (nel,m), the stabilizers ``taus``
-    (nel,3) and ``hK``.  With ``keep_local=True`` also stores the load
-    condensation maps ``N`` (nel,m,d), R, S1, S2, T and the inverse of the
-    local saddle block ``Kinv``, which ``recover`` and ``K_loc`` read.
-    ``type_geo[t]`` holds the affine data of element type t, its blocks
-    ``Bt`` and ``C``, which do not vary within a type, and its quadrature
-    tables.
+    Stores the condensed trace blocks ``S_hat`` (nel,m,m), the condensed
+    element loads ``b_hat`` = N F (nel,m), the stabilizers ``taus`` (nel,3)
+    and ``hK``.  The local blocks -- the load condensation maps N (nel,m,d),
+    R, S1, S2, T and the inverse of the local saddle block Kinv -- are built
+    on first access of ``local``, by running the same element pass once
+    more; ``recover`` and ``K_loc`` read them.  ``type_geo[t]`` holds the
+    affine data of element type t, its blocks ``Bt`` and ``C``, which do not
+    vary within a type, and its quadrature tables.
     """
 
-    def __init__(self, mesh, spec, k, keep_local=False):
+    def __init__(self, mesh, spec, k):
         self.mesh = mesh
         self.spec = spec
         self.k = k
-        self.keep_local = keep_local
         self.tri = TriBasis(k)
         self.d = self.tri.dim
         self.m = 3 * (k + 1)
         self.vrule = quadrature_rule("triangle", 2 * k + 4)
         self.erule = quadrature_rule("edge", 2 * k + 4)
-        self._build()
+        self.type_geo = [self._build_type_geometry(els)
+                         for els in self._type_groups()]
+        self.hK = np.array([g["hK"] for g in self.type_geo])[mesh.tri_type]
+        vars(self).update(self._collect("S_hat", "b_hat", "taus"))
+
+    @cached_property
+    def local(self):
+        """N, R, S1, S2, T and Kinv of every element, each (nel, ...)."""
+        return SimpleNamespace(**self._collect("N", "R", "S1", "S2", "T",
+                                               "Kinv"))
 
     # -- helpers ---------------------------------------------------------
 
@@ -227,34 +238,32 @@ class ElementBlocks:
                     Tedge=Tedge.reshape(3 * (nqe + 1), -1),
                     Tload=-(wv * phiv).T)
 
-    # -- assembly --------------------------------------------------------
+    # -- the element pass --------------------------------------------------
 
-    def _build(self):
+    def _collect(self, *names):
+        """The named blocks of every element, by name, from ``_pass``; each
+        chunk's blocks are dropped once copied, before the next is built."""
+        out = {}
+
+        def keep(ch, **blocks):
+            for name in names:
+                if name not in out:
+                    out[name] = np.empty((self.mesh.n_triangles,)
+                                         + blocks[name].shape[1:])
+                out[name][ch] = blocks[name]
+        self._pass(keep)
+        return out
+
+    def _pass(self, keep):
+        """Call ``keep(ch, **blocks)`` for each chunk ``ch`` of elements with
+        its S_hat, b_hat, taus, N, R, S1, S2, T and Kinv, checking them."""
         mesh, spec = self.mesh, self.spec
         d, m = self.d, self.m
-        nel = mesh.n_triangles
         nqv, nqe = self.vrule.weights.size, self.erule.points.size
-        self.S_hat = np.empty((nel, m, m))
-        self.b_hat = np.empty((nel, m))
-        self.taus = np.empty((nel, 3))
-        self.hK = np.empty(nel)
-        if self.keep_local:
-            self.N = np.empty((nel, m, d))
-            self.R = np.empty((nel, d, d))
-            self.S1 = np.empty((nel, d, m))
-            self.S2 = np.empty((nel, m, d))
-            self.T = np.empty((nel, m, m))
-            self.Kinv = np.empty((nel, 3 * d, 3 * d))
-        self.type_geo = []
         o1, o2, o3 = d * d, d * d + d * m, d * d + 2 * d * m
         flux = np.arange(2 * d)
 
-        for els in self._type_groups():
-            geo = self._build_type_geometry(els)
-            self.type_geo.append(geo)
-            if els.size == 0:
-                continue
-            self.hK[els] = geo["hK"]
+        for els, geo in zip(self._type_groups(), self.type_geo):
             chunks = self._chunks(els)
 
             # the checks below scale by the largest |beta| over the volume
@@ -278,6 +287,12 @@ class ElementBlocks:
             # the column sums of |Bt| + |R|
             Bt_row1 = np.abs(Bt).sum(axis=1).max()
             Bt_col1 = np.abs(Bt).sum(axis=0)
+            # the beta.n samples of each edge (3, nqe+2): its quadrature
+            # points, then its two end vertices, of the points X below
+            nx, ny = np.array([ed["n"] for ed in geo["edata"]]).T[:, :, None]
+            ends = [[ed["lo"], ed["hi"]] for ed in geo["edata"]]
+            at = nqv + np.concatenate([np.arange(3 * nqe).reshape(3, nqe),
+                                       3 * nqe + np.array(ends)], axis=1)
             for ch in chunks:
                 net = ch.size
                 # beta at the volume points, the edge points and the vertices
@@ -291,26 +306,14 @@ class ElementBlocks:
                     spec.div_beta(X[:, :nqv, 0], X[:, :nqv, 1]),
                     (net, nqv)).astype(float)
 
-                vals = np.empty((net, 3, nqe + 1))     # [beta.n, tau] per edge
-                taus = vals[:, :, nqe]
-                margin = np.full(net, -np.inf)
-                for e, ed in enumerate(geo["edata"]):
-                    n = ed["n"]
-                    sl = slice(nqv + e * nqe, nqv + (e + 1) * nqe)
-                    bn = bx[:, sl] * n[0] + by[:, sl] * n[1]     # (net, nqe)
-                    ends = [nqv + 3 * nqe + ed["lo"], nqv + 3 * nqe + ed["hi"]]
-                    bn_end = bx[:, ends] * n[0] + by[:, ends] * n[1]
-                    samples = np.concatenate([bn, bn_end], axis=1)
-                    tau = upwind_tau(samples)
-                    if spec.tau_strategy == "upwind_plus_diffusive":
-                        tau = tau + spec.sigma * spec.eps / geo["hK"]
-                    vals[:, e, :nqe] = bn
-                    taus[:, e] = tau
-                    slack = tau[:, None] - 0.5 * samples
-                    if np.min(slack) < -1e-12 * bscale:
-                        raise StabilizationError("tau - beta.n/2 < 0 on an edge")
-                    margin = np.maximum(margin, slack.max(axis=1))
-                bad = margin <= 1e-14 * bscale
+                samples = bx[:, at] * nx + by[:, at] * ny    # (net, 3, nqe+2)
+                taus = upwind_tau(samples.reshape(3 * net, -1)).reshape(net, 3)
+                if spec.tau_strategy == "upwind_plus_diffusive":
+                    taus = taus + spec.sigma * spec.eps / geo["hK"]
+                slack = taus[:, :, None] - 0.5 * samples
+                if np.min(slack) < -1e-12 * bscale:
+                    raise StabilizationError("tau - beta.n/2 < 0 on an edge")
+                bad = slack.max(axis=(1, 2)) <= 1e-14 * bscale
                 if np.any(bad):
                     raise StabilizationError(
                         "Assumption 2.1 violated: tau - beta.n/2 vanishes on all "
@@ -318,7 +321,10 @@ class ElementBlocks:
                         "the upwind_plus_diffusive strategy"
                         % (ch[bad][:5], ch[bad][0]))
 
-                # [R | S1 | S2 | T] of every element of the chunk
+                # [R | S1 | S2 | T] of every element of the chunk, from
+                # [beta.n, tau] per edge
+                vals = np.concatenate([samples[:, :, :nqe], taus[:, :, None]],
+                                      axis=2)
                 blk = _rows(vals.reshape(net, -1), geo["Tedge"])
                 blk[:, :o1] += _rows(
                     np.concatenate([bx[:, :nqv], by[:, :nqv], div], axis=1),
@@ -348,19 +354,11 @@ class ElementBlocks:
                         "element %d" % (np.min(rcond), ch[int(np.argmin(rcond))]))
 
                 N = (S2 - ia * CBt) @ Sinv
-                self.S_hat[ch] = ia * CCt + N @ (S1 - ia * BtCt) - T
                 fv = np.broadcast_to(spec.f(X[:, :nqv, 0], X[:, :nqv, 1]),
                                      (net, nqv)).astype(float)
-                self.b_hat[ch] = np.einsum("nmd,nd->nm", N,
-                                           _rows(fv, geo["Tload"]))
-                self.taus[ch] = taus
-                if self.keep_local:
-                    self.N[ch] = N
-                    self.R[ch] = Rm
-                    self.S1[ch] = S1
-                    self.S2[ch] = S2
-                    self.T[ch] = T
-                    self.Kinv[ch] = Kinv
+                keep(ch, S_hat=ia * CCt + N @ (S1 - ia * BtCt) - T,
+                     b_hat=np.einsum("nmd,nd->nm", N, _rows(fv, geo["Tload"])),
+                     taus=taus, N=N, R=Rm, S1=S1, S2=S2, T=T, Kinv=Kinv)
 
     # -- loads and recovery ----------------------------------------------
 
@@ -377,17 +375,12 @@ class ElementBlocks:
                 out[ch] = _rows(fv, geo["Tload"])
         return out
 
-    def _need_local(self):
-        if not self.keep_local:
-            raise InvalidConfigError("the local blocks need "
-                                     "ElementBlocks(keep_local=True)")
-
     def recover(self, lamK, F=None):
         """Interior solution (q, u), shapes (nel, 2d) and (nel, d), of every
         element from its trace coefficients ``lamK`` (nel, m) and local loads
         ``F`` (nel, d): K_loc (q, u) = (-Ct lam, F - S1 lam).  With no load
         this is the local lift (Q lam, U lam)."""
-        self._need_local()
+        loc = self.local
         d, nel = self.d, self.mesh.n_triangles
         if F is None:
             F = np.zeros((nel, d))
@@ -397,9 +390,9 @@ class ElementBlocks:
             C = self.type_geo[t]["C"]
             rhs = np.concatenate([
                 -np.einsum("im,nm->ni", C.T, lamK[els]),
-                F[els] - np.einsum("nim,nm->ni", self.S1[els], lamK[els]),
+                F[els] - np.einsum("nim,nm->ni", loc.S1[els], lamK[els]),
             ], axis=1)
-            z = np.einsum("nij,nj->ni", self.Kinv[els], rhs)
+            z = np.einsum("nij,nj->ni", loc.Kinv[els], rhs)
             q[els] = z[:, :2 * d]
             u[els] = z[:, 2 * d:]
         return q, u
@@ -407,7 +400,6 @@ class ElementBlocks:
     def K_loc(self):
         """Local saddle blocks [[a I, Bt], [Bt', R]] of every element,
         (nel, 3d, 3d), from the per-type ``Bt`` and the per-element R."""
-        self._need_local()
         d = self.d
         K = np.zeros((self.mesh.n_triangles, 3 * d, 3 * d))
         for t, els in enumerate(self._type_groups()):
@@ -415,7 +407,7 @@ class ElementBlocks:
             K[els, :2 * d, :2 * d] = (geo["detJ"] / self.spec.eps) * np.eye(2 * d)
             K[els, :2 * d, 2 * d:] = geo["Bt"]
             K[els, 2 * d:, :2 * d] = geo["Bt"].T
-        K[:, 2 * d:, 2 * d:] = self.R
+        K[:, 2 * d:, 2 * d:] = self.local.R
         return K
 
 

@@ -8,7 +8,7 @@ from hdglab.assembly import (assemble_trace_system, direct_solve,
 from hdglab.bench import build_case
 from hdglab.fespace import build_trace_dof_map
 from hdglab.hdg import ProblemSpec
-from hdglab.mesh import InvalidConfigError, build_structured_mesh
+from hdglab.mesh import build_structured_mesh
 
 
 def zero(x, y):
@@ -57,11 +57,11 @@ def make_spec(problem, eps, g=None, f=None):
     raise ValueError(problem)
 
 
-def build(problem, eps, nx=2, ny=2, ratio=2, k=0, keep_local=False, **kw):
+def build(problem, eps, nx=2, ny=2, ratio=2, k=0, **kw):
     mesh = build_structured_mesh(nx, ny, ratio)
     dofs = build_trace_dof_map(mesh, k)
     spec = make_spec(problem, eps, **kw)
-    sys = assemble_trace_system(mesh, dofs, spec, k, keep_local=keep_local)
+    sys = assemble_trace_system(mesh, dofs, spec, k)
     return mesh, dofs, spec, sys
 
 
@@ -105,9 +105,9 @@ def test_matrix_built_on_first_access_matches_eager_assembly(k):
 def test_load_condensed_in_element_pass(k):
     f = lambda x, y: np.cos(2.0 * x) + x * y
     mesh, dofs, _, sys = build("rotating", 1e-2, nx=2, ny=3, ratio=2, k=k,
-                               keep_local=True, f=f)
+                               f=f)
     blocks = sys.blocks
-    bvals = np.einsum("nmd,nd->nm", blocks.N, blocks.load_vectors()) \
+    bvals = np.einsum("nmd,nd->nm", blocks.local.N, blocks.load_vectors()) \
         - np.einsum("nij,nj->ni", blocks.S_hat, sys.gloc)
     free = sys.elem_dofs >= 0
     ref = np.zeros(sys.n)
@@ -164,8 +164,7 @@ def test_eval_forms_split_and_positivity():
 
 def test_a_form_equals_elementwise_flux_sum():
     # a_h(lam, mu) recomputed element by element through the local lifts
-    mesh, dofs, spec, sys = build("thermal", 1e-1, k=1, g=zero,
-                                  keep_local=True)
+    mesh, dofs, spec, sys = build("thermal", 1e-1, k=1, g=zero)
     blocks = sys.blocks
     rng = np.random.default_rng(4)
     lam = rng.standard_normal(sys.n)
@@ -178,8 +177,8 @@ def test_a_form_equals_elementwise_flux_sum():
         C = blocks.type_geo[mesh.tri_type[kidx]]["C"]
         # mu^T S_K lam = -<Q.n + tau(U-lam) + bn lam, mu>_dK (flux form);
         # S_K lam computed from the lift instead of the stored S_hat
-        flux = -(C @ q[kidx]) - blocks.S2[kidx] @ u[kidx] \
-            - blocks.T[kidx] @ lamK[kidx]
+        flux = -(C @ q[kidx]) - blocks.local.S2[kidx] @ u[kidx] \
+            - blocks.local.T[kidx] @ lamK[kidx]
         total += muK[kidx] @ flux
     a, _, _ = eval_forms(sys, lam, mu)
     assert abs(a - total) < 1e-10 * max(abs(a), 1.0)
@@ -204,7 +203,7 @@ def test_direct_solve_residual_and_range():
 @pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_condensed_equals_full_saddle(problem, eps, k):
-    mesh, dofs, spec, sys = build(problem, eps, k=k, keep_local=True)
+    mesh, dofs, spec, sys = build(problem, eps, k=k)
     lam = direct_solve(sys)
     lam_full, q_full, u_full = full_saddle_solve(mesh, dofs, spec, k)
     scale = max(np.linalg.norm(lam_full), 1.0)
@@ -212,12 +211,6 @@ def test_condensed_equals_full_saddle(problem, eps, k):
     q, u = recover_all(sys, lam)
     assert np.linalg.norm(q - q_full) < 1e-9 * max(np.linalg.norm(q_full), 1.0)
     assert np.linalg.norm(u - u_full) < 1e-9 * max(np.linalg.norm(u_full), 1.0)
-
-
-def test_recover_all_needs_keep_local():
-    _, _, _, sys = build("thermal", 1.0)
-    with pytest.raises(InvalidConfigError, match="keep_local"):
-        recover_all(sys, np.zeros(sys.n))
 
 
 def test_condensed_equals_full_saddle_8x8():
@@ -260,7 +253,7 @@ def test_manufactured_convergence(k, eps, advect):
         mesh = build_structured_mesh(1, 1, r)
         dofs = build_trace_dof_map(mesh, k)
         spec = manufactured_spec(eps, advect, mesh.h)
-        sys = assemble_trace_system(mesh, dofs, spec, k, keep_local=True)
+        sys = assemble_trace_system(mesh, dofs, spec, k)
         lam = direct_solve(sys)
         _, u = recover_all(sys, lam)
         errs.append(l2_error_u(sys, u, u_exact))

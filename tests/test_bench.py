@@ -324,6 +324,29 @@ def test_cli_rejects_bad_config(capsys):
     assert "--epsilon" in capsys.readouterr().err
 
 
+def test_cli_manufactured_takes_grid_and_ratios(capsys):
+    # nsub from --subdomains and the levels from --ratio: h = 2 / (3 H/h)
+    assert main(["--problem", "manufactured", "--degree", "0", "--ratio",
+                 "4,8", "--subdomains", "3x3"]) == 0
+    out = capsys.readouterr().out
+    assert "0.16667" in out and "0.08333" in out and "0.25000" not in out
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--problem", "manufactured", "--ratio", "8"], "--ratio"),
+    (["--problem", "manufactured", "--ratio", "4,8", "--subdomains",
+      "3x3,4x4"], "--subdomains"),
+    (["--problem", "manufactured", "--ratio", "4,8", "--subdomains", "2x3"],
+     "--subdomains"),
+    (["--problem", "thermal", "--advect"], "--advect"),
+    (["--problem", "rotating", "--advect"], "--advect"),
+], ids=["one-ratio", "two-grids", "non-square-grid", "advect-thermal",
+        "advect-rotating"])
+def test_cli_refuses_flags_a_run_would_drop(argv, flag, capsys):
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfile = tmp_path / "typo.json"
     cfile.write_text(json.dumps({"problem": "thermal", "epsilon": [1.0]}))

@@ -6,7 +6,7 @@ import pytest
 from hdglab import hdg
 from hdglab.hdg import (ElementBlocks, ProblemSpec, StabilizationError,
                         eval_tau)
-from hdglab.mesh import InvalidConfigError, build_structured_mesh
+from hdglab.mesh import build_structured_mesh
 
 SQ2 = np.sqrt(2.0)
 
@@ -53,26 +53,26 @@ def hand_oracle_blocks():
 def test_condense_matches_hand_oracle():
     mesh = build_structured_mesh(1, 1, 1)
     spec = spec_beta0(strategy="upwind_plus_diffusive", sigma=2.0)
-    blocks = ElementBlocks(mesh, spec, 0, keep_local=True)
+    blocks = ElementBlocks(mesh, spec, 0)
     K = blocks.K_loc()[0]
     Ct, S1, S2, T, R, S_hat, N = hand_oracle_blocks()
     assert np.allclose(blocks.taus[0], 1.0, atol=1e-14)
     assert np.allclose(K[:2, :2], 4.0 * np.eye(2), atol=1e-13)
     assert np.allclose(K[:2, 2:], 0.0, atol=1e-13)
     assert np.allclose(K[2:, :2], 0.0, atol=1e-13)
-    assert np.allclose(blocks.R[0], [[R]], atol=1e-12)
-    assert np.array_equal(K[2:, 2:], blocks.R[0])
+    assert np.allclose(blocks.local.R[0], [[R]], atol=1e-12)
+    assert np.array_equal(K[2:, 2:], blocks.local.R[0])
     # edge DOF sign convention: global orientation may flip odd Legendre modes,
     # but at k=0 all entries are orientation-free
     assert np.allclose(blocks.type_geo[mesh.tri_type[0]]["C"].T, Ct,
                        atol=1e-12)
-    assert np.allclose(blocks.S1[0], S1, atol=1e-12)
-    assert np.allclose(blocks.S2[0], S2, atol=1e-12)
-    assert np.allclose(blocks.T[0], T, atol=1e-12)
+    assert np.allclose(blocks.local.S1[0], S1, atol=1e-12)
+    assert np.allclose(blocks.local.S2[0], S2, atol=1e-12)
+    assert np.allclose(blocks.local.T[0], T, atol=1e-12)
     got_S = blocks.S_hat[0]
     assert np.allclose(got_S, S_hat, atol=1e-12)
     F = np.array([-2 * SQ2 * 3.0])  # load vector of f = const 3
-    assert np.allclose(blocks.N[0] @ F, (N @ F), atol=1e-12)
+    assert np.allclose(blocks.local.N[0] @ F, (N @ F), atol=1e-12)
     # the local block is PSD with the constant trace as its kernel (beta = 0)
     w = np.linalg.eigvalsh(0.5 * (got_S + got_S.T))
     assert np.allclose(got_S @ np.ones(3), 0.0, atol=1e-12)
@@ -131,12 +131,33 @@ def test_chunk_size_does_not_change_the_blocks(monkeypatch):
     ref = None
     for n in (1, 7, mesh.n_triangles):
         monkeypatch.setattr(hdg, "CHUNK_ENTRIES", n * per_element)
-        b = ElementBlocks(mesh, spec, 2, keep_local=True)
-        got = (b.S_hat, b.b_hat, b.N, b.taus, b.Kinv)
+        b = ElementBlocks(mesh, spec, 2)
+        got = (b.S_hat, b.b_hat, b.local.N, b.taus, b.local.Kinv)
         if ref is None:
             ref = got
         for x, y in zip(got, ref):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_condensed_blocks_come_from_the_local_blocks(k):
+    # S_hat and b_hat are formed from the same N, S1 and T that ``local``
+    # keeps: bit for bit, with a nonzero load
+    mesh = build_structured_mesh(2, 3, 2)
+    spec = spec_rotating(eps=1e-2)
+    spec.f = lambda x, y: np.cos(2.0 * x) + x * y
+    b = ElementBlocks(mesh, spec, k)
+    loc = b.local
+    for t, geo in enumerate(b.type_geo):
+        els = mesh.tri_type == t
+        ia = spec.eps / geo["detJ"]
+        Bt, C = geo["Bt"], geo["C"]
+        S = ia * (C @ C.T) + loc.N[els] @ (loc.S1[els] - ia * (Bt.T @ C.T)) \
+            - loc.T[els]
+        assert np.array_equal(b.S_hat[els], S)
+    assert np.linalg.norm(b.b_hat) > 0.1
+    assert np.array_equal(b.b_hat, np.einsum("nmd,nd->nm", loc.N,
+                                             b.load_vectors()))
 
 
 def test_condensation_memory_does_not_grow_with_the_mesh():
@@ -162,20 +183,20 @@ def test_condensation_memory_does_not_grow_with_the_mesh():
 
 def test_beta0_symmetric_system():
     mesh = build_structured_mesh(2, 2, 2)
-    blocks = ElementBlocks(mesh, spec_beta0(), 0, keep_local=True)
+    blocks = ElementBlocks(mesh, spec_beta0(), 0)
     tr = lambda X: X.swapaxes(1, 2)
-    assert np.allclose(blocks.R, tr(blocks.R), atol=1e-14)
-    assert np.allclose(blocks.S1, tr(blocks.S2), atol=1e-14)
+    assert np.allclose(blocks.local.R, tr(blocks.local.R), atol=1e-14)
+    assert np.allclose(blocks.local.S1, tr(blocks.local.S2), atol=1e-14)
     assert np.allclose(blocks.S_hat, tr(blocks.S_hat), atol=1e-13)
 
 
 def test_rotating_divergence_block_vanishes():
     # div(beta)=0: symmetric part of R is the boundary part only
     mesh = build_structured_mesh(2, 2, 2)
-    blocks = ElementBlocks(mesh, spec_rotating(), 1, keep_local=True)
+    blocks = ElementBlocks(mesh, spec_rotating(), 1)
     for kidx in (0, 5):
         geo = blocks.type_geo[mesh.tri_type[kidx]]
-        bnd = np.zeros_like(blocks.R[kidx])
+        bnd = np.zeros_like(blocks.local.R[kidx])
         for e, ed in enumerate(geo["edata"]):
             lo, hi = ed["lo"], ed["hi"]
             tri = mesh.triangles[kidx]
@@ -185,14 +206,14 @@ def test_rotating_divergence_block_vanishes():
             bn = bx * ed["n"][0] + by * ed["n"][1]
             W3 = np.einsum("q,q,iq,jq->ij", ed["we"], bn, ed["phie"], ed["phie"])
             bnd += -blocks.taus[kidx, e] * ed["F"] + 0.5 * W3
-        R = blocks.R[kidx]
+        R = blocks.local.R[kidx]
         assert np.allclose(0.5 * (R + R.T), bnd, atol=1e-13)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_local_lift_constant(k):
     mesh = build_structured_mesh(2, 2, 2)
-    blocks = ElementBlocks(mesh, spec_thermal(eps=0.5), k, keep_local=True)
+    blocks = ElementBlocks(mesh, spec_thermal(eps=0.5), k)
     c = 1.7
     mu = np.zeros((mesh.n_triangles, blocks.m))
     mu[:, ::k + 1] = c
@@ -207,24 +228,17 @@ def test_local_lift_constant(k):
 
 def test_local_lift_residual():
     mesh = build_structured_mesh(2, 2, 2)
-    blocks = ElementBlocks(mesh, spec_thermal(eps=1e-2), 1, keep_local=True)
+    blocks = ElementBlocks(mesh, spec_thermal(eps=1e-2), 1)
     rng = np.random.default_rng(3)
     mu = rng.standard_normal((mesh.n_triangles, blocks.m))
     z = np.concatenate(blocks.recover(mu), axis=1)
     C = np.stack([blocks.type_geo[t]["C"] for t in mesh.tri_type])
     rhs = np.concatenate([-np.einsum("nmi,nm->ni", C, mu),
-                          -np.einsum("nim,nm->ni", blocks.S1, mu)], axis=1)
+                          -np.einsum("nim,nm->ni", blocks.local.S1, mu)],
+                         axis=1)
     res = np.einsum("nij,nj->ni", blocks.K_loc(), z) - rhs
     assert np.all(np.linalg.norm(res, axis=1)
                   < 1e-11 * np.maximum(np.linalg.norm(rhs, axis=1), 1.0))
-
-
-def test_local_blocks_need_keep_local():
-    blocks = ElementBlocks(build_structured_mesh(1, 1, 2), spec_thermal(), 0)
-    with pytest.raises(InvalidConfigError, match="keep_local"):
-        blocks.recover(np.zeros((blocks.mesh.n_triangles, blocks.m)))
-    with pytest.raises(InvalidConfigError, match="keep_local"):
-        blocks.K_loc()
 
 
 def _eval_on_edges(blocks, kidx, qc, uc, mu):
@@ -252,7 +266,7 @@ def _eval_on_edges(blocks, kidx, qc, uc, mu):
 def test_condense_equals_flux_form(k, eps):
     # eta' S_K mu = -<Q mu . n + tau(U mu - mu) + beta.n mu, eta>_dK
     mesh = build_structured_mesh(2, 2, 2)
-    blocks = ElementBlocks(mesh, spec_thermal(eps=eps), k, keep_local=True)
+    blocks = ElementBlocks(mesh, spec_thermal(eps=eps), k)
     rng = np.random.default_rng(11)
     nds = k + 1
     for _ in range(10):
@@ -276,7 +290,7 @@ def test_condensed_quadratic_form_invariant(k):
     # mu'S_K mu = (eps^-1 Qmu,Qmu) + <(tau-bn/2)(Umu-mu),Umu-mu> - <bn mu,mu>/2
     mesh = build_structured_mesh(2, 2, 2)
     spec = spec_rotating(eps=1e-3)
-    blocks = ElementBlocks(mesh, spec, k, keep_local=True)
+    blocks = ElementBlocks(mesh, spec, k)
     rng = np.random.default_rng(5)
     d = blocks.d
     for _ in range(5):
@@ -297,7 +311,7 @@ def test_condensed_quadratic_form_invariant(k):
 
 def test_constant_trace_kernel():
     mesh = build_structured_mesh(2, 2, 2)
-    blocks = ElementBlocks(mesh, spec_rotating(eps=1.0), 1, keep_local=True)
+    blocks = ElementBlocks(mesh, spec_rotating(eps=1.0), 1)
     mu = np.zeros(blocks.m)
     mu[::2] = 3.0
     assert np.all(np.abs(blocks.S_hat @ mu @ mu) < 1e-11)
@@ -305,7 +319,7 @@ def test_constant_trace_kernel():
 
 def test_recover_constant_and_zero_load():
     mesh = build_structured_mesh(2, 2, 2)
-    blocks = ElementBlocks(mesh, spec_thermal(eps=0.3), 2, keep_local=True)
+    blocks = ElementBlocks(mesh, spec_thermal(eps=0.3), 2)
     lam = np.zeros((mesh.n_triangles, blocks.m))
     lam[:, ::3] = -2.5
     q, u = blocks.recover(lam, np.zeros((mesh.n_triangles, blocks.d)))
@@ -320,7 +334,7 @@ def test_load_vectors():
     spec = ProblemSpec(1.0, lambda x, y: (zero(x, y), zero(x, y)), zero,
                        lambda x, y: np.full_like(x, 3.0), zero,
                        tau_strategy="upwind_plus_diffusive")
-    blocks = ElementBlocks(mesh, spec, 0, keep_local=True)
+    blocks = ElementBlocks(mesh, spec, 0)
     F = blocks.load_vectors()
     # F_i = -int_K 3*phi = -3*|K|*phi ; phi = sqrt(2)/sqrt(detJ) scaled basis:
     # int_K phi = detJ * int_ref phihat = detJ*sqrt(2)/2

@@ -54,11 +54,11 @@ def saddle_cases(draw):
     return (nx, ny), draw(st.integers(1, rmax)), k
 
 
-def _build(problem, eps, grid, ratio, k, keep_local=False):
+def _build(problem, eps, grid, ratio, k):
     mesh = build_structured_mesh(grid[0], grid[1], ratio)
     dofs = build_trace_dof_map(mesh, k)
     spec = make_problem(problem, eps, h=mesh.h)
-    sys_ = assemble_trace_system(mesh, dofs, spec, k, keep_local=keep_local)
+    sys_ = assemble_trace_system(mesh, dofs, spec, k)
     return mesh, dofs, spec, sys_
 
 
@@ -76,8 +76,7 @@ def _rel(a, b):
 @given(flows, epsilons, saddle_cases())
 def test_condensed_equals_saddle(problem, eps, case):
     grid, ratio, k = case
-    mesh, dofs, spec, sys_ = _build(problem, eps, grid, ratio, k,
-                                    keep_local=True)
+    mesh, dofs, spec, sys_ = _build(problem, eps, grid, ratio, k)
     lam = direct_solve(sys_)
     q, u = recover_all(sys_, lam)
     lam_ref, q_ref, u_ref = full_saddle_solve(mesh, dofs, spec, k)
