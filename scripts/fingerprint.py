@@ -11,13 +11,14 @@ with one BLAS thread.  Prints one line per (workload, cell, variant, array):
 a short SHA-256 of the array's dtype, shape and bytes, or a count in clear.
 The arrays are the interface decomposition ``mesh.interface_runs`` (its
 ``edges``, ``offsets``, ``pair``, ``tangent``, ``normal``, ``t_range`` and
-``run_of_edge``), the element
-blocks ``S_hat``, the load ``b``, the local Schur stack ``subs.S`` and
-``b_gamma`` of each cell, and per variant the primal count per
-SubdomainEdge ``n_primal_by_se``, the change of basis ``Qg``, the fused
-BDDC stacks ``LG`` and ``C``, the coarse matrix ``Fc`` (``Qg`` and ``Fc``
-by their data, indices and indptr), the solution ``lam`` and the iteration
-count.  Equal lines on two checkouts mean bit-identical arrays.
+``run_of_edge``), the element blocks ``S_hat``, the load ``b``, the local
+Schur stack ``subs.S``, ``b_gamma`` and the mesh connectivity (``edges``,
+``tri_edges``, ``edge_tris`` and ``edge_class``) of each cell, and per
+variant the primal count per SubdomainEdge ``n_primal_by_se``, the change
+of basis ``Qg``, the fused BDDC stacks ``LG`` and ``C``, the coarse matrix
+``Fc`` (``Qg`` and ``Fc`` by their data, indices and indptr), the solution
+``lam`` and the iteration count.  Equal lines on two checkouts mean
+bit-identical arrays.
 
 ``hdglab`` is imported from ``PYTHONPATH`` (this checkout's ``src`` when it
 holds none), so the same script fingerprints a parent checkout: it reaches
@@ -73,6 +74,8 @@ def fingerprint(name, wl):
         for what, a in (("blocks.S_hat", sys_.blocks.S_hat), ("sys.b", sys_.b),
                         ("subs.S", subs.S), ("b_gamma", b_gamma)):
             line("-", what, digest(a))
+        for what in ("edges", "tri_edges", "edge_tris", "edge_class"):
+            line("-", "mesh." + what, digest(getattr(mesh, what)))
         for v in wl.variants:
             cons = build_constraints(v, spec, mesh, dofs, wl.degree)
             pre = build_preconditioner(subs, iface, cons, dofs)

@@ -162,10 +162,11 @@ class BenchmarkConfig:
             return
         for ok, wants, got in (
                 (len(self.epsilons) == 1, "one --epsilon", self.epsilons),
-                (len(self.grids) == 1 and len(set(self.grids[0])) == 1,
-                 "one square --subdomains grid NxN", self.grids),
-                (len(self.ratios) > 1, "at least two --ratio levels",
-                 self.ratios)):
+                (len(self.grids) == 1 and len(set(self.grids[0])) == 1
+                 and self.grids[0][0] >= 1,
+                 "one square --subdomains grid NxN, N >= 1", self.grids),
+                (len(self.ratios) > 1 and min(self.ratios) >= 1,
+                 "at least two --ratio levels, each >= 1", self.ratios)):
             if not ok:
                 raise InvalidConfigError("the manufactured study takes %s, "
                                          "got %s" % (wants, got))
@@ -234,11 +235,8 @@ def run_case(problem, epsilon, degree, grid, ratio, variant, tol=1e-10,
             built = build_case(problem, epsilon, degree, grid, ratio,
                                advect=advect)
         mesh, _, spec, sys_, subs, _ = built
-        if variant == "none":
-            pre = None
-        else:
-            pre = BddcPreconditioner(
-                subs, PrimalConstraintSet(variant, spec, mesh, degree))
+        pre = None if variant == "none" else BddcPreconditioner(
+            subs, PrimalConstraintSet(variant, spec, mesh, degree))
         lamG, rep = gmres(subs.apply, None if pre is None else pre.apply,
                           subs.b_gamma, tol=tol, maxit=maxit)
         diag = None
@@ -323,14 +321,7 @@ def emit_csv(results, stream, diagnostics=False):
 def emit_table(results, stream):
     """Aligned tables: rows = epsilon, column groups = variant x grid."""
     flagged = monotonicity_flags(results)
-
-    def ordered(seq):
-        out = []
-        for v in seq:
-            if v not in out:
-                out.append(v)
-        return out
-
+    ordered = lambda seq: list(dict.fromkeys(seq))     # first-seen order
     blocks = ordered([(r.problem, r.degree, r.ratio) for r in results])
     for problem, degree, ratio in blocks:
         sel = [r for r in results
@@ -469,6 +460,13 @@ def config_from_args(args):
         tol=args.tol, maxit=args.maxit, fmt=args.fmt, advect=args.advect,
         diagnostics=args.diagnostics)
     values.update({k: v for k, v in overrides.items() if v is not None})
+    # the manufactured study solves directly: no Krylov loop to configure
+    given = [flag for key, flag in (
+        ("variants", "--variant"), ("tol", "--tol"), ("maxit", "--maxit"),
+        ("diagnostics", "--diagnostics")) if key in values]
+    if values.get("problem") == "manufactured" and given:
+        raise InvalidConfigError("the manufactured study takes no %s"
+                                 % ", ".join(given))
     return BenchmarkConfig(**values)
 
 
@@ -476,16 +474,17 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         config = config_from_args(args)
+        if config.problem == "manufactured":
+            rows, slopes = convergence_study(
+                eps=config.epsilons[0], advect=config.advect,
+                degrees=config.degrees, levels=tuple(config.ratios),
+                nsub=config.grids[0][0])
     except (InvalidConfigError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if config.problem == "manufactured":
-            rows, slopes = convergence_study(
-                eps=config.epsilons[0], advect=config.advect,
-                degrees=config.degrees, levels=tuple(config.ratios),
-                nsub=config.grids[0][0])
             emit_convergence(rows, slopes, out, fmt=config.fmt)
             return 0
         results = run_sweep(config)

@@ -4,9 +4,13 @@ The domain is covered by a uniform grid of (nx*ratio) x (ny*ratio) rectangular
 cells, each split into two triangles along a configurable diagonal.  Cells are
 grouped into an nx x ny grid of rectangular subdomains.  Edges get a global
 orientation (lexicographically smaller vertex index first) so that the two
-elements sharing an edge agree on its tangent and arclength parameter.  The
-interface between subdomains is decomposed into SubdomainEdges, one per side
-shared by two subdomains, read off the subdomain grid and held as arrays in
+elements sharing an edge agree on its tangent and arclength parameter.  They
+are numbered in closed form, with no sort: an edge runs from its low vertex v
+to v + 1, v + row - 1, v + row or v + row + 1 (kinds 0..3, row = vertices per
+grid line), and a running count over the (vertex, kind) slots in use gives
+the lexicographic (low, high) order.  The interface between subdomains is
+decomposed into SubdomainEdges, one per side shared by two subdomains, read
+off the subdomain grid and the same slot table and held as arrays in
 ``InterfaceRuns``.
 """
 
@@ -41,7 +45,7 @@ class Mesh2d:
     """
 
     def __init__(self, nx, ny, ratio, diag, vertices, triangles, tri_sub,
-                 tri_type, edges, edge_class, edge_tris, tri_edges):
+                 tri_type, edges, edge_class, edge_tris, tri_edges, slot):
         self.nx = nx
         self.ny = ny
         self.ratio = ratio
@@ -57,7 +61,7 @@ class Mesh2d:
         self.n_subdomains = nx * ny
         self.h = 2.0 / (nx * ratio)
         self.H = 2.0 / max(nx, ny)
-        self.interface_runs = extract_interface(self)
+        self.interface_runs = extract_interface(self, slot)
 
     @property
     def subdomain_edges(self):
@@ -92,7 +96,7 @@ class Mesh2d:
 
 
 def build_structured_mesh(nx, ny, ratio, diag="ne"):
-    """Build the structured triangulation of [-1,1]^2.
+    """Build the structured triangulation of [-1,1]^2 as a Mesh2d.
 
     Parameters
     ----------
@@ -100,9 +104,9 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
     ratio : cells per subdomain side, H/h (>= 1)
     diag : "ne" (lower-left to upper-right diagonals, default) or "nw"
 
-    Returns
-    -------
-    Mesh2d
+    The edges are numbered off the (nv, 4) slot table of (low vertex, kind)
+    pairs in use, counted in row-major order; ``extract_interface`` reads
+    the SubdomainEdges off the same table, and the mesh keeps no copy.
     """
     if not all(isinstance(v, (int, np.integer)) for v in (nx, ny, ratio)):
         raise InvalidConfigError("nx, ny, ratio must be integers")
@@ -113,22 +117,19 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
     if diag not in ("ne", "nw"):
         raise InvalidConfigError("diag must be 'ne' or 'nw' (got %r)" % (diag,))
 
-    mx, my = nx * ratio, ny * ratio
+    mx, my, row = nx * ratio, ny * ratio, nx * ratio + 1
     xs = -1.0 + 2.0 * np.arange(mx + 1) / mx
     ys = -1.0 + 2.0 * np.arange(my + 1) / my
     X, Y = np.meshgrid(xs, ys, indexing="xy")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])  # index = j*(mx+1)+i
+    vertices = np.column_stack([X.ravel(), Y.ravel()])  # index = j*row+i
 
     ci, cj = np.meshgrid(np.arange(mx), np.arange(my), indexing="xy")
     ci, cj = ci.ravel(), cj.ravel()
-    v00 = cj * (mx + 1) + ci
-    v10 = v00 + 1
-    v01 = v00 + (mx + 1)
-    v11 = v01 + 1
+    v00 = cj * row + ci
+    v10, v01, v11 = v00 + 1, v00 + row, v00 + row + 1
 
     nt = 2 * mx * my
     triangles = np.empty((nt, 3), dtype=np.int64)
-    tri_type = np.empty(nt, dtype=np.int64)
     if diag == "ne":
         # diagonal v00 -> v11; both triangles counter-clockwise
         triangles[0::2] = np.column_stack([v00, v10, v11])
@@ -137,55 +138,55 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
         # diagonal v10 -> v01
         triangles[0::2] = np.column_stack([v00, v10, v01])
         triangles[1::2] = np.column_stack([v10, v11, v01])
-    tri_type[0::2] = 0
-    tri_type[1::2] = 1
+    tri_type = np.tile(np.arange(2), mx * my)
+    tri_sub = np.repeat((cj // ratio) * nx + (ci // ratio), 2)
 
-    sub = (cj // ratio) * nx + (ci // ratio)
-    tri_sub = np.repeat(sub, 2)
+    # every side runs from its low end v to v + step[kind], kind 0..3.  A
+    # cell is a translate of the first, so the sides of cell c are the first
+    # cell's six shifted by v00[c].  The kind counts grid rows, not hi - lo
+    # alone: with mx = 1 the steps 1 and row - 1 coincide, and a horizontal
+    # side must still be kind 0, where extract_interface reads it
+    nv, step = vertices.shape[0], np.array([1, row - 1, row, row + 1])
+    cell = triangles[:2, [[0, 1], [1, 2], [2, 0]]].reshape(6, 2)
+    lo, hi = cell.min(axis=1), cell.max(axis=1)
+    up = hi // row - lo // row
+    kind = up * (hi - lo - up * row + 2)
+    lo = v00[:, None] + lo
+    # slot[v, kind] numbers the sides in use in (v, kind) order, which is the
+    # lexicographic (low, high) order; only the used slots are read
+    used = np.zeros((nv, 4), dtype=bool)
+    used[lo, kind] = True
+    slot = np.cumsum(used).reshape(nv, 4) - 1
+    tri_edges = slot[lo, kind].reshape(nt, 3)
+    v, k = np.nonzero(used)
+    edges = np.column_stack([v, v + step[k]])
 
-    # unique edges; global orientation = smaller vertex index first.  The
-    # key lo * nv + hi sorts like the pair (lo, hi)
-    le = np.stack([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                   triangles[:, [2, 0]]], axis=1).reshape(-1, 2)
-    nv = vertices.shape[0]
-    keys, inv = np.unique(le.min(axis=1) * nv + le.max(axis=1),
-                          return_inverse=True)
-    edges = np.column_stack([keys // nv, keys % nv])
-    tri_edges = inv.reshape(nt, 3)
-
-    ne = edges.shape[0]
-    edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-    order = np.argsort(inv, kind="stable")
-    eids = inv[order]
-    tids = order // 3
-    first = np.searchsorted(eids, np.arange(ne), side="left")
-    last = np.searchsorted(eids, np.arange(ne), side="right")
-    count = last - first
-    if count.max() > 2 or count.min() < 1:
-        raise InvalidConfigError("non-manifold mesh connectivity")
-    edge_tris[:, 0] = tids[first]
-    two = count == 2
-    edge_tris[two, 1] = tids[last[two] - 1]
-
-    edge_class = np.full(ne, INTERIOR, dtype=np.int64)
-    edge_class[~two] = BOUNDARY
-    s0 = tri_sub[edge_tris[:, 0]]
-    s1 = np.where(two, tri_sub[edge_tris[:, 1]], s0)
-    edge_class[two & (s0 != s1)] = INTERFACE
+    # incident triangles, lower index first; one when first == last
+    te, tids = tri_edges.ravel(), np.arange(nt).repeat(3)
+    first = np.full(len(edges), nt)
+    np.minimum.at(first, te, tids)
+    last = np.full(len(edges), -1)
+    np.maximum.at(last, te, tids)
+    two = first != last
+    edge_tris = np.column_stack([first, np.where(two, last, -1)])
+    edge_class = np.where(two, INTERIOR, BOUNDARY)
+    edge_class[tri_sub[first] != tri_sub[last]] = INTERFACE
 
     return Mesh2d(nx, ny, ratio, diag, vertices, triangles, tri_sub, tri_type,
-                  edges, edge_class, edge_tris, tri_edges)
+                  edges, edge_class, edge_tris, tri_edges, slot)
 
 
-def extract_interface(mesh):
+def extract_interface(mesh, slot):
     """The SubdomainEdges (InterfaceRuns), read off the subdomain grid.
 
     Subdomain s = b * nx + a is the block of ratio x ratio cells at (a, b),
     so each SubdomainEdge is one whole side of ``ratio`` mesh edges: the
     vertical side s | s + 1 or the horizontal side s / s + nx.  Runs are
-    sorted by pair, edges along the tangent.
+    sorted by pair, edges along the tangent.  ``slot`` is the edge slot table
+    of ``build_structured_mesh``: the side from v up is slot[v, 2], the side
+    from v to the right slot[v, 0].
     """
-    nx, ny, r, nv = mesh.nx, mesh.ny, mesh.ratio, mesh.n_vertices
+    nx, ny, r = mesh.nx, mesh.ny, mesh.ratio
     row = nx * r + 1                        # vertices per grid line
     s = np.arange(nx * ny)
     b, a = np.divmod(s, nx)
@@ -198,8 +199,7 @@ def extract_interface(mesh):
     start = np.column_stack([corner + r, corner + r * row]).ravel()[has]
     step = np.where(vertical, row, 1)[:, None]
     lo = start[:, None] + step * np.arange(r)
-    keys = mesh.edges[:, 0] * nv + mesh.edges[:, 1]
-    edges = np.searchsorted(keys, (lo * nv + lo + step).ravel())
+    edges = slot[lo, np.where(vertical, 2, 0)[:, None]].ravel()
     ends = np.column_stack([start, start + r * step[:, 0]])
     # the tangent in the global edge orientation and the normal out of the
     # lower subdomain, +-(t_y, -t_x) with its signed zero

@@ -338,13 +338,30 @@ def test_cli_manufactured_takes_grid_and_ratios(capsys):
       "3x3,4x4"], "--subdomains"),
     (["--problem", "manufactured", "--ratio", "4,8", "--subdomains", "2x3"],
      "--subdomains"),
+    (["--problem", "manufactured", "--ratio", "4,8", "--subdomains", "0x0"],
+     "--subdomains"),
+    (["--problem", "manufactured", "--ratio", "0,4", "--subdomains", "2x2"],
+     "--ratio"),
     (["--problem", "thermal", "--advect"], "--advect"),
     (["--problem", "rotating", "--advect"], "--advect"),
-], ids=["one-ratio", "two-grids", "non-square-grid", "advect-thermal",
-        "advect-rotating"])
+] + [(["--problem", "manufactured", "--ratio", "2,4"] + extra, extra[0])
+     for extra in (["--variant", "bddc3"], ["--tol", "1e-3"],
+                   ["--maxit", "5"], ["--diagnostics"])],
+    ids=["one-ratio", "two-grids", "non-square-grid", "empty-grid",
+         "zero-ratio", "advect-thermal", "advect-rotating",
+         "study-variant", "study-tol", "study-maxit", "study-diagnostics"])
 def test_cli_refuses_flags_a_run_would_drop(argv, flag, capsys):
     assert main(argv) == 2
     assert flag in capsys.readouterr().err
+
+
+def test_cli_refuses_study_keys_from_config(tmp_path, capsys):
+    # a config file key is refused like its flag: the direct solve ignores it
+    cfile = tmp_path / "study.json"
+    cfile.write_text(json.dumps({"problem": "manufactured", "ratios": [2, 4],
+                                 "maxit": 5}))
+    assert main(["--config", str(cfile)]) == 2
+    assert "--maxit" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

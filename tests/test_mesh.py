@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdglab.mesh import (BOUNDARY, INTERFACE, InvalidConfigError,
+from hdglab.mesh import (BOUNDARY, INTERFACE, INTERIOR, InvalidConfigError,
                          build_structured_mesh)
 
 
@@ -178,6 +178,46 @@ def test_edge_numbering_is_lexicographic(nx, ny, ratio, diag):
     for tri, tes in zip(m.triangles.tolist(), m.tri_edges.tolist()):
         for (a, b), e in zip(((0, 1), (1, 2), (2, 0)), tes):
             assert pairs[e] == tuple(sorted((tri[a], tri[b])))
+
+
+def sorted_sides(m):
+    """Reference connectivity by sorting: the unique sides of the triangles
+    in (low, high) order, each triangle's sides in that numbering, the
+    incident triangles (lower index first, -1 on the boundary) and the
+    class of each side."""
+    nv, nt = m.n_vertices, m.n_triangles
+    le = m.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
+    keys, inv = np.unique(le.min(axis=1) * nv + le.max(axis=1),
+                          return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
+    order = np.argsort(inv, kind="stable")
+    ids = np.arange(len(keys))
+    first = np.searchsorted(inv[order], ids, side="left")
+    last = np.searchsorted(inv[order], ids, side="right") - 1
+    edge_tris = np.column_stack([order[first] // 3, order[last] // 3])
+    two = first < last
+    edge_tris[~two, 1] = -1
+    subs = m.tri_sub[edge_tris]
+    edge_class = np.where(~two, BOUNDARY,
+                          np.where(subs[:, 0] != subs[:, 1], INTERFACE,
+                                   INTERIOR))
+    return dict(edges=edges, tri_edges=inv.reshape(nt, 3),
+                edge_tris=edge_tris, edge_class=edge_class)
+
+
+# with mx = 1 the "nw" diagonal step row - 1 equals the horizontal step 1
+@pytest.mark.parametrize("nx,ny,ratio,diag", INTERFACE_GRIDS + [
+    (1, 1, 1, "nw"), (1, 3, 1, "nw")])
+def test_connectivity_matches_sorted_sides(nx, ny, ratio, diag):
+    m = build_structured_mesh(nx, ny, ratio, diag=diag)
+    ref = sorted_sides(m)
+    for name, want in ref.items():
+        got = getattr(m, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    # the runs, read off the same slot table, are the interface sides
+    assert np.array_equal(np.sort(m.interface_runs.edges),
+                          np.flatnonzero(ref["edge_class"] == INTERFACE))
 
 
 @pytest.mark.parametrize("nx,ny,ratio,diag", INTERFACE_GRIDS)

@@ -115,8 +115,8 @@ def test_fingerprint_repeats(capsys):
     for _ in range(2):
         assert script.main(["many-subdomains"]) == 0
         runs.append(capsys.readouterr().out.splitlines())
-    # eleven arrays of the cell, then ten arrays and the count per variant
-    assert len(runs[0]) == 11 + 2 * 11 and runs[0] == runs[1]
+    # fifteen arrays of the cell, then ten arrays and the count per variant
+    assert len(runs[0]) == 15 + 2 * 11 and runs[0] == runs[1]
     assert runs[0][0].startswith(
         "many-subdomains 16x16/8 - interface_runs.edges ")
     assert runs[0][3].startswith(
@@ -124,6 +124,7 @@ def test_fingerprint_repeats(capsys):
     assert runs[0][6].startswith(
         "many-subdomains 16x16/8 - interface_runs.run_of_edge ")
     assert runs[0][7].startswith("many-subdomains 16x16/8 - blocks.S_hat ")
+    assert runs[0][11].startswith("many-subdomains 16x16/8 - mesh.edges ")
     assert runs[0][-1] == "many-subdomains 16x16/8 bddc3 iterations 10"
     assert script.main(["no-such-workload"]) == 2
     assert "unknown workload" in capsys.readouterr().err
