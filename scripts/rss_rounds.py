@@ -13,8 +13,10 @@ each round gives back what it took.
 With ``--stages`` the layer functions that the round calls are wrapped for
 the first round, each swapped for the duration of that round as
 ``criterion06_evidence.py`` swaps definitions, and the same two figures are
-printed after every layer call, the assembled matrix that the benchmark's
-checks read at the end of the round included.
+printed after every layer call.  The build drops the element blocks once the
+subdomains have condensed them, so the checks at the end of the round show
+two more stages: the element pass run again ("element blocks") and the
+assembled matrix that they read ("sys.A (checks)").
 """
 
 import os

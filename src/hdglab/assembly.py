@@ -4,9 +4,12 @@ Boundary edges carry no unknowns: the Dirichlet datum g is projected onto the
 trace space of all boundary edges at once (``fespace.project_boundary``) and
 enters through lifting (b -= A[:, fixed] g).  The operator acts on the free
 coefficients only, ordered as in TraceDofMap (subdomain interiors first, then
-the interface).  The solver reads only the element blocks and ``b``; the
-assembled matrix ``TraceSystem.A`` is built on first access, for the direct
-solve, the diagnostics and the checks.
+the interface).  The element blocks are a build-time intermediate: the
+subdomains condense them, and the solver then reads only their operators and
+``b``.  ``TraceSystem`` keeps ``b`` and derives the rest on first access: the
+blocks from a fresh element pass (bit-identical, as the pass is deterministic
+and chunk-independent), and from them the assembled matrix ``A`` for the
+direct solve, the diagnostics and the checks.
 """
 
 from functools import cached_property
@@ -24,27 +27,40 @@ class TraceSystem:
 
     Attributes
     ----------
-    A : csr_matrix over the free trace DOFs, assembled on first access
     b : right-hand side (condensed element loads + Dirichlet lifting)
+    dofs : TraceDofMap
+    blocks : ElementBlocks of the mesh; ``assemble_trace_system`` seeds it
+        with the blocks it used, ``del sys.blocks`` drops them, and the next
+        access runs the element pass again
+    A : csr_matrix over the free trace DOFs
     gcoef : (n_edges, k+1) fixed boundary coefficients (zero off the boundary)
     elem_dofs : (nel, 3*(k+1)) global DOF of each local trace slot, -1 if fixed
-    blocks : the ElementBlocks used for assembly
-    dofs : TraceDofMap
+
+    All but ``b`` and ``dofs`` are derived on first access.
     """
 
-    def __init__(self, mesh, spec, k, dofs, blocks, b, elem_dofs, gcoef):
+    def __init__(self, mesh, spec, k, dofs, b):
         self.mesh = mesh
         self.spec = spec
         self.k = k
         self.dofs = dofs
-        self.blocks = blocks
         self.b = b
-        self.elem_dofs = elem_dofs
-        self.gcoef = gcoef
 
     @property
     def n(self):
         return self.dofs.n_dofs
+
+    @cached_property
+    def blocks(self):
+        return ElementBlocks(self.mesh, self.spec, self.k)
+
+    @cached_property
+    def elem_dofs(self):
+        return _elem_dofs(self.mesh, self.dofs)
+
+    @cached_property
+    def gcoef(self):
+        return project_boundary(self.mesh, self.spec.g, self.k)
 
     @cached_property
     def A(self):
@@ -70,6 +86,11 @@ class TraceSystem:
     @property
     def gloc(self):
         return self.gcoef[self.mesh.tri_edges].reshape(self.elem_dofs.shape)
+
+
+def _elem_dofs(mesh, dofs):
+    """(nel, 3*(k+1)) free DOF of each local trace slot, -1 if fixed."""
+    return dofs.edge_dofs[mesh.tri_edges].reshape(mesh.n_triangles, -1)
 
 
 def assemble_matrix(S_hat, elem_dofs, n, nds):
@@ -113,19 +134,21 @@ def assemble_matrix(S_hat, elem_dofs, n, nds):
 
 
 def assemble_trace_system(mesh, dofs, spec, k, blocks=None):
-    """The trace system: b with Dirichlet lifting, A on first access."""
+    """The trace system: b with Dirichlet lifting, its ``blocks`` seeded with
+    the element blocks used (built here when not given)."""
     if blocks is None:
         blocks = ElementBlocks(mesh, spec, k)
-    nel, m, n = mesh.n_triangles, 3 * (k + 1), dofs.n_dofs
-    elem_dofs = dofs.edge_dofs[mesh.tri_edges].reshape(nel, m)
+    elem_dofs = _elem_dofs(mesh, dofs)
     gcoef = project_boundary(mesh, spec.g, k)
     bvals = np.einsum("nij,nj->ni", blocks.S_hat,
-                      gcoef[mesh.tri_edges].reshape(nel, m))
+                      gcoef[mesh.tri_edges].reshape(elem_dofs.shape))
     np.subtract(blocks.b_hat, bvals, out=bvals)
     # fixed slots (-1) land in bin 0, which is dropped
     b = np.bincount(elem_dofs.ravel() + 1, bvals.ravel(),
-                    minlength=n + 1)[1:]
-    return TraceSystem(mesh, spec, k, dofs, blocks, b, elem_dofs, gcoef)
+                    minlength=dofs.n_dofs + 1)[1:]
+    sys_ = TraceSystem(mesh, spec, k, dofs, b)
+    sys_.blocks = blocks
+    return sys_
 
 
 def eval_forms(sys, lam, mu):
@@ -181,7 +204,7 @@ def full_saddle_solve(mesh, dofs, spec, k):
     M = np.zeros((n, n))
     rhs = np.zeros(n)
 
-    elem_dofs = dofs.edge_dofs[mesh.tri_edges].reshape(nel, m)
+    elem_dofs = _elem_dofs(mesh, dofs)
     gloc = project_boundary(mesh, spec.g, k)[mesh.tri_edges].reshape(nel, m)
     F = blocks.load_vectors()
     K = blocks.K_loc()

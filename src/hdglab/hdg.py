@@ -43,6 +43,12 @@ the volume points that already give beta.  N, R, S1, S2, T and K_loc^-1 are
 kept on first access (``ElementBlocks.local``) from a second run of the pass.
 Elements are processed in chunks sized by ``CHUNK_ENTRIES``, so only the
 outputs are mesh-sized.
+
+The blocks are a build-time intermediate of the solver: the subdomains
+condense ``S_hat`` and the load into their local operators, and the mesh-wide
+blocks are then dropped (``bench.build_case``).  The pass is deterministic and
+does not depend on the chunk size, so the oracles that read the blocks again
+(the assembled matrix, recovery, the diagnostics) rebuild them bit for bit.
 """
 
 from functools import cached_property
@@ -56,7 +62,7 @@ from .mesh import InvalidConfigError
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
-# elements are condensed in chunks whose (3d x 3d) local inverses hold at
+# elements are condensed in chunks whose largest per-element array holds at
 # most this many entries, so only the outputs are mesh-sized
 CHUNK_ENTRIES = 2 ** 16
 
@@ -152,8 +158,14 @@ class ElementBlocks:
         return [np.where(self.mesh.tri_type == t)[0] for t in (0, 1)]
 
     def _chunks(self, els):
-        """``els`` in runs of at most CHUNK_ENTRIES / (3d)^2 elements."""
-        step = max(1, CHUNK_ENTRIES // (3 * self.d) ** 2)
+        """``els`` in runs of at most CHUNK_ENTRIES / w elements, w the size
+        of the largest per-element array of ``_pass``: the (3d)^2 local
+        inverse, the [R | S1 | S2 | T] row, or the points X (the volume and
+        edge quadrature points and the vertices, two coordinates each)."""
+        d, m = self.d, self.m
+        w = max((3 * d) ** 2, (d + m) ** 2,
+                2 * (self.vrule.weights.size + 3 * self.erule.points.size + 3))
+        step = max(1, CHUNK_ENTRIES // w)
         return [els[s:s + step] for s in range(0, els.size, step)]
 
     def _volume_points(self, geo, els):

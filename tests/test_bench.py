@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hdglab.bench import BenchmarkConfig, CaseResult, build_arg_parser, \
     emit_convergence, main, make_problem, manufactured_exact, \
     monotonicity_flags, problem_manufactured, problem_rotating, \
     problem_thermal, run_case, run_sweep, _parse_grid, _split
+from hdglab import bench
+from hdglab.assembly import assemble_trace_system
 from hdglab.mesh import InvalidConfigError
 
 
@@ -126,6 +129,50 @@ def test_run_case_unpreconditioned_and_shared_build():
     assert rn.true_residual < 1e-9 and rp.true_residual < 1e-9
 
 
+def _float_arrays(root):
+    """Every float array reachable from ``root`` through containers,
+    instance attributes and the bases of views."""
+    seen, todo, out = set(), [root], []
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, (type, types.ModuleType,
+                                           types.FunctionType)):
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            if x.dtype.kind == "f":
+                out.append(x)
+            if x.base is not None:
+                todo.append(x.base)
+        elif isinstance(x, (list, tuple)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif hasattr(x, "__dict__"):
+            todo.extend(vars(x).values())
+    return out
+
+
+@pytest.mark.parametrize("problem,k", [("manufactured", 1), ("rotating", 2)])
+def test_build_case_drops_the_element_blocks(problem, k):
+    # the subdomains have condensed the element blocks: no float array with
+    # one row per element is left, and the blocks and the matrix that the
+    # oracles rebuild equal, bit for bit, those of a build that kept them
+    built = build_case(problem, 1e-2, k, (2, 3), 2)
+    mesh, dofs, spec, sys_, subs, _ = built
+    assert "blocks" not in vars(sys_)
+    nel = mesh.n_triangles
+    assert [a.shape for a in _float_arrays(built) if a.shape[:1] == (nel,)] \
+        == []
+    kept = assemble_trace_system(mesh, dofs, spec, k)
+    for name in ("S_hat", "b_hat", "taus", "hK"):
+        assert np.array_equal(getattr(sys_.blocks, name),
+                              getattr(kept.blocks, name))
+    assert np.array_equal(sys_.b, kept.b)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(sys_.A, name), getattr(kept.A, name))
+
+
 def test_run_case_reraises_config_errors():
     with pytest.raises(InvalidConfigError):
         run_case("thermal", 1.0, 0, (0, 2), 2, "bddc1")
@@ -155,11 +202,25 @@ def test_run_sweep_shares_coordinates_and_orders_rows():
 
 
 def test_run_sweep_build_failure_becomes_error_cells():
-    config = BenchmarkConfig(problem="thermal", grids=((0, 2),),
-                             ratios=(2,), variants=("bddc1", "bddc2"))
+    # eps = 1e20 makes the local saddle blocks singular: the build fails,
+    # and both variants of the cell are recorded as errors
+    config = BenchmarkConfig(problem="thermal", epsilons=(1e20,),
+                             grids=((1, 2),), ratios=(2,),
+                             variants=("bddc1", "bddc2"))
     results = run_sweep(config)
     assert len(results) == 2
-    assert all(r.error is not None and r.label() == "ERR" for r in results)
+    assert all(r.label() == "ERR" and
+               r.error.startswith("StabilizationError: local saddle block "
+                                  "nearly singular") for r in results)
+
+
+def test_run_sweep_lets_config_errors_through(monkeypatch):
+    # a config error raised by the build stops the sweep, as in run_case
+    def refuse(*args, **kwargs):
+        raise InvalidConfigError("refused")
+    monkeypatch.setattr(bench, "build_case", refuse)
+    with pytest.raises(InvalidConfigError, match="refused"):
+        run_sweep(BenchmarkConfig(problem="thermal"))
 
 
 # ------------------------------------------------------------- monotonicity
@@ -342,13 +403,20 @@ def test_cli_manufactured_takes_grid_and_ratios(capsys):
      "--subdomains"),
     (["--problem", "manufactured", "--ratio", "0,4", "--subdomains", "2x2"],
      "--ratio"),
+    (["--problem", "thermal", "--subdomains", "0x0"], "--subdomains"),
+    (["--problem", "thermal", "--subdomains", "2x0"], "--subdomains"),
+    (["--problem", "thermal", "--ratio", "0"], "--ratio"),
+    (["--problem", "rotating", "--epsilon", "-1"], "--epsilon"),
+    (["--problem", "thermal", "--epsilon", "1,0"], "--epsilon"),
     (["--problem", "thermal", "--advect"], "--advect"),
     (["--problem", "rotating", "--advect"], "--advect"),
 ] + [(["--problem", "manufactured", "--ratio", "2,4"] + extra, extra[0])
      for extra in (["--variant", "bddc3"], ["--tol", "1e-3"],
                    ["--maxit", "5"], ["--diagnostics"])],
     ids=["one-ratio", "two-grids", "non-square-grid", "empty-grid",
-         "zero-ratio", "advect-thermal", "advect-rotating",
+         "zero-ratio", "sweep-empty-grid", "sweep-zero-column-grid",
+         "sweep-zero-ratio", "sweep-negative-eps", "sweep-zero-eps",
+         "advect-thermal", "advect-rotating",
          "study-variant", "study-tol", "study-maxit", "study-diagnostics"])
 def test_cli_refuses_flags_a_run_would_drop(argv, flag, capsys):
     assert main(argv) == 2
@@ -373,8 +441,8 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
 
 def test_cli_error_cells_exit_nonzero(tmp_path):
     out = tmp_path / "bad.csv"
-    rc = main(["--problem", "thermal", "--epsilon", "1", "--degree", "0",
-               "--subdomains", "0x2", "--ratio", "2", "--variant", "bddc1",
+    rc = main(["--problem", "thermal", "--epsilon", "1e20", "--degree", "0",
+               "--subdomains", "1x2", "--ratio", "2", "--variant", "bddc1",
                "--format", "csv", "--out", str(out)])
     assert rc == 1
     assert "ERR" not in out.read_text()  # csv keeps raw fields, not labels

@@ -160,18 +160,21 @@ def test_condensed_blocks_come_from_the_local_blocks(k):
                                              b.load_vectors()))
 
 
-def test_condensation_memory_does_not_grow_with_the_mesh():
+@pytest.mark.parametrize("k,grids", [(0, (12, 24)), (2, (4, 8))],
+                         ids=["k0", "k2"])
+def test_condensation_memory_does_not_grow_with_the_mesh(k, grids):
     # beyond its outputs, ElementBlocks holds one chunk of elements at a
     # time; only index arrays over the elements (a few integers each) grow
     # with the mesh, a whole-mesh float block (d^2 = 36 per element at k=2)
-    # would not fit in the bound
+    # would not fit in the bound.  Each element type of both meshes fills
+    # more than one chunk (1560 elements at k=0, 202 at k=2).
     extra, nel = [], []
-    for n in (4, 8):
+    for n in grids:
         mesh = build_structured_mesh(n, n, 4)
         spec = spec_rotating(eps=1e-5)
         tracemalloc.start()
         try:
-            b = ElementBlocks(mesh, spec, 2)
+            b = ElementBlocks(mesh, spec, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
