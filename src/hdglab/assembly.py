@@ -34,7 +34,8 @@ class TraceSystem:
         access runs the element pass again
     A : csr_matrix over the free trace DOFs
     gcoef : (n_edges, k+1) fixed boundary coefficients (zero off the boundary)
-    elem_dofs : (nel, 3*(k+1)) global DOF of each local trace slot, -1 if fixed
+    elem_dofs : (nel, 3*(k+1)) int32 global DOF of each local trace slot, -1
+        if fixed
 
     All but ``b`` and ``dofs`` are derived on first access.
     """
@@ -104,7 +105,7 @@ def assemble_matrix(S_hat, elem_dofs, n, nds):
     of edges (2^16 entries), so only the output and one run are allocated.
     """
     ne = n // nds
-    edge = (elem_dofs[:, ::nds] // nds).astype(np.int32)  # -1 where fixed
+    edge = elem_dofs[:, ::nds] // nds       # -1 where fixed
     slots = np.argsort(edge, axis=None, kind="stable")[edge.size - 2 * ne:]
     el, a = np.divmod(slots.astype(np.int32).reshape(ne, 2), 3)
     col = edge[el].reshape(ne, 6)

@@ -104,7 +104,9 @@ class PrimalConstraintSet:
     SubdomainEdge, zero-padded to the widest block w: row j of Q_E at the
     block's j-th interface position, its orthonormal primal rows first.
     Interface position p lies in SubdomainEdge ``se_of[p]`` at offset
-    ``block_off[p]`` within its block, the column of Q_E that p is.
+    ``block_off[p]`` within its block, the column of Q_E that p is.  The
+    integer arrays (``se_of``, ``block_off``, ``n_primal_by_se``,
+    ``primal_offsets``) are int32.
     """
 
     def __init__(self, variant, spec, mesh, k):
@@ -117,8 +119,9 @@ class PrimalConstraintSet:
         n_se = len(runs)
         start = runs.offsets[:-1] * nds
         size = runs.offsets[1:] * nds - start
-        self.se_of = np.repeat(np.arange(n_se), size)
-        self.block_off = np.arange(size.sum()) - start[self.se_of]
+        self.se_of = np.repeat(np.arange(n_se, dtype=np.int32), size)
+        self.block_off = np.arange(size.sum(), dtype=np.int32) - \
+            start[self.se_of]
         self.Q = np.zeros((size.sum(), size.max(initial=0)))
         nfun = _N_FUNCTIONALS.get(self.variant)
         if nfun:
@@ -128,7 +131,7 @@ class PrimalConstraintSet:
             raw = _raw_rows(q, bn, runs.tangent[run],
                             runs.midpoint_t[run]).reshape(3, -1)
         self.kept = [None] * n_se
-        self.n_primal_by_se = np.zeros(n_se, dtype=np.int64)
+        self.n_primal_by_se = np.zeros(n_se, dtype=np.int32)
         for m in np.unique(size):
             idx = np.flatnonzero(size == m)
             pos = start[idx, None] + np.arange(m)
@@ -148,8 +151,8 @@ class PrimalConstraintSet:
                 self.Q[pos[sel], :m] = _change_of_basis(rows)
             for i, row in zip(idx.tolist(), kept.tolist()):
                 self.kept[i] = [nm for nm, keep in zip(names, row) if keep]
-        self.primal_offsets = np.concatenate(
-            [[0], np.cumsum(self.n_primal_by_se)])
+        self.primal_offsets = np.zeros(n_se + 1, dtype=np.int32)
+        np.cumsum(self.n_primal_by_se, out=self.primal_offsets[1:])
         self.n_primal = int(self.primal_offsets[-1])
 
 
@@ -256,7 +259,8 @@ class BddcPreconditioner:
 
         n_sub, w = subs.pos.shape
         wp = int((subs.nG - self.n_dual_by_sub).max(initial=0))
-        self.pidx = np.full((n_sub, wp), self.n_primal, dtype=np.int64)
+        # intp, as subs.pos: every apply gathers with it
+        self.pidx = np.full((n_sub, wp), self.n_primal, dtype=np.intp)
         self.LG = np.zeros((n_sub, w + wp, w))
         self.C = np.zeros((n_sub, w, wp))
         self._cols = np.empty(self.n_tilde, dtype=np.int64)

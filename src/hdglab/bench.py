@@ -10,10 +10,10 @@ whose rows are epsilon values and whose column groups are variants.
 
 import argparse
 import csv
-import inspect
 import json
 import sys
 import time
+from contextlib import ExitStack
 from itertools import product
 
 import numpy as np
@@ -156,8 +156,8 @@ class BenchmarkConfig:
         if self.fmt not in ("csv", "table"):
             raise InvalidConfigError("format must be csv or table")
         for flag, ok, wants, got in (
-                ("--epsilon", all(e > 0 for e in self.epsilons),
-                 "values > 0", self.epsilons),
+                ("--epsilon", all(0.0 < e < np.inf for e in self.epsilons),
+                 "finite values > 0", self.epsilons),
                 ("--subdomains", all(min(g) >= 1 for g in self.grids),
                  "grids NxM with N, M >= 1", self.grids),
                 ("--ratio", min(self.ratios) >= 1, "values >= 1",
@@ -181,7 +181,56 @@ class BenchmarkConfig:
                                          "got %s" % (wants, got))
 
 
-CONFIG_KEYS = frozenset(inspect.signature(BenchmarkConfig).parameters)
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+def _is_grid(v):
+    return _is_str(v) or (isinstance(v, list) and len(v) == 2
+                          and all(map(_is_int, v)))
+
+
+# the JSON types of the config file's keys, the BenchmarkConfig fields:
+# (a list of them?, check of one value, what it names)
+CONFIG_TYPES = {
+    "problem": (False, _is_str, "a string"),
+    "epsilons": (True, _is_number, "numbers"),
+    "degrees": (True, _is_int, "integers"),
+    "grids": (True, _is_grid, "grids [N, M] or \"NxM\""),
+    "ratios": (True, _is_int, "integers"),
+    "variants": (True, _is_str, "strings"),
+    "tol": (False, _is_number, "a number"),
+    "maxit": (False, _is_int, "an integer"),
+    "fmt": (False, _is_str, "a string"),
+    "advect": (False, lambda v: isinstance(v, bool), "true or false"),
+    "diagnostics": (False, lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def check_config_file(values):
+    """Refuse the parsed config file ``values`` unless it is one JSON object
+    of known keys, each holding its JSON type; the error names the key."""
+    if not isinstance(values, dict):
+        raise InvalidConfigError("a config file holds one JSON object, not "
+                                 "a %s" % type(values).__name__)
+    unknown = sorted(set(values) - set(CONFIG_TYPES))
+    if unknown:
+        raise InvalidConfigError("unknown config key(s): %s"
+                                 % ", ".join(unknown))
+    for key, value in values.items():
+        many, ok, what = CONFIG_TYPES[key]
+        if not (isinstance(value, list) and all(map(ok, value)) if many
+                else ok(value)):
+            raise InvalidConfigError("config key %r takes %s%s, got %s" % (
+                key, "a list of " if many else "", what, json.dumps(value)))
 
 
 class CaseResult:
@@ -348,20 +397,23 @@ def emit_table(results, stream):
         cell = {(r.epsilon, r.variant, r.grid):
                 r.label() + ("!" if id(r) in flagged else "") for r in sel}
         width = max(7, *(len(v) for v in cell.values())) + 2
+        # a group's columns widen until its name and one space fit above
+        wide = {v: max(width, -(-(len(v) + 1) // len(grids)))
+                for v in variants}
         gcol = lambda g: "%dx%d" % g
         stream.write("# %s  degree %d  H/h = %d\n" % (problem, degree, ratio))
         head1 = "%-10s" % "eps"
         head2 = "%-10s" % ""
         for v in variants:
-            head1 += ("| %-" + str(width * len(grids)) + "s") % v
-            head2 += "|" + "".join(("%" + str(width) + "s") % gcol(g)
+            head1 += ("| %-" + str(wide[v] * len(grids)) + "s") % v
+            head2 += "|" + "".join(("%" + str(wide[v]) + "s") % gcol(g)
                                    for g in grids) + " "
         stream.write(head1.rstrip() + "\n" + head2.rstrip() + "\n")
         for eps in epss:
             line = "%-10.2e" % eps
             for v in variants:
                 line += "|" + "".join(
-                    ("%" + str(width) + "s") % cell.get((eps, v, g), "-")
+                    ("%" + str(wide[v]) + "s") % cell.get((eps, v, g), "-")
                     for g in grids) + " "
             stream.write(line.rstrip() + "\n")
         stream.write("\n")
@@ -454,11 +506,8 @@ def config_from_args(args):
     values = {}
     if args.config:
         with open(args.config) as fh:
-            values.update(json.load(fh))
-        unknown = sorted(set(values) - CONFIG_KEYS)
-        if unknown:
-            raise InvalidConfigError("unknown config key(s): %s"
-                                     % ", ".join(unknown))
+            values = json.load(fh)
+        check_config_file(values)
     if "grids" in values:
         values["grids"] = [tuple(g) if isinstance(g, (list, tuple))
                            else _parse_grid(g) for g in values["grids"]]
@@ -488,20 +537,22 @@ def config_from_args(args):
 
 def main(argv=None):
     args = build_arg_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-        if config.problem == "manufactured":
-            rows, slopes = convergence_study(
-                eps=config.epsilons[0], advect=config.advect,
-                degrees=config.degrees, levels=tuple(config.ratios),
-                nsub=config.grids[0][0])
-        else:
-            results = run_sweep(config)
-    except (InvalidConfigError, OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with ExitStack() as stack:
+        try:
+            config = config_from_args(args)
+            # opened before the sweep, so an unwritable --out costs no run
+            out = stack.enter_context(open(args.out, "w")) if args.out \
+                else sys.stdout
+            if config.problem == "manufactured":
+                rows, slopes = convergence_study(
+                    eps=config.epsilons[0], advect=config.advect,
+                    degrees=config.degrees, levels=tuple(config.ratios),
+                    nsub=config.grids[0][0])
+            else:
+                results = run_sweep(config)
+        except (InvalidConfigError, OSError, ValueError) as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
         if config.problem == "manufactured":
             emit_convergence(rows, slopes, out, fmt=config.fmt)
             return 0
@@ -510,9 +561,6 @@ def main(argv=None):
         else:
             emit_table(results, out)
         return 1 if any(r.error is not None for r in results) else 0
-    finally:
-        if args.out:
-            out.close()
 
 
 if __name__ == "__main__":

@@ -179,11 +179,11 @@ def _reference(mesh):
     edges of each triangle type in slot order (cell frame) and the local edge
     at each doubled coordinate (-1 where there is none)."""
     r, n_sub = mesh.ratio, mesh.n_subdomains
-    elems = np.argsort(mesh.tri_sub, kind="stable").reshape(n_sub, -1)
+    elems = mesh.subdomain_elements()
     te = mesh.tri_edges[elems]
     ref, inv = np.unique(te[0], return_inverse=True)
     inv = inv.reshape(te.shape[1:])
-    edge_of = np.empty((n_sub, ref.size), dtype=np.int64)
+    edge_of = np.empty((n_sub, ref.size), dtype=te.dtype)
     edge_of[:, inv] = te
     if not np.array_equal(edge_of[:, inv], te):
         raise InvalidConfigError("subdomains are not translates of one "
@@ -261,44 +261,53 @@ class Subdomains:
     S_Gamma = sum_i R_i^T S^(i) R_i of its ``n`` interface DOFs; iterating
     yields one ``Subdomain`` each.
 
-    ``pos`` (n_sub, w) holds every subdomain's interface positions, padded
-    with n_interface to w = max nG: a gather from a vector with one zero
-    appended reads 0 there, and a scatter-add drops it past the end.  ``S``
-    (n_sub, w, w) stacks the local Schur complements with their Robin
+    ``pos`` (n_sub, w) intp holds every subdomain's interface positions,
+    padded with n_interface to w = max nG: a gather from a vector with one
+    zero appended reads 0 there, and a scatter-add drops it past the end.
+    ``S`` (n_sub, w, w) stacks the local Schur complements with their Robin
     terms, and ``b_gamma`` is
-    b_G - sum_i A_GI^(i) A_II^(i)^-1 b_I^(i).  ``elems`` (n_sub, 2 r^2) lists
-    every subdomain's elements in the same relative order, and ``robin``
-    (sub, lp, vals) the Robin terms: for each side (2, n_edges) of every
-    interface edge its subdomain, the edge's local interface slots and
-    +-M_e / 2.  ``steps`` holds, per merge and run of subdomains in build
-    order, (X, s_ids, b_ids): X = A_ss^-1 [A_sb | f_s] and the free-DOF ids
-    of the eliminated and kept DOFs (n_dofs for a Dirichlet DOF, n_dofs + 1
-    for the load column)."""
+    b_G - sum_i A_GI^(i) A_II^(i)^-1 b_I^(i).  ``elems`` (n_sub, 2 r^2) int32
+    lists every subdomain's elements in the same relative order, and
+    ``robin`` (sub, lp, vals) the Robin terms: for each side (2, n_edges) of
+    every interface edge its subdomain (int32), the edge's local interface
+    slots (int32) and +-M_e / 2.  ``steps`` holds, per merge and run of
+    subdomains in build order, (X, s_ids, b_ids): X = A_ss^-1 [A_sb | f_s]
+    and the int32 free-DOF ids of the eliminated and kept DOFs (n_dofs for a
+    Dirichlet DOF, n_dofs + 1 for the load column).  ``nI`` and ``nG`` count
+    each subdomain's interior and interface DOFs (int32).  Every index array
+    is int32 but ``pos``, which each GMRES step gathers with: NumPy casts an
+    index of any other dtype to intp on every call."""
 
     def __init__(self, sys, robin):
         dofs, mesh, nds = sys.dofs, sys.mesh, sys.k + 1
         self.sys, self.dofs, self.n = sys, dofs, dofs.n_interface
         n_sub, n0, n_ifc = mesh.n_subdomains, dofs.n_interior, dofs.n_interface
         n = dofs.n_dofs
-        self.nI = np.array([g.size for g in dofs.interior_by_sub])
-        self.nG = np.array([p.size for p in dofs.sub_interface_pos])
+        self.nI = np.array([g.size for g in dofs.interior_by_sub],
+                           dtype=np.int32)
+        self.nG = np.array([p.size for p in dofs.sub_interface_pos],
+                           dtype=np.int32)
         w = int(self.nG.max(initial=0))
 
         # stacked row of (subdomain s, interface position p): positions
-        # ascend within a subdomain, so the keys s * n_ifc + p are sorted
+        # ascend within a subdomain, so the keys s * n_ifc + p are sorted;
+        # they pass 2^31 on large grids, so they are int64
+        key = lambda s, p: np.int64(n_ifc) * s + p
         row_sub = np.repeat(np.arange(n_sub), self.nG)
         row_pos = np.concatenate(dofs.sub_interface_pos)
-        gstart = np.r_[0, np.cumsum(self.nG)]
-        row_loc = np.arange(row_sub.size) - gstart[row_sub]
-        keys = row_sub * n_ifc + row_pos
-        local = lambda s, p: row_loc[np.searchsorted(keys, s * n_ifc + p)]
-        self.pos = np.full((n_sub, w), n_ifc, dtype=np.int64)
+        gstart = np.zeros(n_sub + 1, dtype=np.int32)
+        np.cumsum(self.nG, out=gstart[1:])
+        row_loc = np.arange(row_sub.size, dtype=np.int32) - gstart[row_sub]
+        keys = key(row_sub, row_pos)
+        local = lambda s, p: row_loc[np.searchsorted(keys, key(s, p))]
+        # intp: NumPy casts any other index dtype on every gather of a step
+        self.pos = np.full((n_sub, w), n_ifc, dtype=np.intp)
         self.pos[row_sub, row_loc] = row_pos
 
         # the plan, and every subdomain's slot -> free DOF map (n for a
         # Dirichlet slot)
         self.elems, edge_of, tri_at, tri_edges, id_at = _reference(mesh)
-        gdof = dofs.edge_dofs[edge_of].reshape(n_sub, -1).astype(np.int32)
+        gdof = dofs.edge_dofs[edge_of].reshape(n_sub, -1)
         gdof[gdof < 0] = n
         merges, leaves = _plan(mesh.ratio, tri_edges)
         # per merge: the reference slots of the eliminated and kept DOFs
@@ -354,9 +363,10 @@ class Subdomains:
         n_dofs = bext.size - 1
         stacks = {}
         for t, (rel, perm) in enumerate(leaves):
-            # one gather of the element blocks in [shared | own] order; the
+            # one gather of the element blocks in [shared | own] order, at
+            # flat offsets that pass 2^31 on large meshes (so int64); the
             # load column reads entry 0 and is then zeroed
-            els = self.elems[cs][:, rel].T.ravel()
+            els = self.elems[cs][:, rel].T.ravel().astype(np.int64)
             flat = np.concatenate([perm[:, None] * m3 + perm,
                                    np.zeros((m3, 1), dtype=np.int64)], axis=1)
             leaf = np.take(S_hat.reshape(-1), els[:, None, None] * m3 * m3

@@ -134,12 +134,16 @@ class TraceDofMap:
     ----------
     k : trace degree
     n_dofs, n_interior, n_interface : sizes
-    edge_dofs : (n_edges, k+1) global DOF ids, -1 on boundary edges
-    interior_by_sub : list of int arrays, per-subdomain interior DOF ids
-    se_blocks : (n_runs, 2) global DOF ranges [start, stop) per SubdomainEdge
-    sub_interface_pos : per-subdomain positions within Lambda_Gamma (0-based;
-        global id = position + n_interior) of its interface DOFs: its
-        SubdomainEdge blocks, concatenated in ascending run order
+    edge_dofs : (n_edges, k+1) int32 global DOF ids, -1 on boundary edges
+    interior_by_sub : list of int32 arrays, per-subdomain interior DOF ids
+    se_blocks : (n_runs, 2) int32 global DOF ranges [start, stop) per
+        SubdomainEdge
+    sub_interface_pos : list of int32 arrays, per-subdomain positions within
+        Lambda_Gamma (0-based; global id = position + n_interior) of its
+        interface DOFs: its SubdomainEdge blocks, concatenated in ascending
+        run order
+
+    The index arrays are built at int32 width, as the mesh's are.
     """
 
     def __init__(self, mesh, k):
@@ -149,7 +153,8 @@ class TraceDofMap:
         nds = k + 1
         nsub = mesh.n_subdomains
         runs = mesh.interface_runs
-        self.edge_dofs = np.full((mesh.n_edges, nds), -1, dtype=np.int64)
+        i32 = np.int32
+        self.edge_dofs = np.full((mesh.n_edges, nds), -1, dtype=i32)
 
         # interior edges by owning subdomain (stable: edge index within),
         # then the interface edges run by run
@@ -160,12 +165,14 @@ class TraceDofMap:
         self.n_interior = inter.size * nds
         self.n_dofs = self.n_interior + runs.edges.size * nds
         self.n_interface = self.n_dofs - self.n_interior
-        self.edge_dofs[inter] = np.arange(self.n_interior).reshape(-1, nds)
+        self.edge_dofs[inter] = np.arange(self.n_interior,
+                                          dtype=i32).reshape(-1, nds)
         self.edge_dofs[runs.edges] = np.arange(
-            self.n_interior, self.n_dofs).reshape(-1, nds)
+            self.n_interior, self.n_dofs, dtype=i32).reshape(-1, nds)
         subs = np.arange(1, nsub)
         self.interior_by_sub = np.split(
-            np.arange(self.n_interior), np.searchsorted(own, subs) * nds)
+            np.arange(self.n_interior, dtype=i32),
+            np.searchsorted(own, subs) * nds)
         self.se_blocks = self.n_interior + nds * np.column_stack(
             [runs.offsets[:-1], runs.offsets[1:]])
 
@@ -177,8 +184,8 @@ class TraceDofMap:
         # each incidence expands to the interface positions of its block
         start = self.se_blocks[se, 0] - self.n_interior
         size = self.se_blocks[se, 1] - self.se_blocks[se, 0]
-        pos = np.repeat(start - np.cumsum(size) + size, size) + \
-            np.arange(size.sum())
+        pos = np.repeat(start - np.cumsum(size, dtype=i32) + size, size) + \
+            np.arange(size.sum(), dtype=i32)
         cuts = np.searchsorted(np.repeat(sub_of, size), subs)
         self.sub_interface_pos = np.split(pos, cuts)
 

@@ -33,15 +33,21 @@ class Mesh2d:
     Attributes
     ----------
     vertices : (nv, 2) float array
-    triangles : (nt, 3) int array, counter-clockwise vertex triples
-    tri_sub : (nt,) int array, subdomain index per triangle
-    tri_type : (nt,) int array, geometric type (0/1) fixing the affine map
-    edges : (ne, 2) int array, smaller vertex index first
-    edge_class : (ne,) int array of {BOUNDARY, INTERIOR, INTERFACE}
-    edge_tris : (ne, 2) int array of incident triangles (-1 when boundary)
-    tri_edges : (nt, 3) int array, local edges (0,1),(1,2),(2,0) -> edge index
+    triangles : (nt, 3) int32 array, counter-clockwise vertex triples
+    tri_sub : (nt,) int32 array, subdomain index per triangle
+    tri_type : (nt,) int8 array, geometric type (0/1) fixing the affine map
+    edges : (ne, 2) int32 array, smaller vertex index first
+    edge_class : (ne,) int8 array of {BOUNDARY, INTERIOR, INTERFACE}
+    edge_tris : (ne, 2) int32 array of incident triangles (-1 when boundary)
+    tri_edges : (nt, 3) int32 array, local edges (0,1),(1,2),(2,0) -> edge
+        index
     h, H : characteristic element / subdomain sizes
     interface_runs : the SubdomainEdge decomposition (InterfaceRuns)
+
+    Every index array is built at int32 width and every tag at int8, which
+    holds any mesh with fewer than 2^31 vertices, edges and triangles; a
+    product of indices that may pass 2^31 is taken in int64 where it is
+    formed.
     """
 
     def __init__(self, nx, ny, ratio, diag, vertices, triangles, tri_sub,
@@ -81,6 +87,19 @@ class Mesh2d:
     @property
     def n_edges(self):
         return self.edges.shape[0]
+
+    def subdomain_elements(self):
+        """(n_subdomains, 2 ratio^2) int32: the triangles of every subdomain
+        in ascending order.  Cell c = j * mx + i of the mx-wide cell grid
+        holds triangles 2c and 2c + 1, and subdomain b * nx + a the ratio x
+        ratio cells from (a ratio, b ratio)."""
+        r, mx = self.ratio, self.nx * self.ratio
+        b, a = np.divmod(np.arange(self.n_subdomains, dtype=np.int32),
+                         self.nx)
+        j, i = np.divmod(np.arange(r * r, dtype=np.int32), r)
+        cell = (b * r * mx + a * r)[:, None] + (j * mx + i)
+        return (2 * cell[:, :, None] + np.arange(2, dtype=np.int32)).reshape(
+            self.n_subdomains, -1)
 
     def tri_area(self):
         """Signed areas of all triangles."""
@@ -123,13 +142,15 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])  # index = j*row+i
 
-    ci, cj = np.meshgrid(np.arange(mx), np.arange(my), indexing="xy")
+    i32 = np.int32
+    ci, cj = np.meshgrid(np.arange(mx, dtype=i32), np.arange(my, dtype=i32),
+                         indexing="xy")
     ci, cj = ci.ravel(), cj.ravel()
     v00 = cj * row + ci
     v10, v01, v11 = v00 + 1, v00 + row, v00 + row + 1
 
     nt = 2 * mx * my
-    triangles = np.empty((nt, 3), dtype=np.int64)
+    triangles = np.empty((nt, 3), dtype=i32)
     if diag == "ne":
         # diagonal v00 -> v11; both triangles counter-clockwise
         triangles[0::2] = np.column_stack([v00, v10, v11])
@@ -138,7 +159,7 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
         # diagonal v10 -> v01
         triangles[0::2] = np.column_stack([v00, v10, v01])
         triangles[1::2] = np.column_stack([v10, v11, v01])
-    tri_type = np.tile(np.arange(2), mx * my)
+    tri_type = np.tile(np.arange(2, dtype=np.int8), mx * my)
     tri_sub = np.repeat((cj // ratio) * nx + (ci // ratio), 2)
 
     # every side runs from its low end v to v + step[kind], kind 0..3.  A
@@ -146,7 +167,8 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
     # cell's six shifted by v00[c].  The kind counts grid rows, not hi - lo
     # alone: with mx = 1 the steps 1 and row - 1 coincide, and a horizontal
     # side must still be kind 0, where extract_interface reads it
-    nv, step = vertices.shape[0], np.array([1, row - 1, row, row + 1])
+    nv = vertices.shape[0]
+    step = np.array([1, row - 1, row, row + 1], dtype=i32)
     cell = triangles[:2, [[0, 1], [1, 2], [2, 0]]].reshape(6, 2)
     lo, hi = cell.min(axis=1), cell.max(axis=1)
     up = hi // row - lo // row
@@ -156,20 +178,25 @@ def build_structured_mesh(nx, ny, ratio, diag="ne"):
     # lexicographic (low, high) order; only the used slots are read
     used = np.zeros((nv, 4), dtype=bool)
     used[lo, kind] = True
-    slot = np.cumsum(used).reshape(nv, 4) - 1
+    slot = np.cumsum(used, dtype=i32).reshape(nv, 4) - 1
     tri_edges = slot[lo, kind].reshape(nt, 3)
-    v, k = np.nonzero(used)
-    edges = np.column_stack([v, v + step[k]])
+    del lo
+    # the sides in slot order, read through the mask (no index arrays)
+    v = np.arange(nv, dtype=i32)[:, None]
+    edges = np.empty((int(slot[-1, -1]) + 1, 2), dtype=i32)
+    edges[:, 0] = np.broadcast_to(v, used.shape)[used]
+    edges[:, 1] = (v + step)[used]
 
     # incident triangles, lower index first; one when first == last
-    te, tids = tri_edges.ravel(), np.arange(nt).repeat(3)
-    first = np.full(len(edges), nt)
+    te, tids = tri_edges.ravel(), np.arange(nt, dtype=i32).repeat(3)
+    first = np.full(len(edges), nt, dtype=i32)
     np.minimum.at(first, te, tids)
-    last = np.full(len(edges), -1)
+    last = np.full(len(edges), -1, dtype=i32)
     np.maximum.at(last, te, tids)
+    del tids
     two = first != last
     edge_tris = np.column_stack([first, np.where(two, last, -1)])
-    edge_class = np.where(two, INTERIOR, BOUNDARY)
+    edge_class = np.where(two, np.int8(INTERIOR), np.int8(BOUNDARY))
     edge_class[tri_sub[first] != tri_sub[last]] = INTERFACE
 
     return Mesh2d(nx, ny, ratio, diag, vertices, triangles, tri_sub, tri_type,
@@ -188,7 +215,7 @@ def extract_interface(mesh, slot):
     """
     nx, ny, r = mesh.nx, mesh.ny, mesh.ratio
     row = nx * r + 1                        # vertices per grid line
-    s = np.arange(nx * ny)
+    s = np.arange(nx * ny, dtype=np.int32)
     b, a = np.divmod(s, nx)
     corner = b * r * row + a * r            # lower-left vertex of s
     # per subdomain: its vertical run with s + 1, then its horizontal one
@@ -205,7 +232,7 @@ def extract_interface(mesh, slot):
     # lower subdomain, +-(t_y, -t_x) with its signed zero
     v = vertical[:, None]
     return InterfaceRuns(
-        edges, np.arange(len(pair) + 1) * r, pair,
+        edges, np.arange(len(pair) + 1, dtype=np.int32) * r, pair,
         np.where(v, [0.0, 1.0], [1.0, 0.0]),
         np.where(v, [1.0, -0.0], [-0.0, 1.0]),
         np.where(v, mesh.vertices[ends, 1], mesh.vertices[ends, 0]))
@@ -214,6 +241,8 @@ def extract_interface(mesh, slot):
 class InterfaceRuns:
     """The SubdomainEdges (maximal straight interface runs shared by one
     subdomain pair) as arrays, one row per run; ``len`` is the number of runs.
+    The index arrays (``edges``, ``offsets``, ``pair``, ``run_of_edge``) are
+    int32, as the mesh's are.
 
     Attributes
     ----------
@@ -235,7 +264,8 @@ class InterfaceRuns:
         self.tangent = tangent
         self.normal = normal
         self.t_range = t_range
-        self.run_of_edge = np.repeat(np.arange(len(pair)), np.diff(offsets))
+        self.run_of_edge = np.repeat(np.arange(len(pair), dtype=np.int32),
+                                     np.diff(offsets))
 
     def __len__(self):
         return len(self.pair)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import types
@@ -284,6 +285,26 @@ def test_emit_table_layout_and_flags():
     assert "14!" in text and "11" in text  # violation marked, count shown
 
 
+@pytest.mark.parametrize("variants,grids", [
+    (("none", "all-primal", "bddc2"), [(2, 2)]),
+    (("bddc1", "all-primal"), [(2, 2), (4, 4)]),
+    (("all-primal",), [(2, 2), (4, 4), (8, 8)])])
+def test_emit_table_groups_fit_their_names(variants, grids):
+    # every column bar sits at the same place in the headers and the rows,
+    # and each variant's name has a space before the next group's bar
+    results = [CaseResult("thermal", eps, 0, g, 6, v, iterations=12,
+                          converged=True)
+               for eps in (1.0, 1e-3) for v in variants for g in grids]
+    buf = io.StringIO()
+    emit_table(results, buf)
+    lines = buf.getvalue().splitlines()[1:-1]
+    bars = [[i for i, ch in enumerate(ln) if ch == "|"] for ln in lines]
+    assert len(bars[0]) == len(variants) and all(b == bars[0] for b in bars)
+    head = lines[0] + " "
+    for v, bar, stop in zip(variants, bars[0], bars[0][1:] + [len(head)]):
+        assert head.index("| %s " % v) == bar and bar + len(v) + 3 <= stop
+
+
 def test_emit_table_missing_cells_dashed():
     results = [_cell("bddc1", 11),
                CaseResult("thermal", 1e-3, 0, (4, 4), 6, "bddc2",
@@ -408,6 +429,7 @@ def test_cli_manufactured_takes_grid_and_ratios(capsys):
     (["--problem", "thermal", "--ratio", "0"], "--ratio"),
     (["--problem", "rotating", "--epsilon", "-1"], "--epsilon"),
     (["--problem", "thermal", "--epsilon", "1,0"], "--epsilon"),
+    (["--problem", "thermal", "--epsilon", "inf"], "--epsilon"),
     (["--problem", "thermal", "--advect"], "--advect"),
     (["--problem", "rotating", "--advect"], "--advect"),
 ] + [(["--problem", "manufactured", "--ratio", "2,4"] + extra, extra[0])
@@ -416,6 +438,7 @@ def test_cli_manufactured_takes_grid_and_ratios(capsys):
     ids=["one-ratio", "two-grids", "non-square-grid", "empty-grid",
          "zero-ratio", "sweep-empty-grid", "sweep-zero-column-grid",
          "sweep-zero-ratio", "sweep-negative-eps", "sweep-zero-eps",
+         "sweep-inf-eps",
          "advect-thermal", "advect-rotating",
          "study-variant", "study-tol", "study-maxit", "study-diagnostics"])
 def test_cli_refuses_flags_a_run_would_drop(argv, flag, capsys):
@@ -437,6 +460,47 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     cfile.write_text(json.dumps({"problem": "thermal", "epsilon": [1.0]}))
     assert main(["--config", str(cfile)]) == 2
     assert "unknown config key(s): epsilon" in capsys.readouterr().err
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+@pytest.mark.parametrize("config,named", [
+    ({"epsilons": ["1"]}, "'epsilons'"),
+    ({"ratios": ["8"]}, "'ratios'"),
+    ({"grids": [[2, 2, 2]]}, "'grids'"),
+    ({"degrees": [1.0]}, "'degrees'"),
+    ({"variants": "bddc1"}, "'variants'"),
+    ({"advect": "no"}, "'advect'"),
+    ([{"epsilons": [1.0]}], "JSON object"),
+    ({"epsilons": [float("inf")]}, "--epsilon")],
+    ids=["eps-string", "ratio-string", "grid-triple", "degree-float",
+         "variants-string", "advect-string", "top-level-array", "eps-inf"])
+def test_cli_type_checks_config_values(config, named, tmp_path,
+                                       monkeypatch, capsys):
+    # a value of the wrong JSON type is refused, with its key named, before
+    # any cell runs (json writes inf as Infinity, which it reads back)
+    monkeypatch.setattr(bench, "run_sweep", _no_sweep)
+    cfile = tmp_path / "sweep.json"
+    cfile.write_text(json.dumps(config))
+    assert main(["--problem", "thermal", "--config", str(cfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+def test_config_types_cover_the_config_fields():
+    assert set(bench.CONFIG_TYPES) == \
+        set(inspect.signature(BenchmarkConfig).parameters)
+
+
+def test_cli_unwritable_out_fails_before_the_sweep(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(bench, "run_sweep", _no_sweep)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["--problem", "thermal", "--subdomains", "2x2", "--ratio",
+                 "2", "--format", "csv", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_error_cells_exit_nonzero(tmp_path):
