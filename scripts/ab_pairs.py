@@ -6,8 +6,10 @@ Runs the benchmark command of ``BENCHMARK.json`` (``--seconds <run_seconds>
 --trace 0``) N times in PARENT_DIR and N times in this checkout, alternating:
 the parent runs first in odd pairs, this checkout in even ones.  Prints each
 run's end-to-end metrics as it finishes, then per end-to-end metric the
-median [q1, q3] on each side, the change of the medians and in how many pairs
-this checkout was better (ties count for neither side).  With ``--trace`` the
+median [q1, q3] on each side, the change of the medians, in how many pairs
+this checkout was better (ties count for neither side) and whether the
+reading is "resolved": the two sides' [q1, q3] are disjoint.  Quartiles
+that overlap read "unresolved", not unchanged.  With ``--trace`` the
 runs are ``--trace 1`` runs and the summary covers the ``per_layer`` metrics
 instead: per-layer times read against a parent traced in the same session,
 not against a snapshot recorded at another time on a machine whose speed
@@ -52,9 +54,9 @@ def summarize(parent, change, end_to_end):
                              % (side, i, run["failed"]))
     pairs = [(p, c) for p, c in zip(parent, change)
              if p is not None and c is not None]
-    lines.append("%-28s %-30s %-30s %8s %6s" % (
+    lines.append("%-28s %-30s %-30s %8s %6s  %s" % (
         "metric", "parent median [q1, q3]", "change median [q1, q3]",
-        "median", "won"))
+        "median", "won", "quartiles"))
     for metric in end_to_end:
         name = metric["name"]
         sign = 1.0 if metric["better"] == "lower" else -1.0
@@ -66,11 +68,13 @@ def summarize(parent, change, end_to_end):
         q = np.percentile(vals, [25, 50, 75], axis=0)
         won = int(np.sum(sign * (vals[:, 1] - vals[:, 0]) < 0))
         rel = (q[1, 1] - q[1, 0]) / abs(q[1, 0]) if q[1, 0] else float("nan")
-        lines.append("%-28s %-30s %-30s %+7.1f%% %3d/%d" % (
+        disjoint = q[2, 1] < q[0, 0] or q[0, 1] > q[2, 0]
+        lines.append("%-28s %-30s %-30s %+7.1f%% %3d/%d  %s" % (
             name,
             "%.4g [%.4g, %.4g]" % (q[1, 0], q[0, 0], q[2, 0]),
             "%.4g [%.4g, %.4g]" % (q[1, 1], q[0, 1], q[2, 1]),
-            100.0 * rel, won, len(vals)))
+            100.0 * rel, won, len(vals),
+            "resolved" if disjoint else "unresolved"))
     return lines
 
 

@@ -180,9 +180,8 @@ def l2_error_u(sys, u, uexact):
     err2 = 0.0
     for t, els in enumerate(blocks._type_groups()):
         geo = blocks.type_geo[t]
-        Xv = blocks._volume_points(geo, els)
-        ue = np.broadcast_to(uexact(Xv[..., 0], Xv[..., 1]),
-                             Xv.shape[:2]).astype(float)
+        x, y = blocks._points(geo, els)
+        ue = np.broadcast_to(uexact(x, y), x.shape).astype(float)
         uh = u[els] @ geo["phiv"]
         err2 += geo["detJ"] * float(np.einsum("q,nq->", wv, (uh - ue) ** 2))
     return np.sqrt(err2)

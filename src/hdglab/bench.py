@@ -118,26 +118,40 @@ def make_problem(problem, eps, h=0.25, advect=False):
 
 
 class BenchmarkConfig:
-    """Cartesian sweep definition (lists are swept, scalars are shared)."""
+    """Cartesian sweep definition (lists are swept, scalars are shared).
+
+    Each field takes the type that ``CONFIG_TYPES`` gives the config key of
+    the same name; a grid is [N, M], (N, M) or "NxM"."""
 
     def __init__(self, problem="thermal", epsilons=(1.0,), degrees=(0,),
                  grids=((4, 4),), ratios=(6,), variants=("bddc1",),
                  tol=1e-10, maxit=1000, fmt="table", advect=False,
                  diagnostics=False):
         self.problem = problem
-        self.epsilons = list(epsilons)
-        self.degrees = list(degrees)
-        self.grids = [tuple(g) for g in grids]
-        self.ratios = list(ratios)
-        self.variants = list(variants)
-        self.tol = float(tol)
-        self.maxit = int(maxit)
+        self.epsilons = epsilons
+        self.degrees = degrees
+        self.grids = grids
+        self.ratios = ratios
+        self.variants = variants
+        self.tol = tol
+        self.maxit = maxit
         self.fmt = fmt
-        self.advect = bool(advect)
-        self.diagnostics = bool(diagnostics)
+        self.advect = advect
+        self.diagnostics = diagnostics
         self.validate()
 
     def validate(self):
+        """Refuse a field of the wrong type (a list field takes a list or a
+        tuple, never a bare string), then a value no run can take; the error
+        names the field or its flag.  The swept fields are kept as lists,
+        each grid as (N, M)."""
+        for key in CONFIG_TYPES:
+            check_config_value(key, getattr(self, key))
+        self.epsilons, self.degrees, self.ratios, self.variants = (
+            list(v) for v in (self.epsilons, self.degrees, self.ratios,
+                              self.variants))
+        self.grids = [_parse_grid(g) if _is_str(g) else tuple(g)
+                      for g in self.grids]
         if self.problem not in PROBLEMS:
             raise InvalidConfigError("unknown problem %r" % (self.problem,))
         for name in ("epsilons", "degrees", "grids", "ratios", "variants"):
@@ -194,12 +208,12 @@ def _is_str(v):
 
 
 def _is_grid(v):
-    return _is_str(v) or (isinstance(v, list) and len(v) == 2
+    return _is_str(v) or (isinstance(v, (list, tuple)) and len(v) == 2
                           and all(map(_is_int, v)))
 
 
-# the JSON types of the config file's keys, the BenchmarkConfig fields:
-# (a list of them?, check of one value, what it names)
+# the types of the BenchmarkConfig fields, the config file's keys: (a list
+# of them?, check of one value, what it names)
 CONFIG_TYPES = {
     "problem": (False, _is_str, "a string"),
     "epsilons": (True, _is_number, "numbers"),
@@ -226,11 +240,19 @@ def check_config_file(values):
         raise InvalidConfigError("unknown config key(s): %s"
                                  % ", ".join(unknown))
     for key, value in values.items():
-        many, ok, what = CONFIG_TYPES[key]
-        if not (isinstance(value, list) and all(map(ok, value)) if many
-                else ok(value)):
-            raise InvalidConfigError("config key %r takes %s%s, got %s" % (
-                key, "a list of " if many else "", what, json.dumps(value)))
+        check_config_value(key, value)
+
+
+def check_config_value(key, value):
+    """Refuse ``value`` for the config key ``key`` unless it has the type
+    ``CONFIG_TYPES`` gives the key: for a list key, a list or tuple (not a
+    bare string) of such values.  The error names the key."""
+    many, ok, what = CONFIG_TYPES[key]
+    if not (isinstance(value, (list, tuple)) and all(map(ok, value)) if many
+            else ok(value)):
+        raise InvalidConfigError("config key %r takes %s%s, got %s" % (
+            key, "a list of " if many else "", what,
+            json.dumps(value, default=repr)))
 
 
 class CaseResult:
@@ -475,6 +497,23 @@ def _split(text):
     return [p for p in text.replace(",", " ").split() if p]
 
 
+def _flag(text, flag, key, read):
+    """The value of ``flag`` for the config key ``key`` (None when the flag
+    is absent): ``read`` of its text, or of each entry for a list key.  An
+    entry ``read`` refuses is named with the flag."""
+    if text is None:
+        return None
+    many, _, what = CONFIG_TYPES[key]
+    values = []
+    for entry in _split(text) if many else [text]:
+        try:
+            values.append(read(entry))
+        except ValueError:
+            raise InvalidConfigError("%s takes %s, got %r"
+                                     % (flag, what, entry)) from None
+    return values if many else values[0]
+
+
 def build_arg_parser():
     p = argparse.ArgumentParser(
         prog="hdglab-bench",
@@ -492,7 +531,7 @@ def build_arg_parser():
     p.add_argument("--variant", help="comma-separated subset of %s"
                                      % (",".join(VARIANTS)))
     p.add_argument("--tol", type=float)
-    p.add_argument("--maxit", type=int)
+    p.add_argument("--maxit")
     p.add_argument("--out", help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "table"), dest="fmt")
     p.add_argument("--advect", action="store_true", default=None,
@@ -508,22 +547,16 @@ def config_from_args(args):
         with open(args.config) as fh:
             values = json.load(fh)
         check_config_file(values)
-    if "grids" in values:
-        values["grids"] = [tuple(g) if isinstance(g, (list, tuple))
-                           else _parse_grid(g) for g in values["grids"]]
     overrides = dict(
         problem=args.problem,
-        epsilons=None if args.epsilon is None else
-            [float(e) for e in _split(args.epsilon)],
-        degrees=None if args.degree is None else
-            [int(d) for d in _split(args.degree)],
+        epsilons=_flag(args.epsilon, "--epsilon", "epsilons", float),
+        degrees=_flag(args.degree, "--degree", "degrees", int),
         grids=None if args.subdomains is None else
             [_parse_grid(g) for g in _split(args.subdomains)],
-        ratios=None if args.ratio is None else
-            [int(r) for r in _split(args.ratio)],
+        ratios=_flag(args.ratio, "--ratio", "ratios", int),
         variants=None if args.variant is None else _split(args.variant),
-        tol=args.tol, maxit=args.maxit, fmt=args.fmt, advect=args.advect,
-        diagnostics=args.diagnostics)
+        tol=args.tol, maxit=_flag(args.maxit, "--maxit", "maxit", int),
+        fmt=args.fmt, advect=args.advect, diagnostics=args.diagnostics)
     values.update({k: v for k, v in overrides.items() if v is not None})
     # the manufactured study solves directly: no Krylov loop to configure
     given = [flag for key, flag in (

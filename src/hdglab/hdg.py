@@ -37,12 +37,20 @@ is inverted per element, and
     K_loc^-1 = [ I/a + Bt Sigma^-1 Bt' / a^2   -Bt Sigma^-1 / a ]
                [ -Sigma^-1 Bt' / a              Sigma^-1        ],
 
-with 1/a computed as eps/detJ.  K_loc^-1 is formed for the condition check
-rcond = 1/(|K_loc|_1 |K_loc^-1|_1), and b_K = N F in the same pass, from f at
-the volume points that already give beta.  N, R, S1, S2, T and K_loc^-1 are
-kept on first access (``ElementBlocks.local``) from a second run of the pass.
-Elements are processed in chunks sized by ``CHUNK_ENTRIES``, so only the
-outputs are mesh-sized.
+with 1/a computed as eps/detJ, and b_K = N F in the same pass, from f at the
+volume points that already give beta.  The condition check
+rcond = 1/(|K_loc|_1 |K_loc^-1|_1) > 1e-14 reads K_loc^-1 through the bound
+
+    |K_loc^-1|_1 <= |Sigma^-1|_1 (|Bt|_1/a + 1) max(|Bt'|_1/a, 1) + 1/a
+
+of the block form above.  K_loc^-1 is formed, and its rcond taken exactly,
+only for a chunk of elements that the bound does not clear by a factor of 2,
+and on first access of ``ElementBlocks.local``, which keeps N, R, S1, S2, T
+and K_loc^-1 from a second run of the pass.  The checks (div(beta) <= 0,
+tau - beta.n/2 >= 0, Assumption 2.1, rcond) scale by the largest |beta| over
+an element type, so they run once the type's last chunk is built, in chunk
+order.  Elements are processed in chunks sized by ``CHUNK_ENTRIES``, so only
+the outputs are mesh-sized.
 
 The blocks are a build-time intermediate of the solver: the subdomains
 condense ``S_hat`` and the load into their local operators, and the mesh-wide
@@ -73,15 +81,56 @@ def _rows(vals, table):
     return (vals[:, None, :] @ table)[:, 0]
 
 
+def _row_max(a):
+    """Largest entry of each row of ``a`` (n, w), as ``a.max(axis=1)``: one
+    array maximum per column, since NumPy reduces a short trailing axis one
+    row at a time (about 13x slower at w = 5)."""
+    out = a[:, 0].copy()
+    for i in range(1, a.shape[1]):
+        np.maximum(out, a[:, i], out=out)
+    return out
+
+
 def upwind_tau(samples):
     """Stabilizer of each edge from its beta.n samples (n, nq) at the edge
     quadrature points and endpoints: sup(beta.n)+, exact for affine beta.
     ``eval_tau`` is the independent single-edge reference of this rule."""
-    return np.maximum(samples.max(axis=1), 0.0)
+    return np.maximum(_row_max(samples), 0.0)
 
 
 class StabilizationError(RuntimeError):
     """Assumption 2.1 violated or local factorization failed."""
+
+
+def _check_type(chunks, found):
+    """The checks of one element type from what ``ElementBlocks._chunk``
+    found in each of its ``chunks``, in the order of the element pass:
+    -div(beta) >= 0 over the type, then for each chunk in turn
+    tau - beta.n/2 >= 0, Assumption 2.1, the Sigma inverse and rcond(K_loc)
+    > 1e-14.  The first two scale by the largest |beta| over the volume
+    points of the type."""
+    bscale, divmax = 1.0, -np.inf
+    for f in found:
+        bscale, divmax = max(bscale, f.bmax), max(divmax, f.divmax)
+    if divmax > 1e-12 * bscale:
+        raise StabilizationError(
+            "-div(beta) >= 0 violated (max div = %g)" % divmax)
+    for ch, f in zip(chunks, found):
+        if f.slack_min < -1e-12 * bscale:
+            raise StabilizationError("tau - beta.n/2 < 0 on an edge")
+        bad = f.slack_max <= 1e-14 * bscale
+        if np.any(bad):
+            raise StabilizationError(
+                "Assumption 2.1 violated: tau - beta.n/2 vanishes on all "
+                "edges of element(s) %s (e.g. global element %d); enable "
+                "the upwind_plus_diffusive strategy"
+                % (ch[bad][:5], ch[bad][0]))
+        if f.error is not None:
+            raise f.error
+        if f.rcond is not None and f.rcond[0] <= 1e-14:
+            raise StabilizationError(
+                "local saddle block nearly singular (rcond %g) in "
+                "element %d" % f.rcond)
 
 
 class ProblemSpec:
@@ -124,10 +173,12 @@ class ElementBlocks:
 
     Stores the condensed trace blocks ``S_hat`` (nel,m,m), the condensed
     element loads ``b_hat`` = N F (nel,m), the stabilizers ``taus`` (nel,3)
-    and ``hK``.  The local blocks -- the load condensation maps N (nel,m,d),
-    R, S1, S2, T and the inverse of the local saddle block Kinv -- are built
-    on first access of ``local``, by running the same element pass once
-    more; ``recover`` and ``K_loc`` read them.  ``type_geo[t]`` holds the
+    and ``hK``; the constructor's pass forms no K_loc^-1 where the bound of
+    the module docstring certifies rcond, and checks each element type after
+    its last chunk.  The local blocks -- the load condensation maps N
+    (nel,m,d), R, S1, S2, T and the inverse of the local saddle block Kinv --
+    are built on first access of ``local``, by running the same element pass
+    once more; ``recover`` and ``K_loc`` read them.  ``type_geo[t]`` holds the
     affine data of element type t, its blocks ``Bt`` and ``C``, which do not
     vary within a type, and its quadrature tables.
     """
@@ -168,10 +219,26 @@ class ElementBlocks:
         step = max(1, CHUNK_ENTRIES // w)
         return [els[s:s + step] for s in range(0, els.size, step)]
 
-    def _volume_points(self, geo, els):
-        """Volume quadrature points of elements ``els``, (n, nqv, 2)."""
-        p0 = self.mesh.vertices[self.mesh.triangles[els, 0]]
-        return p0[:, None, :] + self.vrule.points @ geo["J"].T
+    def _points(self, geo, els, edges=False):
+        """Coordinates (2, n, npts) of the volume quadrature points of the
+        elements ``els``, then with ``edges`` their edge quadrature points,
+        edge by edge, and their three vertices: the points X of ``_chunk``,
+        from one vertex gather.  The edge points are ``EdgeQuadrature``'s,
+        lo + (t+1)(hi - lo)/2 from each edge's lower-numbered vertex lo, by
+        the same float operations."""
+        p = np.take(self.mesh.vertices, self.mesh.triangles[els],
+                    axis=0).transpose(2, 0, 1)                # (2, n, 3)
+        if not edges:
+            return p[:, :, :1] + geo["Xv"][:, None, :]
+        nqv, nqe = geo["Xv"].shape[1], self.erule.points.size
+        plo = p[:, :, geo["lo"]]
+        Xe = plo[..., None] + 0.5 * (
+            (p[:, :, geo["hi"]] - plo)[..., None] * (self.erule.points + 1.0))
+        X = np.empty((2, els.size, nqv + 3 * nqe + 3))
+        np.add(p[:, :, :1], geo["Xv"][:, None, :], out=X[:, :, :nqv])
+        X[:, :, nqv:-3] = Xe.reshape(2, els.size, 3 * nqe)
+        X[:, :, -3:] = p
+        return X
 
     def _build_type_geometry(self, els):
         """Fixed affine data of one element type from a representative, with
@@ -245,10 +312,23 @@ class ElementBlocks:
             S2_t[e, nqe, sl, :] = ed["E"]
             T_t[e, :nqe, sl, sl] = np.einsum("q,lq,jq->qlj", we, P, P)
             T_t[e, nqe, sl, sl] = -np.diag(ed["Mdiag"])
-        return dict(J=J, detJ=detJ, phiv=phiv, edata=edata, hK=hK, Bt=Bt, C=C,
-                    Tvol=Tvol.reshape(3 * vq.weights.size, d * d),
+        # the beta.n samples of each edge (3, nqe+2): its quadrature points,
+        # then its two end vertices, of the points X of ``_chunk``
+        nqv = vq.weights.size
+        lo = np.array([ed["lo"] for ed in edata])
+        hi = np.array([ed["hi"] for ed in edata])
+        at = nqv + np.concatenate([np.arange(3 * nqe).reshape(3, nqe),
+                                   3 * nqe + np.column_stack([lo, hi])],
+                                  axis=1)
+        nx, ny = np.array([ed["n"] for ed in edata]).T[:, :, None]
+        return dict(detJ=detJ, phiv=phiv, edata=edata, hK=hK, Bt=Bt, C=C,
+                    Tvol=Tvol.reshape(3 * nqv, d * d),
                     Tedge=Tedge.reshape(3 * (nqe + 1), -1),
-                    Tload=-(wv * phiv).T)
+                    Tload=-(wv * phiv).T, Xv=(vq.points @ J.T).T, lo=lo, hi=hi,
+                    at=at, nx=nx, ny=ny, BtBt=Bt.T @ Bt, CBt=C @ Bt,
+                    BtCt=Bt.T @ C.T, CCt=C @ C.T,
+                    Bt_row1=np.abs(Bt).sum(axis=1).max(),
+                    Bt_col1=np.abs(Bt).sum(axis=0))
 
     # -- the element pass --------------------------------------------------
 
@@ -263,114 +343,104 @@ class ElementBlocks:
                     out[name] = np.empty((self.mesh.n_triangles,)
                                          + blocks[name].shape[1:])
                 out[name][ch] = blocks[name]
-        self._pass(keep)
+        self._pass(keep, inverse="Kinv" in names)
         return out
 
-    def _pass(self, keep):
+    def _pass(self, keep, inverse=False):
         """Call ``keep(ch, **blocks)`` for each chunk ``ch`` of elements with
-        its S_hat, b_hat, taus, N, R, S1, S2, T and Kinv, checking them."""
-        mesh, spec = self.mesh, self.spec
+        its S_hat, b_hat, taus, N, R, S1, S2 and T (and Kinv if ``inverse``),
+        then check each element type: the checks scale by maxima over the
+        whole type, so they run once its last chunk has been built."""
+        for els, geo in zip(self._type_groups(), self.type_geo):
+            chunks = self._chunks(els)
+            _check_type(chunks, [self._chunk(geo, ch, keep, inverse)
+                                 for ch in chunks])
+
+    def _chunk(self, geo, ch, keep, inverse):
+        """Build the blocks of the elements ``ch`` of one type and hand them
+        to ``keep``; return what ``_check_type`` reads of the chunk: the
+        largest |beta| and div(beta) at its volume points, the smallest
+        tau - beta.n/2 at its edge samples and the largest per element, the
+        LinAlgError of its Sigma inverse (``error``), and its smallest exact
+        rcond with that element (``rcond``, None where the bound certifies
+        the chunk).  The chunk's temporaries are freed on return, before the
+        next chunk is built."""
+        spec = self.spec
         d, m = self.d, self.m
         nqv, nqe = self.vrule.weights.size, self.erule.points.size
         o1, o2, o3 = d * d, d * d + d * m, d * d + 2 * d * m
-        flux = np.arange(2 * d)
+        net = ch.size
+        ia = spec.eps / geo["detJ"]
+        Bt = geo["Bt"]
 
-        for els, geo in zip(self._type_groups(), self.type_geo):
-            chunks = self._chunks(els)
+        # beta at the volume points, the edge points and the vertices
+        x, y = self._points(geo, ch, edges=True)
+        bx, by = spec.beta_at(x, y)
+        div = np.broadcast_to(spec.div_beta(x[:, :nqv], y[:, :nqv]),
+                              (net, nqv)).astype(float)
+        found = SimpleNamespace(
+            bmax=np.max(np.hypot(bx[:, :nqv], by[:, :nqv])),
+            divmax=np.max(div), error=None, rcond=None)
 
-            # the checks below scale by the largest |beta| over the volume
-            # points of the whole type, so that is found first
-            bscale, divmax = 1.0, -np.inf
-            for ch in chunks:
-                Xv = self._volume_points(geo, ch)
-                bx, by = spec.beta_at(Xv[..., 0], Xv[..., 1])
-                bscale = max(bscale, np.max(np.hypot(bx, by)))
-                divmax = max(divmax, np.max(spec.div_beta(Xv[..., 0],
-                                                          Xv[..., 1])))
-            if divmax > 1e-12 * bscale:
-                raise StabilizationError(
-                    "-div(beta) >= 0 violated (max div = %g)" % divmax)
+        at, nx, ny = geo["at"], geo["nx"], geo["ny"]
+        samples = bx[:, at] * nx + by[:, at] * ny            # (net, 3, nqe+2)
+        taus = upwind_tau(samples.reshape(3 * net, -1)).reshape(net, 3)
+        if spec.tau_strategy == "upwind_plus_diffusive":
+            taus = taus + spec.sigma * spec.eps / geo["hK"]
+        slack = taus[:, :, None] - 0.5 * samples
+        found.slack_min = np.min(slack)
+        found.slack_max = _row_max(slack.reshape(net, -1))
 
-            detJ, Bt, C = geo["detJ"], geo["Bt"], geo["C"]
-            a_val = detJ / spec.eps
-            ia = spec.eps / detJ
-            BtBt, CBt, BtCt, CCt = Bt.T @ Bt, C @ Bt, Bt.T @ C.T, C @ C.T
-            # |K_loc|_1 is the larger of a + the largest row sum of |Bt| and
-            # the column sums of |Bt| + |R|
-            Bt_row1 = np.abs(Bt).sum(axis=1).max()
-            Bt_col1 = np.abs(Bt).sum(axis=0)
-            # the beta.n samples of each edge (3, nqe+2): its quadrature
-            # points, then its two end vertices, of the points X below
-            nx, ny = np.array([ed["n"] for ed in geo["edata"]]).T[:, :, None]
-            ends = [[ed["lo"], ed["hi"]] for ed in geo["edata"]]
-            at = nqv + np.concatenate([np.arange(3 * nqe).reshape(3, nqe),
-                                       3 * nqe + np.array(ends)], axis=1)
-            for ch in chunks:
-                net = ch.size
-                # beta at the volume points, the edge points and the vertices
-                p = mesh.vertices[mesh.triangles[ch]]            # (net, 3, 2)
-                Xe = EdgeQuadrature(mesh, mesh.tri_edges[ch].ravel(),
-                                    self.k).points
-                X = np.concatenate([self._volume_points(geo, ch),
-                                    Xe.reshape(net, 3 * nqe, 2), p], axis=1)
-                bx, by = spec.beta_at(X[..., 0], X[..., 1])
-                div = np.broadcast_to(
-                    spec.div_beta(X[:, :nqv, 0], X[:, :nqv, 1]),
-                    (net, nqv)).astype(float)
+        # [R | S1 | S2 | T] of every element of the chunk, from
+        # [beta.n, tau] per edge
+        vals = np.concatenate([samples[:, :, :nqe], taus[:, :, None]], axis=2)
+        blk = _rows(vals.reshape(net, -1), geo["Tedge"])
+        blk[:, :o1] += _rows(np.concatenate([bx[:, :nqv], by[:, :nqv], div],
+                                            axis=1), geo["Tvol"])
+        Rm = blk[:, :o1].reshape(net, d, d)
+        S1 = blk[:, o1:o2].reshape(net, d, m)
+        S2 = blk[:, o2:o3].reshape(net, m, d)
+        T = blk[:, o3:].reshape(net, m, m)
 
-                samples = bx[:, at] * nx + by[:, at] * ny    # (net, 3, nqe+2)
-                taus = upwind_tau(samples.reshape(3 * net, -1)).reshape(net, 3)
-                if spec.tau_strategy == "upwind_plus_diffusive":
-                    taus = taus + spec.sigma * spec.eps / geo["hK"]
-                slack = taus[:, :, None] - 0.5 * samples
-                if np.min(slack) < -1e-12 * bscale:
-                    raise StabilizationError("tau - beta.n/2 < 0 on an edge")
-                bad = slack.max(axis=(1, 2)) <= 1e-14 * bscale
-                if np.any(bad):
-                    raise StabilizationError(
-                        "Assumption 2.1 violated: tau - beta.n/2 vanishes on all "
-                        "edges of element(s) %s (e.g. global element %d); enable "
-                        "the upwind_plus_diffusive strategy"
-                        % (ch[bad][:5], ch[bad][0]))
+        # block elimination of the flux block a*I
+        try:
+            Sinv = np.linalg.inv(Rm - ia * geo["BtBt"])
+        except np.linalg.LinAlgError as exc:
+            found.error = exc
+            return found
+        # |K_loc|_1: the larger of a + the largest row sum of |Bt| and the
+        # column sums of |Bt| + |R|
+        n1 = np.maximum(geo["detJ"] / spec.eps + geo["Bt_row1"],
+                        _row_max(geo["Bt_col1"] + np.abs(Rm).sum(axis=1)))
+        # the bound on |K_loc^-1|_1 of the module docstring; K_loc^-1 and the
+        # exact rcond only where it does not clear 1e-14 by a factor of 2
+        bound = _row_max(np.abs(Sinv).sum(axis=1)) \
+            * ((ia * geo["Bt_col1"].max() + 1.0)
+               * max(ia * geo["Bt_row1"], 1.0)) + ia
+        exact = not np.min(1.0 / (n1 * bound)) > 2e-14
+        blocks = {}
+        if inverse or exact:
+            BS = Bt @ Sinv
+            Kinv = np.empty((net, 3 * d, 3 * d))
+            Kinv[:, :2 * d, :2 * d] = (ia * ia) * (BS @ Bt.T)
+            flux = np.arange(2 * d)
+            Kinv[:, flux, flux] += ia
+            Kinv[:, :2 * d, 2 * d:] = -ia * BS
+            Kinv[:, 2 * d:, :2 * d] = -ia * (Sinv @ Bt.T)
+            Kinv[:, 2 * d:, 2 * d:] = Sinv
+            blocks["Kinv"] = Kinv
+        if exact:
+            # column sums by einsum: about 2x faster than .sum(axis=1)
+            rcond = 1.0 / (n1 * np.einsum("nij->nj", np.abs(Kinv)).max(axis=1))
+            found.rcond = (np.min(rcond), ch[int(np.argmin(rcond))])
 
-                # [R | S1 | S2 | T] of every element of the chunk, from
-                # [beta.n, tau] per edge
-                vals = np.concatenate([samples[:, :, :nqe], taus[:, :, None]],
-                                      axis=2)
-                blk = _rows(vals.reshape(net, -1), geo["Tedge"])
-                blk[:, :o1] += _rows(
-                    np.concatenate([bx[:, :nqv], by[:, :nqv], div], axis=1),
-                    geo["Tvol"])
-                Rm = blk[:, :o1].reshape(net, d, d)
-                S1 = blk[:, o1:o2].reshape(net, d, m)
-                S2 = blk[:, o2:o3].reshape(net, m, d)
-                T = blk[:, o3:].reshape(net, m, m)
-
-                # block elimination of the flux block a*I
-                Sinv = np.linalg.inv(Rm - ia * BtBt)
-                BS = Bt @ Sinv
-                Kinv = np.empty((net, 3 * d, 3 * d))
-                Kinv[:, :2 * d, :2 * d] = (ia * ia) * (BS @ Bt.T)
-                Kinv[:, flux, flux] += ia
-                Kinv[:, :2 * d, 2 * d:] = -ia * BS
-                Kinv[:, 2 * d:, :2 * d] = -ia * (Sinv @ Bt.T)
-                Kinv[:, 2 * d:, 2 * d:] = Sinv
-                n1 = np.maximum(a_val + Bt_row1,
-                                (Bt_col1 + np.abs(Rm).sum(axis=1)).max(axis=1))
-                # column sums by einsum: about 2x faster than .sum(axis=1)
-                n1i = np.einsum("nij->nj", np.abs(Kinv)).max(axis=1)
-                rcond = 1.0 / (n1 * n1i)
-                if np.min(rcond) <= 1e-14:
-                    raise StabilizationError(
-                        "local saddle block nearly singular (rcond %g) in "
-                        "element %d" % (np.min(rcond), ch[int(np.argmin(rcond))]))
-
-                N = (S2 - ia * CBt) @ Sinv
-                fv = np.broadcast_to(spec.f(X[:, :nqv, 0], X[:, :nqv, 1]),
-                                     (net, nqv)).astype(float)
-                keep(ch, S_hat=ia * CCt + N @ (S1 - ia * BtCt) - T,
-                     b_hat=np.einsum("nmd,nd->nm", N, _rows(fv, geo["Tload"])),
-                     taus=taus, N=N, R=Rm, S1=S1, S2=S2, T=T, Kinv=Kinv)
+        N = (S2 - ia * geo["CBt"]) @ Sinv
+        fv = np.broadcast_to(spec.f(x[:, :nqv], y[:, :nqv]),
+                             (net, nqv)).astype(float)
+        keep(ch, S_hat=ia * geo["CCt"] + N @ (S1 - ia * geo["BtCt"]) - T,
+             b_hat=np.einsum("nmd,nd->nm", N, _rows(fv, geo["Tload"])),
+             taus=taus, N=N, R=Rm, S1=S1, S2=S2, T=T, **blocks)
+        return found
 
     # -- loads and recovery ----------------------------------------------
 
@@ -381,9 +451,8 @@ class ElementBlocks:
         for t, els in enumerate(self._type_groups()):
             geo = self.type_geo[t]
             for ch in self._chunks(els):
-                Xv = self._volume_points(geo, ch)
-                fv = np.broadcast_to(self.spec.f(Xv[..., 0], Xv[..., 1]),
-                                     Xv.shape[:2]).astype(float)
+                x, y = self._points(geo, ch)
+                fv = np.broadcast_to(self.spec.f(x, y), x.shape).astype(float)
                 out[ch] = _rows(fv, geo["Tload"])
         return out
 

@@ -103,6 +103,27 @@ def test_config_validation():
         BenchmarkConfig(fmt="yaml")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epsilons", ["1"]), ("epsilons", 1.0), ("variants", "bddc1"),
+    ("degrees", [1.0]), ("grids", "4x4"), ("grids", [(2, 2, 2)]),
+    ("ratios", [True]), ("tol", "1e-3"), ("maxit", 1.5), ("fmt", None),
+    ("advect", "no"), ("problem", 0)])
+def test_config_checks_field_types(field, value):
+    # a config built in Python is held to the config file's types: no
+    # TypeError from a comparison, no string split into characters, no float
+    # degree passed through
+    with pytest.raises(InvalidConfigError, match="config key '%s'" % field):
+        BenchmarkConfig(**{field: value})
+
+
+def test_config_takes_tuples_and_grid_strings():
+    config = BenchmarkConfig(epsilons=(1.0, 1e-2), grids=["2x3", [4, 4]],
+                             variants=("bddc1", "bddc3"))
+    assert config.epsilons == [1.0, 1e-2]
+    assert config.grids == [(2, 3), (4, 4)]
+    assert config.variants == ["bddc1", "bddc3"]
+
+
 def test_case_result_labels():
     ok = CaseResult("thermal", 1.0, 0, (2, 2), 2, "bddc1",
                     iterations=7, converged=True)
@@ -487,6 +508,20 @@ def test_cli_type_checks_config_values(config, named, tmp_path,
     assert main(["--problem", "thermal", "--config", str(cfile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("flag,text,what,bad", [
+    ("--degree", "1.0", "integers", "1.0"),
+    ("--ratio", "4,2.5", "integers", "2.5"),
+    ("--maxit", "1.0", "an integer", "1.0"),
+    ("--epsilon", "1,1e-3x", "numbers", "1e-3x")])
+def test_cli_number_flags_name_themselves(flag, text, what, bad,
+                                          monkeypatch, capsys):
+    # exit 2 with the flag and its bad entry named, before any cell runs
+    monkeypatch.setattr(bench, "run_sweep", _no_sweep)
+    assert main(["--problem", "thermal", flag, text]) == 2
+    assert capsys.readouterr().err == "error: %s takes %s, got '%s'\n" % (
+        flag, what, bad)
 
 
 def test_config_types_cover_the_config_fields():

@@ -139,6 +139,91 @@ def test_chunk_size_does_not_change_the_blocks(monkeypatch):
             assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-6])
+@pytest.mark.parametrize("spec", [spec_thermal, spec_rotating])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_rcond_bound_never_exceeds_the_exact_rcond(k, spec, eps):
+    # the element pass certifies rcond(K_loc) > 1e-14 from
+    # |K_loc^-1|_1 <= |Sigma^-1|_1 (ia |Bt|_1 + 1) max(ia |Bt'|_1, 1) + ia,
+    # with Sigma^-1 the lower right block of K_loc^-1: the rcond that bound
+    # gives lies below the exact one, element by element
+    mesh = build_structured_mesh(3, 2, 3)
+    b = ElementBlocks(mesh, spec(eps=eps), k)
+    d, K, Kinv = b.d, b.K_loc(), b.local.Kinv
+
+    def norm1(M):
+        return np.abs(M).sum(axis=1).max(axis=1)
+
+    exact = 1.0 / (norm1(K) * norm1(Kinv))
+    for t, geo in enumerate(b.type_geo):
+        els = mesh.tri_type == t
+        ia = eps / geo["detJ"]
+        absBt = np.abs(geo["Bt"])
+        bound = norm1(Kinv[els, 2 * d:, 2 * d:]) \
+            * (ia * absBt.sum(axis=0).max() + 1.0) \
+            * max(ia * absBt.sum(axis=1).max(), 1.0) + ia
+        assert np.all(1.0 / (norm1(K[els]) * bound) <= exact[els])
+
+
+def _stepped_beta(*levels):
+    """beta = (2c, c), c = v from height y0 up for each (y0, v) in turn:
+    beta.n vanishes on no edge of the structured mesh."""
+    def beta(x, y):
+        c = np.zeros_like(y)
+        for y0, v in levels:
+            c = np.where(y >= y0, v, c)
+        return 2.0 * c, c
+    return beta
+
+
+def _late_faults():
+    """Specs whose first failing check, or the |beta| that scales it, lies in
+    a later chunk than a chunk the check would pass or fail on its own (the
+    mesh is numbered upward in y), and what each raises."""
+    yield "div", ProblemSpec(
+        1.0, _stepped_beta((-2, 1.0)),
+        lambda x, y: np.where(y > 0.7, 1.0, 0.0), zero, zero,
+        tau_strategy="upwind_plus_diffusive", sigma=-1.0), \
+        "-div(beta) >= 0 violated (max div = 1)"
+    yield "slack", ProblemSpec(
+        1.0, _stepped_beta((-2, 1.0), (0.7, 1e-3)), zero, zero, zero,
+        tau_strategy="upwind_plus_diffusive", sigma=-0.05 / 3), \
+        "tau - beta.n/2 < 0 on an edge"
+    assumption = ("Assumption 2.1 violated: tau - beta.n/2 vanishes on all "
+                  "edges of element(s) [36 38 40 42 44] (e.g. global element "
+                  "36); enable the upwind_plus_diffusive strategy")
+    yield "assumption", ProblemSpec(
+        1.0, _stepped_beta((-2, 1.0), (0.0, 1e-12), (0.7, 1e3)), zero, zero,
+        zero), assumption
+    yield "assumption-before-rcond", ProblemSpec(
+        1.0, _stepped_beta((-2, 10.0), (0.0, 1e-12), (0.7, 1e14)), zero,
+        zero, zero), assumption
+    yield "rcond", ProblemSpec(
+        1.0, _stepped_beta((-2, 10.0), (0.7, 1e14)), zero, zero, zero), \
+        "local saddle block nearly singular (rcond %s) in element 60"
+
+
+@pytest.mark.parametrize("k,rcond", [(1, "2.70429e-16"), (2, "1.18082e-16")])
+def test_checks_read_the_whole_type_in_chunk_order(monkeypatch, k, rcond):
+    # six chunks per element type, one row of cells each.  Each type's
+    # checks scale by its largest |beta| and run in this order: div(beta)
+    # over the type, then per chunk tau - beta.n/2, Assumption 2.1 and
+    # rcond.  "div" fails tau - beta.n/2 in the first chunk, "assumption"
+    # fails Assumption 2.1 (slack ~1e-13) only under the scale of a later
+    # chunk's |beta|, and "assumption-before-rcond" also has a later chunk
+    # with rcond below 1e-14, found on the exact path
+    mesh = build_structured_mesh(2, 2, 3)
+    monkeypatch.setattr(hdg, "CHUNK_ENTRIES",
+                        6 * (3 * hdg.TriBasis(k).dim) ** 2)
+    b = ElementBlocks(mesh, spec_rotating(), k)
+    for t in (0, 1):
+        assert len(b._chunks(np.flatnonzero(mesh.tri_type == t))) == 6
+    for name, spec, message in _late_faults():
+        with pytest.raises(StabilizationError) as err:
+            ElementBlocks(mesh, spec, k)
+        assert str(err.value) == message.replace("%s", rcond), name
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_condensed_blocks_come_from_the_local_blocks(k):
     # S_hat and b_hat are formed from the same N, S1 and T that ``local``

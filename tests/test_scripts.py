@@ -54,12 +54,14 @@ def test_ab_pairs_summary():
     lines = script.summarize(parent, change, metrics)
     assert lines[:2] == ["FLAGGED: change run of pair 3 has failed = 1",
                          "FLAGGED: change run of pair 4 printed no result"]
-    # three complete pairs: t 4/5/6 against 3/4/7, two won; it all tied
+    # three complete pairs: t 4/5/6 against 3/4/7, two won; it all tied.
+    # Quartiles that overlap (or touch) leave the reading unresolved
     t = lines[3].split()
     assert t[0] == "t" and t[1:4] == ["5", "[4.5,", "5.5]"]
-    assert t[4:7] == ["4", "[3.5,", "5.5]"] and t[7:] == ["-20.0%", "2/3"]
+    assert t[4:7] == ["4", "[3.5,", "5.5]"]
+    assert t[7:] == ["-20.0%", "2/3", "unresolved"]
     it = lines[4].split()
-    assert it[0] == "it" and it[7:] == ["+0.0%", "0/3"]
+    assert it[0] == "it" and it[7:] == ["+0.0%", "0/3", "unresolved"]
     # --trace: traced runs, summarized over the per-layer metrics
     bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 20,
              "end_to_end": metrics,
@@ -74,7 +76,9 @@ def test_ab_pairs_summary():
     lines = script.summarize([traced(2.0), traced(3.0)],
                              [traced(1.0), traced(1.5)], layer)
     row = lines[1].split()
-    assert row[0] == "dd.apply_ms" and row[7:] == ["-50.0%", "2/2"]
+    # [1.125, 1.375] against [2.25, 2.75]: disjoint
+    assert row[0] == "dd.apply_ms"
+    assert row[7:] == ["-50.0%", "2/2", "resolved"]
 
 
 def test_rss_rounds_reads_resident_memory(capsys):
