@@ -14,11 +14,16 @@ runs are ``--trace 1`` runs and the summary covers the ``per_layer`` metrics
 instead: per-layer times read against a parent traced in the same session,
 not against a snapshot recorded at another time on a machine whose speed
 drifts.  Any run that reports ``failed > 0``, or prints no result, is
-flagged.  Exits non-zero if any run is flagged.
+flagged.  Exits non-zero if any run is flagged.  A ``# machine:`` line with
+the CPUs this process may run on and the 1-minute load average is printed
+before the first pair and after the last: a reading taken on one CPU (where
+the solver's stacks never split over threads) or on a loaded machine shows
+there.
 """
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +42,12 @@ def run_once(cmd, cwd):
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(out.stdout + out.stderr)
         return None
+
+
+def machine_line():
+    """'# machine: N CPUs available, load average L (1 min)'."""
+    return "# machine: %d CPUs available, load average %.2f (1 min)" % (
+        len(os.sched_getaffinity(0)), os.getloadavg()[0])
 
 
 def summarize(parent, change, end_to_end):
@@ -102,6 +113,7 @@ def main(argv=None):
     sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
     runs = {"parent": [], "change": []}
     print("# " + " ".join(cmd), flush=True)
+    print(machine_line(), flush=True)
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
@@ -112,6 +124,7 @@ def main(argv=None):
                     "%s=%.4g" % (n, run["metrics"][n]["value"])
                     for n in names if n in run.get("metrics", {})))
             print("# pair %d %s: %s" % (i, side, got), flush=True)
+    print(machine_line(), flush=True)
     lines = summarize(runs["parent"], runs["change"], metrics)
     print("\n".join(lines))
     return 1 if any(ln.startswith("FLAGGED") for ln in lines) else 0

@@ -31,6 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgetrf, dgetrs
 
+from . import _split
 from .fespace import interface_quadrature
 from .mesh import InvalidConfigError
 
@@ -97,7 +98,8 @@ def _orthonormalize(raw):
 class PrimalConstraintSet:
     """Retained constraints and the change of basis of every SubdomainEdge.
 
-    ``kept`` names the retained functionals of each SubdomainEdge and
+    ``kept_mask`` (n_se, n_functionals) bool marks the retained functionals
+    of each SubdomainEdge, ``kept`` names them on first read and
     ``n_primal_by_se`` counts them; ``primal_offsets`` numbers them in
     SubdomainEdge order.  ``Q`` (n_interface, w) holds Q_E of every
     SubdomainEdge, zero-padded to the widest block w: row j of Q_E at the
@@ -129,30 +131,38 @@ class PrimalConstraintSet:
             run = runs.run_of_edge
             raw = _raw_rows(q, bn, runs.tangent[run],
                             runs.midpoint_t[run]).reshape(3, -1)
-        self.kept = [None] * n_se
+        width = size.max(initial=0) if self.variant == "all-primal" else 0
+        self.kept_mask = np.zeros((n_se, nfun or width), dtype=bool)
         self.n_primal_by_se = np.zeros(n_se, dtype=np.int32)
         for m in np.unique(size):
             idx = np.flatnonzero(size == m)
             pos = start[idx, None] + np.arange(m)
             if nfun:
                 R, kept = _orthonormalize(raw[:nfun, pos].swapaxes(0, 1))
-                names = ("c1", "c2", "c3")
             else:
                 n = m if self.variant == "all-primal" else 0
                 R = np.broadcast_to(np.eye(m)[:n], (idx.size, n, m))
                 kept = np.ones((idx.size, n), dtype=bool)
-                names = ["e%d" % i for i in range(n)]
+            self.kept_mask[idx, :kept.shape[1]] = kept
             n_pi = kept.sum(axis=1)
             self.n_primal_by_se[idx] = n_pi
             for n in np.unique(n_pi):
                 sel = n_pi == n
                 rows = R[sel][kept[sel]].reshape(np.count_nonzero(sel), n, m)
                 self.Q[pos[sel], :m] = _change_of_basis(rows)
-            for i, row in zip(idx.tolist(), kept.tolist()):
-                self.kept[i] = [nm for nm, keep in zip(names, row) if keep]
         self.primal_offsets = np.zeros(n_se + 1, dtype=np.int32)
         np.cumsum(self.n_primal_by_se, out=self.primal_offsets[1:])
         self.n_primal = int(self.primal_offsets[-1])
+
+    @cached_property
+    def kept(self):
+        """The names of the retained functionals of each SubdomainEdge, a
+        list per SubdomainEdge: c1, c2, c3, or e0, e1, ... for all-primal."""
+        nf = self.kept_mask.shape[1]
+        names = ("c1", "c2", "c3") if self.variant in _N_FUNCTIONALS \
+            else ["e%d" % i for i in range(nf)]
+        return [[nm for nm, keep in zip(names, row) if keep]
+                for row in self.kept_mask.tolist()]
 
 
 def build_constraints(variant, spec, mesh, dofs, k):
@@ -368,14 +378,18 @@ class BddcPreconditioner:
 
     def apply(self, r):
         """M^-1 r from the fused stacks: gather, one batched product with
-        [L_i; G_i], the coarse solve, one batched product with C_i, scatter."""
+        [L_i; G_i], the coarse solve, one batched product with C_i, scatter.
+        The [L_i; G_i] product runs over the ranges of subdomains that
+        ``_split.parts`` cuts ``LG`` into (more than one only for a large
+        stack), with the same BLAS call per subdomain and so the same
+        result."""
         r = np.asarray(r, dtype=float)
         n = self.subs.n
         if r.shape != (n,):
             raise InvalidConfigError("interface residual has wrong length")
         pos = self.subs.pos
         w = pos.shape[1]
-        y = np.matmul(self.LG, np.append(r, 0.0)[pos][..., None])[..., 0]
+        y = _split.matmul(self.LG, np.append(r, 0.0)[pos][..., None])[..., 0]
         g = np.bincount(self.pidx.ravel(), y[:, w:].ravel(),
                         minlength=self.n_primal + 1)[:self.n_primal]
         xp = self.coarse_lu.solve(g) if self.coarse_lu is not None else g

@@ -256,11 +256,15 @@ def check_config_value(key, value):
 
 
 class CaseResult:
-    """One sweep cell: configuration coordinates plus solve outcome."""
+    """One sweep cell: configuration coordinates plus solve outcome.
+    ``op_s``, ``precond_s`` and ``orth_s`` are the GMRES cost split of its
+    ``SolveReport`` (0 for an error cell); ``seconds`` covers the whole
+    cell."""
 
     def __init__(self, problem, epsilon, degree, grid, ratio, variant,
                  iterations=0, converged=False, true_residual=np.nan,
-                 seconds=0.0, error=None, resvec=None, diag=None):
+                 seconds=0.0, error=None, resvec=None, diag=None,
+                 op_s=0.0, precond_s=0.0, orth_s=0.0):
         self.problem = problem
         self.epsilon = epsilon
         self.degree = degree
@@ -274,6 +278,9 @@ class CaseResult:
         self.error = error
         self.resvec = resvec
         self.diag = diag
+        self.op_s = op_s
+        self.precond_s = precond_s
+        self.orth_s = orth_s
 
     def label(self):
         """Table cell: the count, '>maxit' when unconverged, ERR on failure."""
@@ -332,7 +339,8 @@ def run_case(problem, epsilon, degree, grid, ratio, variant, tol=1e-10,
                           iterations=rep.iterations, converged=rep.converged,
                           true_residual=rep.true_residual,
                           seconds=time.perf_counter() - t0,
-                          resvec=rep.resvec, diag=diag)
+                          resvec=rep.resvec, diag=diag, op_s=rep.op_s,
+                          precond_s=rep.precond_s, orth_s=rep.orth_s)
     except InvalidConfigError:
         raise
     except Exception as exc:                 # record the cell, keep sweeping

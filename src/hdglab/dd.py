@@ -29,12 +29,14 @@ load.  The stored X of every merge give the back-substitution (``extend``).
 Subdomains are condensed in runs whose stacks stay within ``CHUNK_ENTRIES``.
 
 S_Gamma = sum_i R_i^T S_i R_i is never assembled: ``Subdomains.apply``
-applies it from the stack with one gather, one batched product and one
+applies it from the stack with one gather, one batched product (split over
+ranges of subdomains when the stack is large, ``_split``) and one
 scatter-add.
 """
 
 import numpy as np
 
+from . import _split
 from .fespace import interface_quadrature
 from .mesh import InvalidConfigError
 
@@ -433,12 +435,15 @@ class Subdomains:
 
     def apply(self, lamG):
         """S_Gamma lamG: a gather of every subdomain's interface values, one
-        batched product with ``S`` and one scatter-add."""
+        batched product with ``S`` and one scatter-add.  The product runs
+        over the ranges of subdomains that ``_split.parts`` cuts ``S`` into
+        (more than one only for a large stack), with the same BLAS call per
+        subdomain and so the same result."""
         lamG = np.asarray(lamG, dtype=float)
         if lamG.shape != (self.n,):
             raise InvalidConfigError("interface vector has wrong length")
         x = np.append(lamG, 0.0)[self.pos]
-        y = np.matmul(self.S, x[..., None])[..., 0]
+        y = _split.matmul(self.S, x[..., None])[..., 0]
         return np.bincount(self.pos.ravel(), y.ravel(),
                            minlength=self.n + 1)[:self.n]
 

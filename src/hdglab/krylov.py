@@ -15,7 +15,12 @@ the norm of M^-1 b.
 The basis is read in column chunks of at most CHUNK_COLS entries and blocks
 of at most BLOCK_ROWS vectors: a product of V with a thin block is then one
 small GEMM per chunk and block, which OpenBLAS runs at about the speed of a
-GEMV, where the one (j+1, n) @ (n, 2) product is up to 2x slower.
+GEMV, where the one (j+1, n) @ (n, 2) product is up to 2x slower.  Both
+passes run over the ranges of chunks that ``_split.ranges`` cuts the basis
+into (more than one only for a large basis, see ``_split.parts``): each
+chunk's product is the BLAS call it is unsplit, and the calling thread sums
+the reduction's (chunks, rows, 2) products over the chunks, in chunk order,
+so the iterates do not depend on the number of workers.
 """
 
 import math
@@ -24,6 +29,7 @@ import time
 import numpy as np
 import scipy.linalg as sla
 
+from ._split import ranges
 from .mesh import InvalidConfigError
 
 CHUNK_COLS = 1024
@@ -90,6 +96,11 @@ def _chunked(v, nc, width):
     out = np.zeros(nc * width)
     out[:v.size] = v
     return out.reshape(nc, width)
+
+
+def _joined(parts):
+    """The stacks of consecutive chunk ranges as one (a lone one uncopied)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _timed(fn, clock, key):
@@ -164,16 +175,29 @@ def gmres(apply_op, apply_precond, b, tol=1e-10, maxit=1000):
         Y[:, :, 0] = Vc[:, j]
         Y[:, :, 1] = _chunked(apply_precond(apply_op(V[j, :n])), nc, width)
         t = time.perf_counter()
-        # one pass: [Gram column V v_j | projection h = V w]
-        P = np.concatenate([np.matmul(Vc[:, i:min(i + BLOCK_ROWS, j + 1)], Y)
-                            .sum(axis=0)
-                            for i in range(0, j + 1, BLOCK_ROWS)])
+        # one pass: [Gram column V v_j | projection h = V w], the per-chunk
+        # products of ranges of chunks, summed over the chunks in chunk order
+        nbytes = (j + 1) * V.strides[0]
+
+        def gram(lo, hi):               # (hi - lo, j + 1, 2)
+            if j < BLOCK_ROWS:
+                return np.matmul(Vc[lo:hi, :j + 1], Y[lo:hi])
+            G = np.empty((hi - lo, j + 1, 2))
+            for i in range(0, j + 1, BLOCK_ROWS):
+                e = min(i + BLOCK_ROWS, j + 1)
+                np.matmul(Vc[lo:hi, i:e], Y[lo:hi], out=G[:, i:e])
+            return G
+
+        P = _joined(ranges(nc, gram, nbytes)).sum(axis=0)
         E[:j + 1, j] = E[j, :j + 1] = P[:, 0]
         E[j, j] -= 1.0
         h = P[:, 1]
         c = h - E[:j + 1, :j + 1] @ h
-        # second pass: w <- w - V^T c
-        w = Y[:, :, 1] - np.matmul(c, Vc[:, :j + 1])
+
+        def update(lo, hi):             # second pass: w <- w - V^T c
+            return Y[lo:hi, :, 1] - np.matmul(c, Vc[lo:hi, :j + 1])
+
+        w = _joined(ranges(nc, update, nbytes))
         hj1 = float(np.linalg.norm(w))
         col = c.tolist()
         for i in range(j):

@@ -151,6 +151,19 @@ def test_run_case_unpreconditioned_and_shared_build():
     assert rn.true_residual < 1e-9 and rp.true_residual < 1e-9
 
 
+@pytest.mark.parametrize("variant", ["none", "bddc3"])
+def test_run_case_carries_the_gmres_split(variant):
+    r = run_case("rotating", 1e-2, 0, (2, 2), 3, variant)
+    split = (r.op_s, r.precond_s, r.orth_s)
+    assert r.error is None and all(s >= 0.0 for s in split)
+    assert r.op_s > 0.0 and r.orth_s > 0.0
+    assert sum(split) <= r.seconds
+    err = run_case("rotating", 1e-2, 0, (2, 2), 3, "bddc3",
+                   built=(None,) * 6)
+    assert err.error is not None and (err.op_s, err.precond_s,
+                                      err.orth_s) == (0.0, 0.0, 0.0)
+
+
 def _float_arrays(root):
     """Every float array reachable from ``root`` through containers,
     instance attributes and the bases of views."""

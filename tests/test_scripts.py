@@ -1,5 +1,5 @@
-"""Smoke tests of scripts/criterion06_evidence.py, of the paired summary in
-scripts/ab_pairs.py, of the memory readings in scripts/rss_rounds.py and of
+"""Smoke tests of scripts/criterion06_evidence.py, of the paired summary and
+the machine line in scripts/ab_pairs.py, of the memory readings in scripts/rss_rounds.py and of
 the array fingerprints in scripts/fingerprint.py.
 
 The criterion-06 script swaps package definitions per row (its tau rows
@@ -8,6 +8,7 @@ eps = 1e-6, k = 0, H/h = 6) of each row.
 """
 
 import importlib.util
+import os
 import re
 from pathlib import Path
 
@@ -79,6 +80,29 @@ def test_ab_pairs_summary():
     # [1.125, 1.375] against [2.25, 2.75]: disjoint
     assert row[0] == "dd.apply_ms"
     assert row[7:] == ["-50.0%", "2/2", "resolved"]
+
+
+def test_ab_pairs_states_the_machine(capsys, monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "ab_pairs", SCRIPTS / "ab_pairs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    line = script.machine_line()
+    m = re.fullmatch(r"# machine: (\d+) CPUs available, "
+                     r"load average (\d+\.\d\d) \(1 min\)", line)
+    assert m and int(m.group(1)) == len(os.sched_getaffinity(0))
+    # one line before the first pair and one after the last
+    result = {"failed": 0, "metrics": {"t": {"value": 1.0, "unit": "s"}}}
+    monkeypatch.setattr(script, "run_once", lambda cmd, cwd: result)
+    monkeypatch.setattr(script, "plan", lambda bench, w, trace: (
+        ["true"], [{"name": "t", "better": "lower"}]))
+    assert script.main([str(tmp_path), "--workload", "w", "--pairs", "2"]) \
+        == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln.startswith("# machine: ") for ln in out[:7]] == [
+        False, True, False, False, False, False, True]
+    assert out[2].startswith("# pair 1 parent") \
+        and out[5].startswith("# pair 2 parent")
 
 
 def test_rss_rounds_reads_resident_memory(capsys):
