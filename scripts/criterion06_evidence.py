@@ -52,8 +52,9 @@ def robin(c):
 
 
 def tau(rule):
-    """Stabilizer ``rule(samples)`` of each edge's beta.n samples (n, nq) in
-    place of the upwind sup(beta.n)+."""
+    """Stabilizer ``rule(samples)`` of each edge's beta.n samples, the
+    samples on the first axis (nq, ...), in place of the upwind
+    sup(beta.n)+."""
     return swapped(hdg, "upwind_tau", rule)
 
 
@@ -146,10 +147,10 @@ ROWS = [
     ("Robin c=0", 1e-6, robin(0.0)),
     ("Robin c=-1/2", 1e-6, robin(-0.5)),
     ("Robin c=1", 1e-6, robin(1.0)),
-    ("tau = sup|beta.n|", 1e-6, tau(lambda s: np.abs(s).max(axis=1))),
-    ("tau = 1.5", 1e-6, tau(lambda s: np.full(s.shape[0], 1.5))),
+    ("tau = sup|beta.n|", 1e-6, tau(lambda s: np.abs(s).max(axis=0))),
+    ("tau = 1.5", 1e-6, tau(lambda s: np.full(s.shape[1:], 1.5))),
     ("tau = sup(beta.n)+ / 2", 1e-6,
-     tau(lambda s: 0.5 * np.maximum(s.max(axis=1), 0.0))),
+     tau(lambda s: 0.5 * np.maximum(s.max(axis=0), 0.0))),
     ("g = 1 on x = 1 only", 1e-6, swapped(bench, "_g_rotating", _right_wall)),
     ("g = 1 on all walls", 1e-6, swapped(bench, "_g_rotating", _all_walls)),
     ("eps = 1e-4", 1e-4, nullcontext()),

@@ -12,8 +12,11 @@ a short SHA-256 of the array's dtype, shape and bytes, or a count in clear.
 The arrays are the interface decomposition ``mesh.interface_runs`` (its
 ``edges``, ``offsets``, ``pair``, ``tangent``, ``normal``, ``t_range`` and
 ``run_of_edge``), the element blocks ``S_hat``, the load ``b``, the local
-Schur stack ``subs.S``, ``b_gamma`` and the mesh connectivity (``edges``,
-``tri_edges``, ``edge_tris`` and ``edge_class``) of each cell, and per
+Schur stack ``subs.S``, ``b_gamma``, the mesh connectivity (``edges``,
+``tri_edges``, ``edge_tris`` and ``edge_class``), the condensed element
+loads ``b_hat`` and stabilizers ``taus``, and the X, s_ids and b_ids of
+every entry of ``subs.steps`` (the merges of the subdomain condensation, in
+build order) of each cell, and per
 variant the primal count per SubdomainEdge ``n_primal_by_se``, the change
 of basis ``Qg``, the fused BDDC stacks ``LG`` and ``C``, the coarse matrix
 ``Fc`` (``Qg`` and ``Fc`` by their data, indices and indptr), the solution
@@ -76,6 +79,11 @@ def fingerprint(name, wl):
             line("-", what, digest(a))
         for what in ("edges", "tri_edges", "edge_tris", "edge_class"):
             line("-", "mesh." + what, digest(getattr(mesh, what)))
+        for what in ("b_hat", "taus"):
+            line("-", "blocks." + what, digest(getattr(sys_.blocks, what)))
+        for i, step in enumerate(subs.steps):
+            for what, a in zip(("X", "s_ids", "b_ids"), step):
+                line("-", "subs.steps[%d].%s" % (i, what), digest(a))
         for v in wl.variants:
             cons = build_constraints(v, spec, mesh, dofs, wl.degree)
             pre = build_preconditioner(subs, iface, cons, dofs)

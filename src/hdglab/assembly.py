@@ -180,7 +180,7 @@ def l2_error_u(sys, u, uexact):
     err2 = 0.0
     for t, els in enumerate(blocks._type_groups()):
         geo = blocks.type_geo[t]
-        x, y = blocks._points(geo, els)
+        x, y = blocks._points(geo, els).transpose(0, 2, 1)     # (n, nqv)
         ue = np.broadcast_to(uexact(x, y), x.shape).astype(float)
         uh = u[els] @ geo["phiv"]
         err2 += geo["detJ"] * float(np.einsum("q,nq->", wv, (uh - ue) ** 2))

@@ -23,7 +23,7 @@ from .assembly import assemble_trace_system, direct_solve, l2_error_u, \
 from .bddc import VARIANTS, BddcPreconditioner, PrimalConstraintSet
 from .dd import build_subdomains
 from .diagnostics import norm_report
-from .fespace import build_trace_dof_map
+from .fespace import MAX_DEGREE, build_trace_dof_map
 from .hdg import ProblemSpec
 from .krylov import gmres
 from .mesh import InvalidConfigError, build_structured_mesh
@@ -162,8 +162,9 @@ class BenchmarkConfig:
         if self.maxit < 1:
             raise InvalidConfigError("maxit must be positive")
         for d in self.degrees:
-            if d not in (0, 1, 2):
-                raise InvalidConfigError("degree must be 0, 1 or 2")
+            if d not in range(MAX_DEGREE + 1):
+                raise InvalidConfigError("degree must be %s or %d" % (
+                    ", ".join(map(str, range(MAX_DEGREE))), MAX_DEGREE))
         for v in self.variants:
             if v not in VARIANTS:
                 raise InvalidConfigError("unknown variant %r" % (v,))

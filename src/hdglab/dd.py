@@ -21,6 +21,14 @@ blocks, so a merge is slicing, one s x s add and one flat permutation.  The
 merges do not pivot: the symmetric part of the HDG form is positive definite
 on the interior DOFs, and every pivot is checked against the block it sits in.
 
+A merge that eliminates a single DOF (``_rank_one``: at k = 0 the cell
+diagonal and the cut of every 1 x h or w x 1 rectangle) has 1 x 1 blocks to
+batch, so it runs on node-last stacks (rows, cols, N), gathered straight
+from the leaves: one division, one outer product and four adds, each along
+all N nodes.  The stacks turn node-first (N, rows, cols) for the first
+merge with more shared DOFs, whose batched products take one block per
+node.  Both paths give the same bits.
+
 Dirichlet edges ride through the merges as kept DOFs, so the shapes are the
 same in every subdomain, and are dropped at the root.  The interior load of
 ``sys.b`` is eliminated with the matrix, as one more column, so the root yields
@@ -206,6 +214,83 @@ def _reference(mesh):
     return elems, edge_of, tri_at, tri_edges, id_at
 
 
+def _rank_one(ns):
+    """Whether the merge that eliminates ``ns`` DOFs runs as a rank-one
+    update on node-last stacks: ns = 1, which at k = 0 is the cell diagonal
+    and the cut of every 1 x h or w x 1 rectangle.  The children of such a
+    merge eliminate one DOF too, so node-last stacks come only from the
+    leaves and from these merges."""
+    return ns == 1
+
+
+def _check_pivots(piv, tol, cs):
+    """Raise SubdomainError for the first node whose pivots ``piv`` (N, ns)
+    are not all at least ``tol`` (N,) in magnitude, naming its subdomain in
+    ``cs`` (the stacks are node-major, subdomain-minor)."""
+    bad = ~(np.abs(piv).min(axis=1, initial=np.inf) >= tol)
+    if bad.any():
+        raise SubdomainError("interior block of subdomain %d is singular"
+                             % cs[bad.argmax() % cs.size])
+
+
+def _merge(A, B, ns, bext, sid, cs):
+    """The general merge of the node-first stacks A (N, ns + na, ns + na +
+    1) and B (N, ns + nb, ns + nb + 1), in [shared | own | load] order:
+    X = A_ss^-1 [A_sb | f_s] (N, ns, nk + 1) and U = S_bb - A_bs X (N, nk,
+    nk + 1), nk = na + nb, with the load ``bext`` at the eliminated DOFs
+    ``sid`` (N, ns) added to f_s."""
+    N, na = A.shape[0], A.shape[1] - ns
+    nk = na + B.shape[1] - ns
+    M = np.empty((N, ns, ns + nk + 1))
+    np.add(A[:, :ns, :ns], B[:, :ns, :ns], out=M[:, :, :ns])
+    M[:, :, ns:ns + na] = A[:, :ns, ns:-1]
+    M[:, :, ns + na:-1] = B[:, :ns, ns:-1]
+    M[:, :, -1] = A[:, :ns, -1] + B[:, :ns, -1] + bext[sid]
+    tol = 1e-14 * np.maximum(np.abs(M[:, :, :ns]).max(axis=(1, 2)), 1e-300)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        piv = _eliminate(M, ns)
+    _check_pivots(piv, tol, cs)
+    X = M[:, :, ns:].copy()
+    del M
+    L = np.concatenate([A[:, ns:, :ns], B[:, ns:, :ns]], axis=1)
+    U = np.matmul(np.negative(L, out=L), X)
+    U[:, :na, :na] += A[:, ns:, ns:-1]
+    U[:, :na, -1] += A[:, ns:, -1]
+    U[:, na:, na:-1] += B[:, ns:, ns:-1]
+    U[:, na:, -1] += B[:, ns:, -1]
+    return X, U
+
+
+def _rank_one_merge(A, B, bext, sid, cs):
+    """``_merge`` for ns = 1 on node-last stacks A (1 + na, 2 + na, N) and
+    B (1 + nb, 2 + nb, N): the pivot row over the pivot gives X, node-first
+    (N, 1, nk + 1) as ``steps`` holds it, and U = S_bb - A_bs X comes
+    node-last (nk, nk + 1, N) from one outer product and four adds.  Every
+    operation works along the N nodes, and each entry gets the same float
+    operations as in ``_merge``, so the results are the same bits: its
+    1 x 1 elimination is the same division, and its matmul with an inner
+    dimension of 1 adds each product to a zero."""
+    na, nb = A.shape[0] - 1, B.shape[0] - 1
+    nk = na + nb
+    piv = A[0, 0] + B[0, 0]
+    _check_pivots(piv[:, None], 1e-14 * np.maximum(np.abs(piv), 1e-300), cs)
+    row = np.empty((nk + 1, piv.size))
+    row[:na] = A[0, 1:-1]
+    row[na:nk] = B[0, 1:-1]
+    np.add(A[0, -1], B[0, -1], out=row[nk])
+    row[nk] += bext[sid[:, 0]]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        row /= piv
+    L = np.concatenate([A[1:, 0], B[1:, 0]])
+    U = np.multiply(np.negative(L, out=L)[:, None], row)
+    U += 0.0                    # a -0 product reads +0, as in the matmul
+    U[:na, :na] += A[1:, 1:-1]
+    U[:na, nk] += A[1:, -1]
+    U[na:, na:nk] += B[1:, 1:-1]
+    U[na:, nk] += B[1:, -1]
+    return np.ascontiguousarray(row.T)[:, None], U
+
+
 def _eliminate(M, ns):
     """In place on the stack M = [K | R] (N, ns, ns + c): X = K^-1 R into
     M[:, :, ns:] by recursive 2 x 2 block elimination without pivoting (the
@@ -360,9 +445,12 @@ class Subdomains:
     def _condense(self, cs, merges, leaves, S_hat, gdof, bext, nds):
         """Run the plan on the subdomains ``cs`` (gdof: their slot -> free DOF
         map); stores each merge's (X, s_ids, b_ids) and returns the root
-        stack (len(cs), n, n + 1) in the root's ``out`` order."""
+        stack (len(cs), n, n + 1) in the root's ``out`` order.  A stack is
+        node-last (rows, cols, N) where the merge that reads it is rank-one
+        (``_rank_one``), and node-first (N, rows, cols) elsewhere."""
         c, m3 = cs.size, S_hat.shape[1]
         n_dofs = bext.size - 1
+        last = {m.shape: _rank_one(len(m.shared) * nds) for m in merges}
         stacks = {}
         for t, (rel, perm) in enumerate(leaves):
             # one gather of the element blocks in [shared | own] order, at
@@ -371,48 +459,45 @@ class Subdomains:
             els = self.elems[cs][:, rel].T.ravel().astype(np.int64)
             flat = np.concatenate([perm[:, None] * m3 + perm,
                                    np.zeros((m3, 1), dtype=np.int64)], axis=1)
-            leaf = np.take(S_hat.reshape(-1), els[:, None, None] * m3 * m3
-                           + flat)
-            leaf[:, :, m3] = 0.0
+            if last[1, 1]:
+                leaf = np.take(S_hat.reshape(-1),
+                               flat[:, :, None] + els * (m3 * m3))
+                leaf[:, m3] = 0.0
+            else:
+                leaf = np.take(S_hat.reshape(-1),
+                               els[:, None, None] * (m3 * m3) + flat)
+                leaf[:, :, m3] = 0.0
             stacks[(1, 1), t] = leaf
-        msg = "interior block of subdomain %d is singular"
         for m in merges:
             A, B = stacks.pop((m.shape, 0)), stacks.pop((m.shape, 1))
-            ns, N = len(m.shared) * nds, A.shape[0]
-            na = A.shape[1] - ns
-            nk = na + B.shape[1] - ns
+            ns, rank_one = len(m.shared) * nds, last[m.shape]
+            N = A.shape[-1] if rank_one else A.shape[0]
+            nk = m.b_slots.shape[1]
             sid = gdof[:, m.s_slots].transpose(1, 0, 2).reshape(N, ns)
             bid = np.empty((N, nk + 1), dtype=gdof.dtype)
             bid[:, :nk] = gdof[:, m.b_slots].transpose(1, 0, 2).reshape(N, nk)
             bid[:, nk] = n_dofs + 1
-            M = np.empty((N, ns, ns + nk + 1))
-            np.add(A[:, :ns, :ns], B[:, :ns, :ns], out=M[:, :, :ns])
-            M[:, :, ns:ns + na] = A[:, :ns, ns:-1]
-            M[:, :, ns + na:-1] = B[:, :ns, ns:-1]
-            M[:, :, -1] = A[:, :ns, -1] + B[:, :ns, -1] + bext[sid]
-            tol = 1e-14 * np.maximum(np.abs(M[:, :, :ns]).max(axis=(1, 2)),
-                                     1e-300)
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                piv = _eliminate(M, ns)
-            bad = ~(np.abs(piv).min(axis=1, initial=np.inf) >= tol)
-            if bad.any():
-                raise SubdomainError(msg % cs[bad.argmax() % c])
-            X = M[:, :, ns:].copy()
-            del M
-            L = np.concatenate([A[:, ns:, :ns], B[:, ns:, :ns]], axis=1)
-            U = np.matmul(np.negative(L, out=L), X)
-            U[:, :na, :na] += A[:, ns:, ns:-1]
-            U[:, :na, -1] += A[:, ns:, -1]
-            U[:, na:, na:-1] += B[:, ns:, ns:-1]
-            U[:, na:, -1] += B[:, ns:, -1]
-            del A, B, L
+            if rank_one:
+                X, U = _rank_one_merge(A, B, bext, sid, cs)
+            else:
+                X, U = _merge(A, B, ns, bext, sid, cs)
+            del A, B
             self.steps.append((X, sid, bid))
             for parent, j, first, count, perm in m.takes:
                 flat = _flat_take(_dof_perm(perm, nds), nk)
-                stacks[parent, j] = np.take(
-                    U[first * c:(first + count) * c].reshape(count * c, -1),
-                    flat, axis=1).reshape(count * c, nk, nk + 1)
+                run = slice(first * c, (first + count) * c)
+                if rank_one:
+                    # node-last, and node-first for a general parent
+                    T = np.take(U.reshape(nk * (nk + 1), -1)[:, run], flat,
+                                axis=0)
+                    T = T.reshape(nk, nk + 1, -1) if last[parent] \
+                        else np.ascontiguousarray(T.T).reshape(-1, nk, nk + 1)
+                else:
+                    T = np.take(U[run].reshape(count * c, -1), flat,
+                                axis=1).reshape(count * c, nk, nk + 1)
+                stacks[parent, j] = T
+        if rank_one:
+            U = np.ascontiguousarray(U.transpose(2, 0, 1))
         return U
 
     def __iter__(self):

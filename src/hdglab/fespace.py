@@ -27,6 +27,9 @@ from .mesh import BOUNDARY, INTERIOR, InvalidConfigError
 
 _MAX_EXACTNESS = 60
 
+# the highest polynomial degree k of the trace and element spaces
+MAX_DEGREE = 2
+
 
 class UnsupportedError(ValueError):
     """Requested quadrature exactness beyond the implemented range."""
@@ -147,8 +150,10 @@ class TraceDofMap:
     """
 
     def __init__(self, mesh, k):
-        if k not in (0, 1, 2):
-            raise InvalidConfigError("trace degree k must be in {0,1,2}")
+        degrees = range(MAX_DEGREE + 1)
+        if k not in degrees:
+            raise InvalidConfigError("trace degree k must be in {%s}"
+                                     % ",".join(map(str, degrees)))
         self.k = k
         nds = k + 1
         nsub = mesh.n_subdomains

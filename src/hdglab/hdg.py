@@ -52,6 +52,16 @@ an element type, so they run once the type's last chunk is built, in chunk
 order.  Elements are processed in chunks sized by ``CHUNK_ENTRIES``, so only
 the outputs are mesh-sized.
 
+Each element holds only 1 to 18 points, samples or table inputs, so the
+pointwise stage of a chunk -- the points, beta, div(beta) and f, the beta.n
+samples, tau and the slack tau - beta.n/2 -- keeps the chunk's elements on
+the last axis ((2, points, n) and (3, nqe+2, n)): every NumPy pass then
+runs along the elements, not once per element over a short row.  The
+table products read their inputs as element rows, after one transposed
+copy each (``_rows``), and the block algebra stays element-first.  At
+k = 0 (d = 1) Sigma^-1 is the reciprocal 1/Sigma, the same bits as
+LAPACK's 1 x 1 solve (``_inverse``).
+
 The blocks are a build-time intermediate of the solver: the subdomains
 condense ``S_hat`` and the load into their local operators, and the mesh-wide
 blocks are then dropped (``bench.build_case``).  The pass is deterministic and
@@ -76,9 +86,11 @@ CHUNK_ENTRIES = 2 ** 16
 
 
 def _rows(vals, table):
-    """Row n of ``vals`` times ``table``: one product per element, so an
-    element's result does not depend on how many share the call."""
-    return (vals[:, None, :] @ table)[:, 0]
+    """Column n of ``vals`` (K, n), the elements on the last axis, times
+    ``table``, as row n of the result: the columns are copied into
+    contiguous rows once, then one product per element, so an element's
+    result does not depend on how many share the call."""
+    return (np.ascontiguousarray(vals.T)[:, None, :] @ table)[:, 0]
 
 
 def _row_max(a):
@@ -91,11 +103,23 @@ def _row_max(a):
     return out
 
 
+def _inverse(S):
+    """``np.linalg.inv`` of the stack S (n, d, d), and 1/S where d = 1:
+    LAPACK's 1 x 1 solve gives the same bits, and a zero entry raises the
+    same LinAlgError."""
+    if S.shape[-1] > 1:
+        return np.linalg.inv(S)
+    if not np.all(S):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return 1.0 / S
+
+
 def upwind_tau(samples):
-    """Stabilizer of each edge from its beta.n samples (n, nq) at the edge
-    quadrature points and endpoints: sup(beta.n)+, exact for affine beta.
-    ``eval_tau`` is the independent single-edge reference of this rule."""
-    return np.maximum(_row_max(samples), 0.0)
+    """Stabilizer of each edge from its beta.n samples at the edge
+    quadrature points and endpoints, the samples on the first axis (nq,
+    ...): sup(beta.n)+, exact for affine beta.  ``eval_tau`` is the
+    independent single-edge reference of this rule."""
+    return np.maximum(samples.max(axis=0), 0.0)
 
 
 class StabilizationError(RuntimeError):
@@ -220,24 +244,27 @@ class ElementBlocks:
         return [els[s:s + step] for s in range(0, els.size, step)]
 
     def _points(self, geo, els, edges=False):
-        """Coordinates (2, n, npts) of the volume quadrature points of the
+        """Coordinates (2, npts, n) of the volume quadrature points of the
         elements ``els``, then with ``edges`` their edge quadrature points,
-        edge by edge, and their three vertices: the points X of ``_chunk``,
-        from one vertex gather.  The edge points are ``EdgeQuadrature``'s,
-        lo + (t+1)(hi - lo)/2 from each edge's lower-numbered vertex lo, by
-        the same float operations."""
-        p = np.take(self.mesh.vertices, self.mesh.triangles[els],
-                    axis=0).transpose(2, 0, 1)                # (2, n, 3)
+        edge by edge, and their three vertices, the elements on the last
+        axis: the points X of ``_chunk``, from one vertex gather.  The edge
+        points are ``EdgeQuadrature``'s, lo + (t+1)(hi - lo)/2 from each
+        edge's lower-numbered vertex lo, by the same float operations."""
+        p = np.ascontiguousarray(np.take(
+            self.mesh.vertices, self.mesh.triangles[els],
+            axis=0).transpose(2, 1, 0))                       # (2, 3, n)
         if not edges:
-            return p[:, :, :1] + geo["Xv"][:, None, :]
+            return p[:, :1] + geo["Xv"][:, :, None]
         nqv, nqe = geo["Xv"].shape[1], self.erule.points.size
-        plo = p[:, :, geo["lo"]]
-        Xe = plo[..., None] + 0.5 * (
-            (p[:, :, geo["hi"]] - plo)[..., None] * (self.erule.points + 1.0))
-        X = np.empty((2, els.size, nqv + 3 * nqe + 3))
-        np.add(p[:, :, :1], geo["Xv"][:, None, :], out=X[:, :, :nqv])
-        X[:, :, nqv:-3] = Xe.reshape(2, els.size, 3 * nqe)
-        X[:, :, -3:] = p
+        X = np.empty((2, nqv + 3 * nqe + 3, els.size))
+        np.add(p[:, :1], geo["Xv"][:, :, None], out=X[:, :nqv])
+        plo = p[:, geo["lo"], None]
+        Xe = X[:, nqv:-3].reshape(2, 3, nqe, els.size)
+        np.multiply(p[:, geo["hi"], None] - plo,
+                    (self.erule.points + 1.0)[:, None], out=Xe)
+        Xe *= 0.5
+        Xe += plo
+        X[:, -3:] = p
         return X
 
     def _build_type_geometry(self, els):
@@ -320,7 +347,7 @@ class ElementBlocks:
         at = nqv + np.concatenate([np.arange(3 * nqe).reshape(3, nqe),
                                    3 * nqe + np.column_stack([lo, hi])],
                                   axis=1)
-        nx, ny = np.array([ed["n"] for ed in edata]).T[:, :, None]
+        nx, ny = np.array([ed["n"] for ed in edata]).T[:, :, None, None]
         return dict(detJ=detJ, phiv=phiv, edata=edata, hK=hK, Bt=Bt, C=C,
                     Tvol=Tvol.reshape(3 * nqv, d * d),
                     Tedge=Tedge.reshape(3 * (nqe + 1), -1),
@@ -373,30 +400,32 @@ class ElementBlocks:
         ia = spec.eps / geo["detJ"]
         Bt = geo["Bt"]
 
-        # beta at the volume points, the edge points and the vertices
-        x, y = self._points(geo, ch, edges=True)
-        bx, by = spec.beta_at(x, y)
-        div = np.broadcast_to(spec.div_beta(x[:, :nqv], y[:, :nqv]),
-                              (net, nqv)).astype(float)
+        # the pointwise stage, with the chunk's elements on the last axis:
+        # beta at the volume points, the edge points and the vertices, and
+        # div(beta) and f at the volume points
+        X = self._points(geo, ch, edges=True)                # (2, npts, net)
+        bx, by = spec.beta_at(*X)
+        x, y = X[:, :nqv]
+        div = np.broadcast_to(spec.div_beta(x, y), (nqv, net)).astype(float)
         found = SimpleNamespace(
-            bmax=np.max(np.hypot(bx[:, :nqv], by[:, :nqv])),
+            bmax=np.max(np.hypot(bx[:nqv], by[:nqv])),
             divmax=np.max(div), error=None, rcond=None)
 
         at, nx, ny = geo["at"], geo["nx"], geo["ny"]
-        samples = bx[:, at] * nx + by[:, at] * ny            # (net, 3, nqe+2)
-        taus = upwind_tau(samples.reshape(3 * net, -1)).reshape(net, 3)
+        samples = bx[at] * nx + by[at] * ny                  # (3, nqe+2, net)
+        taus = upwind_tau(samples.transpose(1, 0, 2))        # (3, net)
         if spec.tau_strategy == "upwind_plus_diffusive":
             taus = taus + spec.sigma * spec.eps / geo["hK"]
-        slack = taus[:, :, None] - 0.5 * samples
+        slack = taus[:, None] - 0.5 * samples
         found.slack_min = np.min(slack)
-        found.slack_max = _row_max(slack.reshape(net, -1))
+        found.slack_max = slack.reshape(-1, net).max(axis=0)
 
         # [R | S1 | S2 | T] of every element of the chunk, from
-        # [beta.n, tau] per edge
-        vals = np.concatenate([samples[:, :, :nqe], taus[:, :, None]], axis=2)
-        blk = _rows(vals.reshape(net, -1), geo["Tedge"])
-        blk[:, :o1] += _rows(np.concatenate([bx[:, :nqv], by[:, :nqv], div],
-                                            axis=1), geo["Tvol"])
+        # [beta.n, tau] per edge, and R also from [bx | by | div]
+        vals = np.concatenate([samples[:, :nqe], taus[:, None]], axis=1)
+        blk = _rows(vals.reshape(-1, net), geo["Tedge"])
+        blk[:, :o1] += _rows(np.concatenate([bx[:nqv], by[:nqv], div]),
+                             geo["Tvol"])
         Rm = blk[:, :o1].reshape(net, d, d)
         S1 = blk[:, o1:o2].reshape(net, d, m)
         S2 = blk[:, o2:o3].reshape(net, m, d)
@@ -404,7 +433,7 @@ class ElementBlocks:
 
         # block elimination of the flux block a*I
         try:
-            Sinv = np.linalg.inv(Rm - ia * geo["BtBt"])
+            Sinv = _inverse(Rm - ia * geo["BtBt"])
         except np.linalg.LinAlgError as exc:
             found.error = exc
             return found
@@ -435,11 +464,10 @@ class ElementBlocks:
             found.rcond = (np.min(rcond), ch[int(np.argmin(rcond))])
 
         N = (S2 - ia * geo["CBt"]) @ Sinv
-        fv = np.broadcast_to(spec.f(x[:, :nqv], y[:, :nqv]),
-                             (net, nqv)).astype(float)
+        fv = np.broadcast_to(spec.f(x, y), (nqv, net)).astype(float)
         keep(ch, S_hat=ia * geo["CCt"] + N @ (S1 - ia * geo["BtCt"]) - T,
              b_hat=np.einsum("nmd,nd->nm", N, _rows(fv, geo["Tload"])),
-             taus=taus, N=N, R=Rm, S1=S1, S2=S2, T=T, **blocks)
+             taus=taus.T, N=N, R=Rm, S1=S1, S2=S2, T=T, **blocks)
         return found
 
     # -- loads and recovery ----------------------------------------------

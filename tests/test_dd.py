@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hdglab.assembly import assemble_trace_system, direct_solve
+from hdglab import dd
 from hdglab.dd import (SubdomainError, build_interface_operator,
                        build_subdomains)
 from hdglab.fespace import build_trace_dof_map
@@ -191,16 +192,22 @@ def test_full_solve_robin():
     assert np.linalg.norm(sub.A @ x - rhs) < 1e-11 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("pivot", [0.0, 1e-20], ids=["zero", "tiny-pivot"])
-def test_singular_interior_block_raises(pivot):
+@pytest.mark.parametrize("edge,pivot", [(1, 0.0), (1, 1e-20), (0, 0.0)],
+                         ids=["zero", "tiny-pivot", "diagonal-zero"])
+def test_singular_interior_block_raises(edge, pivot):
     # one interior edge of subdomain 5 is decoupled in both of its elements
-    # and keeps only the diagonal ``pivot`` (0: the elimination breaks down,
-    # 1e-20: the pivot check)
+    # and keeps only the diagonal ``pivot``.  Interior edge 1 is a cell edge
+    # that a merge eliminates with another (0: the elimination breaks down,
+    # 1e-20: the pivot check); interior edge 0 is a cell diagonal, which the
+    # rank-one cell merge eliminates alone (0: its pivot)
     mesh = build_structured_mesh(4, 4, 2)
     dofs = build_trace_dof_map(mesh, 0)
     spec = make_spec("rotating", 1e-3)
     sys = assemble_trace_system(mesh, dofs, spec, 0)
-    els, slots = np.nonzero(sys.elem_dofs == dofs.interior_by_sub[5][1])
+    gid = dofs.interior_by_sub[5][edge]
+    v = mesh.vertices[mesh.edges[dofs.edge_dofs[:, 0] == gid][0]]
+    assert np.all(v[0] != v[1]) == (edge == 0)          # a diagonal
+    els, slots = np.nonzero(sys.elem_dofs == gid)
     S_hat = sys.blocks.S_hat
     S_hat[els, slots, :] = 0.0
     S_hat[els, :, slots] = 0.0
@@ -208,6 +215,56 @@ def test_singular_interior_block_raises(pivot):
     with pytest.raises(SubdomainError,
                        match="interior block of subdomain 5 is singular"):
         build_subdomains(mesh, dofs, spec, 0, sys=sys)
+
+
+@pytest.mark.parametrize("problem", ["thermal", "rotating"])
+@pytest.mark.parametrize("diag", ["ne", "nw"])
+@pytest.mark.parametrize("ratio", [1, 2, 3, 5])
+def test_rank_one_merges_equal_the_general_merge(ratio, diag, problem,
+                                                 monkeypatch):
+    # at k = 0 the merges that eliminate one DOF (the cell diagonal and the
+    # cuts of 1 x h and w x 1 rectangles) run on node-last stacks; the
+    # general merge on node-first stacks gives the same bytes.  At H/h 1 the
+    # cell merge is the root; H/h 3 and 5 cut 1 x 2 and 1 x 3 rectangles
+    mesh = build_structured_mesh(3, 2, ratio, diag=diag)
+    dofs = build_trace_dof_map(mesh, 0)
+    spec = make_spec(problem, 1e-4, f=lambda x, y: np.sin(3.0 * x) * y)
+    sys = assemble_trace_system(mesh, dofs, spec, 0)
+    got = []
+    for rank_one in (dd._rank_one, lambda ns: False):
+        monkeypatch.setattr(dd, "_rank_one", rank_one)
+        subs = build_subdomains(mesh, dofs, spec, 0, sys=sys)
+        got.append([subs.S, subs.b_gamma]
+                   + [a for step in subs.steps for a in step])
+    assert any(X.shape[1] == 1 for X, _, _ in subs.steps)
+    assert len(got[0]) == len(got[1])
+    for a, b in zip(*got):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_rank_one_merge_keeps_the_zeros_of_the_general_merge():
+    # random stacks with +0 and -0 entries: the general merge's matmul adds
+    # each product to a zero, so a product of -0 reads +0 there, and the
+    # rank-one merge on the same stacks, node-last, gives the same bytes
+    rng = np.random.default_rng(1)
+    N, cs = 60, np.arange(4)
+    zeros = lambda shape: rng.choice([0.0, -0.0, 1.5, -2.0], size=shape)
+    A = rng.standard_normal((N, 3, 4))
+    B = rng.standard_normal((N, 4, 5))
+    for S in (A, B):
+        S[:, 1:, 0] = zeros(S[:, 1:, 0].shape)          # couplings L
+        S[:, 0, 1:] = zeros(S[:, 0, 1:].shape)          # pivot rows
+        S[:, 1:, 1:] = zeros(S[:, 1:, 1:].shape)        # own blocks
+    A[:, 0, 0] = 1.0 + rng.random(N)
+    B[:, 0, 0] = 1.0
+    bext, sid = zeros(N), np.arange(N)[:, None]
+    X, U = dd._merge(A, B, 1, bext, sid, cs)
+    node_last = lambda S: np.ascontiguousarray(S.transpose(1, 2, 0))
+    X1, U1 = dd._rank_one_merge(node_last(A), node_last(B), bext, sid, cs)
+    assert X1.shape == X.shape and X1.tobytes() == X.tobytes()
+    assert np.ascontiguousarray(U1.transpose(2, 0, 1)).tobytes() \
+        == U.tobytes()
 
 
 def assert_equals_dense_elimination(sys, dofs, subs):

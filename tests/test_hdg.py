@@ -123,20 +123,45 @@ def test_nearly_singular_saddle_block_raises(spec, k):
         ElementBlocks(mesh, spec(eps=eps), k)
 
 
-def test_chunk_size_does_not_change_the_blocks(monkeypatch):
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_chunk_size_does_not_change_the_blocks(monkeypatch, k):
+    # the pointwise stage runs with the chunk's elements on the last axis,
+    # and at k = 0 (d = 1) Sigma^-1 is a reciprocal
     mesh = build_structured_mesh(3, 2, 3)
     spec = spec_rotating(eps=1e-3)
     spec.f = lambda x, y: np.sin(3.0 * x) * y
-    per_element = (3 * hdg.TriBasis(2).dim) ** 2       # one (3d)^2 inverse
+    b = ElementBlocks(mesh, spec, k)
+    # the largest per-element array of the pass (``_chunks``): the (3d)^2
+    # inverse at k = 2, the points X at k = 0
+    npts = b.vrule.weights.size + 3 * b.erule.points.size + 3
+    per_element = max((3 * b.d) ** 2, (b.d + b.m) ** 2, 2 * npts)
+    els = np.arange(mesh.n_triangles)
     ref = None
     for n in (1, 7, mesh.n_triangles):
         monkeypatch.setattr(hdg, "CHUNK_ENTRIES", n * per_element)
-        b = ElementBlocks(mesh, spec, 2)
+        assert b._chunks(els)[0].size == n
+        b = ElementBlocks(mesh, spec, k)
         got = (b.S_hat, b.b_hat, b.local.N, b.taus, b.local.Kinv)
         if ref is None:
             ref = got
         for x, y in zip(got, ref):
             assert np.array_equal(x, y)
+
+
+def test_sigma_reciprocal_is_the_lapack_inverse():
+    # at d = 1 the element pass takes Sigma^-1 as 1/Sigma: the bits of
+    # np.linalg.inv, and its LinAlgError where an entry is zero
+    rng = np.random.default_rng(3)
+    S = (rng.standard_normal(4000)
+         * 10.0 ** rng.uniform(-250, 250, 4000)).reshape(-1, 1, 1)
+    assert hdg._inverse(S).tobytes() == np.linalg.inv(S).tobytes()
+    for z in (0.0, -0.0):
+        S[7] = z
+        with pytest.raises(np.linalg.LinAlgError) as lapack:
+            np.linalg.inv(S)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            hdg._inverse(S)
+        assert str(ours.value) == str(lapack.value)
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-6])

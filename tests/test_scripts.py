@@ -144,8 +144,10 @@ def test_fingerprint_repeats(capsys):
     for _ in range(2):
         assert script.main(["many-subdomains"]) == 0
         runs.append(capsys.readouterr().out.splitlines())
-    # fifteen arrays of the cell, then ten arrays and the count per variant
-    assert len(runs[0]) == 15 + 2 * 11 and runs[0] == runs[1]
+    # seventeen arrays of the cell, then X, s_ids and b_ids of its 14 merge
+    # steps (7 merges over 2 runs of subdomains), then ten arrays and the
+    # count per variant
+    assert len(runs[0]) == 17 + 3 * 14 + 2 * 11 and runs[0] == runs[1]
     assert runs[0][0].startswith(
         "many-subdomains 16x16/8 - interface_runs.edges ")
     assert runs[0][3].startswith(
@@ -154,6 +156,9 @@ def test_fingerprint_repeats(capsys):
         "many-subdomains 16x16/8 - interface_runs.run_of_edge ")
     assert runs[0][7].startswith("many-subdomains 16x16/8 - blocks.S_hat ")
     assert runs[0][11].startswith("many-subdomains 16x16/8 - mesh.edges ")
+    assert runs[0][15].startswith("many-subdomains 16x16/8 - blocks.b_hat ")
+    assert runs[0][17].startswith(
+        "many-subdomains 16x16/8 - subs.steps[0].X ")
     assert runs[0][-1] == "many-subdomains 16x16/8 bddc3 iterations 10"
     assert script.main(["no-such-workload"]) == 2
     assert "unknown workload" in capsys.readouterr().err
